@@ -34,6 +34,19 @@ import (
 // dependent (Workers or FinalWorkers above 1) replay the first run's
 // counts. The syndrome's own Lookups counter does not advance on a hit
 // — short-circuiting those consultations is the cache's entire point.
+//
+// Hypothesis entries. A grouped DiagnoseBatch (ShareCertification or
+// ShareFinalPrefix) passed a cache also keeps a second kind of entry:
+// the behaviour-independent state of a fault hypothesis (hypState — the
+// scan verdict and the final-prefix checkpoint), keyed on the fault set,
+// effective bound, strategy and binding epoch, with no behaviour in the
+// key. Later batches resume every syndrome of a known hypothesis from
+// it, so a repeated hypothesis pays its scan and prefix once per cache
+// residency rather than once per batch. Hypothesis entries share the
+// LRU list and Capacity with result entries, keep their key as a
+// member list, and additionally sit under a byte ceiling derived from
+// the bound graph (hypothesisByteCeiling); the admission policies gate
+// result entries only.
 type ResultCache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -43,6 +56,12 @@ type ResultCache struct {
 	misses    int64
 	evictions int64
 	bypassed  int64
+
+	// The hypothesis tier: resident hypothesis entries, their retained
+	// bytes (charged against hypothesisByteCeiling) and memo hits.
+	hypEntries int
+	hypBytes   int64
+	hypHits    int64
 
 	// admitOnSecond gates admission on a hypothesis having been seen
 	// before: the first sighting of a key records it in seen and skips
@@ -138,13 +157,15 @@ func (s *cmSketch) clear() {
 	s.adds = 0
 }
 
-// cacheEntry is one memoised diagnosis. All fields are immutable after
-// insertion, so reads may continue after the cache lock is released.
-// Rebind replaces entries rather than mutating them for the same
-// reason.
+// cacheEntry is one memoised diagnosis, or — when hyp is set — one
+// memoised hypothesis (behaviour and faults nil, no result fields). All
+// fields are immutable after insertion, so reads may continue after the
+// cache lock is released. Rebind replaces entries rather than mutating
+// them for the same reason.
 type cacheEntry struct {
 	hash     uint64
 	faults   *bitset.Set // key: cloned fault hypothesis
+	ids      []int32     // hypothesis entries' key: its members, ascending
 	behavior syndrome.Behavior
 	delta    int
 	strategy Strategy
@@ -153,6 +174,39 @@ type cacheEntry struct {
 	resFaults *bitset.Set // nil when the diagnosis errored
 	stats     Stats
 	err       error
+
+	hyp  *hypState // hypothesis entries only
+	size int64     // a hypothesis entry's retained bytes
+}
+
+// hypState is the behaviour-independent state of one fault hypothesis
+// that a grouped DiagnoseBatch shares between its syndromes — within
+// one batch, and through a ResultCache across batches. Immutable once
+// shared.
+type hypState struct {
+	scan   *sharedScan  // nil when the representative's scan never completed
+	prefix *finalPrefix // nil when no final prefix was recorded (ShareFinalPrefix off)
+}
+
+// hypEntryOverhead approximates the fixed bytes of one hypothesis entry
+// (entry, list element, scan verdict, checkpoint headers).
+const hypEntryOverhead = 384
+
+// hypothesisScratchBudget scales the hypothesis tier's byte ceiling:
+// stored checkpoints may retain at most this many Scratch footprints
+// of the bound graph (≈ 3.4 MB on Q14).
+const hypothesisScratchBudget = 16
+
+// hypothesisByteCeiling bounds the bytes the hypothesis entries of a
+// cache serving an n-node graph may retain. A checkpoint holds at most
+// U's words, one parent per node and a frontier (≈ 8n bytes), less
+// than a Scratch footprint (≈ 13n), so the ceiling admits at least
+// hypothesisScratchBudget worst-case checkpoints. Keys are stored as
+// member lists, not as dense bitsets: a hypothesis entry then retains
+// less than the result entry it displaces from the LRU unless its
+// checkpoint is large.
+func hypothesisByteCeiling(n int) int64 {
+	return hypothesisScratchBudget * ScratchFootprintBytes(n)
 }
 
 // DefaultCacheCapacity bounds a ResultCache constructed with a
@@ -227,8 +281,18 @@ type CacheStats struct {
 	// SketchResets counts aging halvings of the frequency sketch
 	// (NewResultCacheWithSketch only); a growing value means the
 	// admission gate is live and recurrence is being re-earned.
-	SketchResets      int64
+	SketchResets int64
+	// Entries counts resident diagnosis results; Capacity bounds them
+	// together with the hypothesis entries.
 	Entries, Capacity int
+	// HypothesisHits counts grouped-batch hypotheses served from a
+	// hypothesis entry: their scan and final prefix were not redone.
+	HypothesisHits int64
+	// HypothesisEntries and HypothesisBytes are the resident hypothesis
+	// entries and the bytes they retain, checkpoints included (bounded
+	// by the byte ceiling of the bound graph).
+	HypothesisEntries int
+	HypothesisBytes   int64
 }
 
 // HitRate returns Hits/(Hits+Misses) in [0, 1], and 0 for a cache that
@@ -249,7 +313,10 @@ func (c *ResultCache) Stats() CacheStats {
 	st := CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Bypassed: c.bypassed,
-		Entries:  c.ll.Len(), Capacity: c.capacity,
+		Entries:  c.ll.Len() - c.hypEntries, Capacity: c.capacity,
+		HypothesisHits:    c.hypHits,
+		HypothesisEntries: c.hypEntries,
+		HypothesisBytes:   c.hypBytes,
 	}
 	if c.sketch != nil {
 		st.SketchResets = c.sketch.resets
@@ -308,6 +375,95 @@ func cacheHash(faults *bitset.Set, behavior syndrome.Behavior, delta int, strat 
 		h *= fnvPrime64
 	}
 	return h
+}
+
+// hypHash keys a hypothesis entry: the fault words (fh, their
+// faultsHash, which the caller has already computed to group the
+// batch), the bound and the strategy, and no behaviour. The kind check
+// in the equality walk keeps the two entry kinds apart should their
+// hashes collide.
+func hypHash(fh uint64, delta int, strat Strategy) uint64 {
+	return fnvMix(fnvMix(fh, uint64(delta)), uint64(strat))
+}
+
+// lookupHypothesis returns the memoised state of a fault hypothesis
+// (fh its faultsHash) under the given effective bound, strategy and
+// binding epoch, or nil. withPrefix asks for an entry that carries a
+// final-prefix verdict: an entry recorded by a batch without
+// ShareFinalPrefix is then a miss, so the caller records a fuller one.
+// The returned state is immutable.
+func (c *ResultCache) lookupHypothesis(faults *bitset.Set, fh uint64, delta int, strat Strategy, epoch uint64, withPrefix bool) *hypState {
+	h := hypHash(fh, delta, strat)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, el := range c.byHash[h] {
+		e := el.Value.(*cacheEntry)
+		if e.hyp != nil && e.delta == delta && e.strategy == strat && e.epoch == epoch && sameMembers(e.ids, faults) {
+			if withPrefix && e.hyp.prefix == nil {
+				return nil
+			}
+			c.ll.MoveToFront(el)
+			c.hypHits++
+			return e.hyp
+		}
+	}
+	return nil
+}
+
+// insertHypothesis memoises a hypothesis's shared state, which the
+// caller must no longer modify. n is the bound graph's node count; it
+// sets the byte ceiling, under which least-recently-used hypothesis
+// entries are evicted. A concurrent duplicate keeps the first entry,
+// unless only the newcomer carries a final-prefix verdict.
+func (c *ResultCache) insertHypothesis(faults *bitset.Set, fh uint64, delta int, strat Strategy, epoch uint64, hs *hypState, n int) {
+	h := hypHash(fh, delta, strat)
+	e := &cacheEntry{
+		hash: h, ids: faults.Members32(), delta: delta, strategy: strat, epoch: epoch,
+		hyp: hs,
+	}
+	e.size = hypEntryOverhead + 4*int64(len(e.ids))
+	if hs.prefix != nil {
+		e.size += hs.prefix.bytes()
+	}
+	ceiling := hypothesisByteCeiling(n)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, el := range c.byHash[h] {
+		old := el.Value.(*cacheEntry)
+		if old.hyp != nil && old.delta == delta && old.strategy == strat && old.epoch == epoch && sameMembers(old.ids, faults) {
+			if old.hyp.prefix != nil || hs.prefix == nil {
+				return
+			}
+			c.unlink(el)
+			break
+		}
+	}
+	c.byHash[h] = append(c.byHash[h], c.ll.PushFront(e))
+	c.hypEntries++
+	c.hypBytes += e.size
+	for c.ll.Len() > c.capacity {
+		c.evict(c.ll.Back())
+	}
+	for el := c.ll.Back(); c.hypBytes > ceiling && el != nil; {
+		prev := el.Prev()
+		if el.Value.(*cacheEntry).hyp != nil {
+			c.evict(el)
+		}
+		el = prev
+	}
+}
+
+// sameMembers reports whether s holds exactly the ascending ids.
+func sameMembers(ids []int32, s *bitset.Set) bool {
+	if s.Count() != len(ids) {
+		return false
+	}
+	for _, id := range ids {
+		if int(id) >= s.Len() || !s.Contains(int(id)) {
+			return false
+		}
+	}
+	return true
 }
 
 // lookup returns the memoised entry for the syndrome under the given
@@ -391,7 +547,8 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // (normally invoked through Engine.Rebind, which passes the right
 // arguments — in the growth direction the map is the total
 // SurvivorToNew, so no entry is lost to missing ids). Entries that
-// cannot survive the churn are flushed: any entry touching a gone id
+// cannot survive the churn are flushed: every hypothesis entry (its
+// checkpoint speaks about the old graph), any entry touching a gone id
 // (in its key hypothesis, its result fault set, or its recorded seed),
 // any errored or bound-tightened entry, and any entry whose hypothesis
 // exceeds the new bound. The rest are replaced — never mutated, since
@@ -411,6 +568,7 @@ func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epo
 	oldLL := c.ll
 	c.ll = list.New()
 	c.byHash = make(map[uint64][]*list.Element)
+	c.hypEntries, c.hypBytes = 0, 0
 	if c.seen != nil {
 		clear(c.seen)
 	}
@@ -433,7 +591,7 @@ func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epo
 // remapEntry builds the post-churn replacement for one entry, or
 // reports that it must be flushed.
 func remapEntry(e *cacheEntry, oldToNew []int32, newN, oldDelta, newDelta int, epoch uint64, degraded bool) (*cacheEntry, bool) {
-	if e.err != nil || e.delta != oldDelta || e.resFaults == nil {
+	if e.hyp != nil || e.err != nil || e.delta != oldDelta || e.resFaults == nil {
 		return nil, false
 	}
 	if int(e.stats.Seed) >= len(oldToNew) || oldToNew[e.stats.Seed] < 0 {
@@ -488,9 +646,21 @@ func remapSet(s *bitset.Set, oldToNew []int32, newN int) (*bitset.Set, bool) {
 	return out, ok
 }
 
-// evict removes one element (called with the lock held).
+// evict removes one element and counts the eviction (called with the
+// lock held).
 func (c *ResultCache) evict(el *list.Element) {
+	c.unlink(el)
+	c.evictions++
+}
+
+// unlink removes one element from the list, its hash chain and the
+// hypothesis-tier census (called with the lock held).
+func (c *ResultCache) unlink(el *list.Element) {
 	e := el.Value.(*cacheEntry)
+	if e.hyp != nil {
+		c.hypEntries--
+		c.hypBytes -= e.size
+	}
 	c.ll.Remove(el)
 	chain := c.byHash[e.hash]
 	for i, cand := range chain {
@@ -505,5 +675,4 @@ func (c *ResultCache) evict(el *list.Element) {
 	} else {
 		c.byHash[e.hash] = chain
 	}
-	c.evictions++
 }

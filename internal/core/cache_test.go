@@ -58,7 +58,9 @@ func TestResultCacheBatchMatchesLoop(t *testing.T) {
 	syns, refs := repeatedSyndromes(nw, total, distinct)
 	eng := NewEngine(nw)
 	cache := NewResultCache(64)
-	results := eng.DiagnoseBatch(syns, BatchOptions{Options: Options{ResultCache: cache}})
+	// One worker: with several, a repeat can run concurrently with its
+	// populating diagnosis and miss legitimately.
+	results := eng.DiagnoseBatch(syns, BatchOptions{Workers: 1, Options: Options{ResultCache: cache}})
 	for i, r := range results {
 		want, wantStats, wantErr := Diagnose(nw, refs[i])
 		if (r.Err == nil) != (wantErr == nil) {

@@ -13,12 +13,12 @@ import (
 // appears in some consulted pair, so d-1 look-ups per node suffice
 // instead of C(d, 2).
 //
-// Soundness (DESIGN.md §3): if the part is connected, has more than δ
-// nodes, every member has at least two part-neighbours, and all scans
-// are 0, the part is fault-free. An all-faulty part would need more than
-// δ faults; a mixed part has a healthy member adjacent (inside the part)
-// to a faulty one, and one of its consulted pairs contains that faulty
-// neighbour, forcing a 1 from a healthy tester.
+// Soundness (docs/algorithm.md): if the part is connected, has more
+// than δ nodes, every member has at least two part-neighbours, and all
+// scans are 0, the part is fault-free. An all-faulty part would need
+// more than δ faults; a mixed part has a healthy member adjacent (inside
+// the part) to a faulty one, and one of its consulted pairs contains
+// that faulty neighbour, forcing a 1 from a healthy tester.
 //
 // Completeness: a fault-free part always passes, because each tester and
 // both tested nodes are healthy.
@@ -65,10 +65,10 @@ func certifyScan(a graph.Adjacencer, s syndrome.Syndrome, nodes []int32, mask *b
 // restricted Set_Builder whose contributor count must exceed δ. It
 // returns the certifying Set_Builder result (AllHealthy true) or nil.
 //
-// This is sound but — as gap G1 in DESIGN.md records — incomplete for
-// parts whose BFS trees have ≤ δ internal nodes even when the part is
-// larger than δ; the ablation experiment A1 quantifies how often that
-// bites at the paper's prescribed part sizes.
+// This is sound but — as gap G1 in docs/algorithm.md records —
+// incomplete for parts whose BFS trees have ≤ δ internal nodes even
+// when the part is larger than δ; the ablation experiment A1
+// quantifies how often that bites at the paper's prescribed part sizes.
 func CertifyPartPaper(a graph.Adjacencer, s syndrome.Syndrome, seed int32, delta int, mask *bitset.Set) *SetBuilderResult {
 	return certifyPaperInto(NewScratch(a.N()), a, s, seed, delta, mask)
 }

@@ -13,16 +13,35 @@ import (
 	"comparisondiag/internal/topology"
 )
 
+// checkDeltaAgainstFree pins the delta-encoded checkpoint against the
+// free functions along both of its lifetimes: a batch without a cache
+// (recorded and resumed inside the batch), then two batches sharing one
+// cache — the first records and stores the hypothesis entry, the second
+// (fresh behaviours) has no representative and resumes every syndrome
+// from the stored checkpoint.
+func checkDeltaAgainstFree(t *testing.T, label string, eng *Engine, F *bitset.Set, bopt BatchOptions,
+	free func(syndrome.Syndrome) (*bitset.Set, *Stats, error)) {
+	t.Helper()
+	checkBatchAgainstFree(t, label+" batch-local", eng, F, sharedFinalBehaviors(), bopt, false, free)
+	cache := NewResultCache(64)
+	cached := bopt
+	cached.Options.ResultCache = cache
+	checkBatchAgainstFree(t, label+" recording", eng, F, sharedFinalBehaviors(), cached, false, free)
+	groupable := F.Count() <= eng.Diagnosability()
+	checkBatchAgainstFree(t, label+" memo", eng, F, memoBehaviors(), cached, groupable, free)
+	if hits := cache.Stats().HypothesisHits; groupable && hits != 1 {
+		t.Fatalf("%s: %d hypothesis hits, want 1", label, hits)
+	}
+}
+
 // TestDeltaCheckpointMatchesFullCopy pins the delta-encoded shared-final
-// checkpoint (the default since the sparse dirty-list layout landed)
-// against the pre-delta full-copy layout kept behind
-// BatchOptions.FullCheckpoint: on the same engine, hypothesis and
-// behaviour panel the two batches must agree member-for-member on fault
-// sets, errors, the whole Stats struct — including the SharedFinal*
-// adoption accounting — and the exact per-syndrome look-up counts.
+// checkpoint — the one layout, and immutable once stored — against the
+// full copy of the work it replaces, the free function's complete run:
+// fault sets, errors and the shape Stats equal, the adopted prefix plus
+// the member's own suffix equal to the full final pass, per syndrome.
 // Cases cover every final-pass driver (generic sweep, xor-cayley,
 // additive-rotate, mixed-radix) and the empty hypothesis whose prefix
-// is complete.
+// is complete, both inside one batch and resumed from the ResultCache.
 func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -40,41 +59,16 @@ func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 			eng := NewEngine(tc.nw)
 			g := tc.nw.Graph()
 			rng := rand.New(rand.NewSource(41))
-			loads := [][]int{{0}, {1}, {tc.nw.Diagnosability()}}
+			loads := []int{0, 1, tc.nw.Diagnosability()}
 			for trial := 0; trial < 3; trial++ {
-				loads = append(loads, []int{1 + rng.Intn(tc.nw.Diagnosability())})
+				loads = append(loads, 1+rng.Intn(tc.nw.Diagnosability()))
 			}
+			opt := Options{GenericFinal: tc.generic}
+			free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return DiagnoseOpts(tc.nw, s, opt) }
 			for _, load := range loads {
-				F := syndrome.RandomFaults(g.N(), load[0], rng)
-				behaviors := sharedFinalBehaviors()
-				var sDelta, sFull []syndrome.Syndrome
-				for _, b := range behaviors {
-					sDelta = append(sDelta, syndrome.NewLazy(F, b))
-					sFull = append(sFull, syndrome.NewLazy(F, b))
-				}
-				base := BatchOptions{
-					ShareCertification: true, ShareFinalPrefix: true,
-					Options: Options{GenericFinal: tc.generic},
-				}
-				full := base
-				full.FullCheckpoint = true
-				got := eng.DiagnoseBatch(sDelta, base)
-				want := eng.DiagnoseBatch(sFull, full)
-				for i := range want {
-					if (got[i].Err == nil) != (want[i].Err == nil) {
-						t.Fatalf("|F|=%d member %d: err %v (delta) vs %v (full)", load[0], i, got[i].Err, want[i].Err)
-					}
-					if want[i].Err == nil && !got[i].Faults.Equal(want[i].Faults) {
-						t.Fatalf("|F|=%d member %d: fault sets differ between checkpoint layouts", load[0], i)
-					}
-					if got[i].Stats != want[i].Stats {
-						t.Fatalf("|F|=%d member %d: stats %+v (delta) vs %+v (full)", load[0], i, got[i].Stats, want[i].Stats)
-					}
-					if sDelta[i].Lookups() != sFull[i].Lookups() {
-						t.Fatalf("|F|=%d member %d: %d look-ups (delta) vs %d (full)",
-							load[0], i, sDelta[i].Lookups(), sFull[i].Lookups())
-					}
-				}
+				F := syndrome.RandomFaults(g.N(), load, rng)
+				bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: opt}
+				checkDeltaAgainstFree(t, tc.name, eng, F, bopt, free)
 			}
 		})
 	}
@@ -83,11 +77,10 @@ func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 // TestDeltaCheckpointGoldenCorpus replays every committed golden
 // fixture (testdata/golden: frozen topology + fault set + adversary,
 // including the empty hypothesis and the beyond-δ refusal) through
-// shared-final batches under both checkpoint layouts. Member 0 of each
-// batch runs the fixture's own adversary — its fault set (or pinned
-// refusal) must still match the corpus — and every member must be
-// bit-identical between the delta and full-copy encodings: fault sets,
-// whole Stats struct, per-syndrome look-up counts.
+// shared-final batches, batch-local and resumed from the ResultCache.
+// Member 0 of the first batch runs the fixture's own adversary — its
+// fault set (or pinned refusal) must still match the corpus — and every
+// syndrome must match the free functions under the accounting contract.
 func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 	files, err := filepath.Glob(goldenPath("*"))
 	if err != nil || len(files) == 0 {
@@ -111,36 +104,12 @@ func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 			n := nw.Graph().N()
 			F := bitset.FromMembers(n, fx.Faults)
 			eng := NewEngine(nw)
-			panel := func() []syndrome.Syndrome {
-				ss := []syndrome.Syndrome{
-					syndrome.NewLazy(F, goldenBehavior(fx.Behavior, fx.BehaviorSeed)),
-				}
-				for _, b := range sharedFinalBehaviors() {
-					ss = append(ss, syndrome.NewLazy(F, b))
-				}
-				return ss
-			}
-			sDelta, sFull := panel(), panel()
-			base := BatchOptions{ShareCertification: true, ShareFinalPrefix: true}
-			full := base
-			full.FullCheckpoint = true
-			got := eng.DiagnoseBatch(sDelta, base)
-			want := eng.DiagnoseBatch(sFull, full)
-			for i := range want {
-				if (got[i].Err == nil) != (want[i].Err == nil) {
-					t.Fatalf("member %d: err %v (delta) vs %v (full)", i, got[i].Err, want[i].Err)
-				}
-				if want[i].Err == nil && !got[i].Faults.Equal(want[i].Faults) {
-					t.Fatalf("member %d: fault sets differ between checkpoint layouts", i)
-				}
-				if got[i].Stats != want[i].Stats {
-					t.Fatalf("member %d: stats %+v (delta) vs %+v (full)", i, got[i].Stats, want[i].Stats)
-				}
-				if sDelta[i].Lookups() != sFull[i].Lookups() {
-					t.Fatalf("member %d: %d look-ups (delta) vs %d (full)",
-						i, sDelta[i].Lookups(), sFull[i].Lookups())
-				}
-			}
+			free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
+			panel := append([]syndrome.Behavior{goldenBehavior(fx.Behavior, fx.BehaviorSeed)}, sharedFinalBehaviors()...)
+			cache := NewResultCache(32)
+			bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
+			got := checkBatchAgainstFree(t, "recording", eng, F, panel, bopt, false, free)
+			checkBatchAgainstFree(t, "memo", eng, F, memoBehaviors(), bopt, F.Count() <= nw.Diagnosability(), free)
 			switch {
 			case fx.WantErr != "":
 				if got[0].Err == nil || !strings.Contains(got[0].Err.Error(), fx.WantErr) {
@@ -156,10 +125,12 @@ func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestFullCheckpointAgainstFreeFunctions runs the full-copy ablation
-// layout through the canonical shared-final contract checker, so both
-// checkpoint encodings — not just the default — stay pinned to the
-// paper-literal free functions.
+// TestFullCheckpointAgainstFreeFunctions pins a full group served from
+// a stored checkpoint: on a far-clustered hypothesis (a long
+// behaviour-independent prefix), a batch whose hypothesis entry is
+// already in the cache has no representative — every syndrome, the
+// first included, adopts the stored scan verdict and resumes from the
+// stored checkpoint, and each matches the free function.
 func TestFullCheckpointAgainstFreeFunctions(t *testing.T) {
 	nw := topology.NewHypercube(9)
 	g := nw.Graph()
@@ -170,7 +141,13 @@ func TestFullCheckpointAgainstFreeFunctions(t *testing.T) {
 	}
 	center := parts[0].Seed ^ int32(g.N()-1)
 	F := syndrome.ClusterFaults(g, center, nw.Diagnosability())
-	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{
-		ShareCertification: true, FullCheckpoint: true,
-	})
+	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
+	bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: NewResultCache(16)}}
+	checkBatchAgainstFree(t, "recording", eng, F, sharedFinalBehaviors()[:1], bopt, false, free)
+	for i, r := range checkBatchAgainstFree(t, "memo", eng, F, memoBehaviors(), bopt, true, free) {
+		if r.Stats.CertLookups != 0 || r.Stats.SharedFinalLookups == 0 {
+			t.Fatalf("syndrome %d: cert %d, shared final %d; want the stored scan and prefix adopted",
+				i, r.Stats.CertLookups, r.Stats.SharedFinalLookups)
+		}
+	}
 }

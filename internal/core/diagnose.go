@@ -71,7 +71,9 @@ type Options struct {
 	// and behaviour were already diagnosed under the same effective
 	// fault bound and strategy is answered from the cache without any
 	// syndrome consultation, and misses populate it. Results are
-	// copied out on every hit (see ResultCache). The free functions
+	// copied out on every hit (see ResultCache). Grouped batches also
+	// keep each hypothesis's shared scan verdict and final prefix in it
+	// (see BatchOptions.ShareFinalPrefix). The free functions
 	// ignore the field — they are the paper-literal reference and
 	// always recompute.
 	ResultCache *ResultCache
@@ -84,14 +86,13 @@ type Options struct {
 	// pass (see kernel.go); nil for generic topologies.
 	kernel finalKernel
 	// shared carries a certification verdict computed once per fault
-	// hypothesis by a grouped DiagnoseBatch (see
-	// BatchOptions.ShareCertification): the certified part index and
-	// the group representative's scan footprint. When set, the part
-	// scan is skipped entirely — only the final pass consults the
-	// syndrome — and the Stats record the shared verdict with
-	// CertLookups pinned to 0 (this syndrome spent none).
+	// hypothesis (see BatchOptions.ShareCertification and hypState): the
+	// certified part index and the representative's scan footprint.
+	// When set, the part scan is skipped entirely — only the final pass
+	// consults the syndrome — and the Stats record the shared verdict
+	// with CertLookups pinned to 0 (this syndrome spent none).
 	shared *sharedScan
-	// recordPrefix asks the final pass to record the group's shared
+	// recordPrefix asks the final pass to record the hypothesis's shared
 	// final-prefix checkpoint (set by a grouped DiagnoseBatch on each
 	// group representative; see BatchOptions.ShareFinalPrefix and
 	// finalPrefix). Recording never changes the representative's own
@@ -165,7 +166,7 @@ type Stats struct {
 // Under the stated preconditions (|F| ≤ δ, valid partition) this cannot
 // happen with StrategyScan; with StrategyPaper it records gap G1, and
 // otherwise it signals that the fault set exceeded δ.
-var ErrNoHealthyPart = errors.New("core: no part certified fault-free (fault bound exceeded, or paper certificate too weak — see DESIGN.md gap G1)")
+var ErrNoHealthyPart = errors.New("core: no part certified fault-free (fault bound exceeded, or paper certificate too weak — see docs/algorithm.md, gap G1)")
 
 // ErrTooManyFaults means the diagnosis produced more than δ fault
 // candidates, proving the syndrome was generated by a fault set larger
@@ -232,6 +233,12 @@ func DiagnoseGraph(g *graph.Graph, delta int, parts []topology.Part, s syndrome.
 // look-up counts are identical either way.
 func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.Part, s syndrome.Syndrome, opt Options) (*bitset.Set, *Stats, error) {
 	sc.ensure(a.N())
+	if opt.recordPrefix != nil {
+		// This call diagnoses rather than replaying a cached outcome, so
+		// the recorder's verdict — a checkpoint, or an empty prefix — is
+		// final once the call returns.
+		opt.recordPrefix.settled = true
+	}
 	stats := &sc.stats
 	*stats = Stats{Delta: delta, CertifiedPart: -1}
 	startLookups := s.Lookups()

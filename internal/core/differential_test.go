@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,9 +96,11 @@ func genRandomInstance(rng *rand.Rand) randomInstance {
 // under the documented accounting contract: reps and ungrouped
 // syndromes must match bit for bit; members of a grouped batch keep
 // the shape fields and satisfy the shared-scan / shared-prefix
-// look-up identities.
+// look-up identities. With a result cache, a member may instead replay
+// a cached outcome, which carries the Stats of whichever run populated
+// it — the canonical row of a representative or another member's row.
 func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
-	member, shareCert, shareFinal bool) error {
+	member, shareCert, shareFinal, cached bool) error {
 	if (r.Err == nil) != (wantErr == nil) {
 		return fmt.Errorf("err %v, free function %v", r.Err, wantErr)
 	}
@@ -108,7 +111,7 @@ func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
 		return nil
 	}
 	st := r.Stats
-	if !member {
+	if !member || (cached && st == *wantStats) {
 		if st != *wantStats {
 			return fmt.Errorf("stats %+v differ from free-function %+v", st, *wantStats)
 		}
@@ -142,50 +145,64 @@ func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
 	return nil
 }
 
-// runDifferentialMatrix drives one engine through Diagnose and every
-// DiagnoseBatch Share* × cache combination over the given fault
-// hypotheses and asserts everything against freeRef, the paper-literal
-// reference runner for the same instance.
+// runDifferentialMatrix drives one engine through DiagnoseOpts and
+// every DiagnoseBatch Share* × cache combination over the given fault
+// hypotheses, with base applied to every call (e.g. a tightened
+// FaultBound), and asserts everything against freeRef, the
+// paper-literal reference runner for the same instance. Each cached
+// combination then runs a second batch on the same cache under fresh
+// behaviours: no result-cache entry can answer it, so every groupable
+// hypothesis is served from its hypothesis entry and all of its
+// syndromes are members.
 func runDifferentialMatrix(t *testing.T, tag string, eng *Engine, hyps []*bitset.Set, delta int,
-	freeRef func(s syndrome.Syndrome) (*bitset.Set, *Stats, error)) {
+	base Options, freeRef func(s syndrome.Syndrome) (*bitset.Set, *Stats, error)) {
 	t.Helper()
 	behaviors := syndrome.AllBehaviors(42)
+	memoBehaviors := []syndrome.Behavior{syndrome.Random{Seed: 43}, syndrome.Random{Seed: 44}}
 
-	makeSyns := func() ([]syndrome.Syndrome, []int) {
+	makeSyns := func(bs []syndrome.Behavior, dup bool) ([]syndrome.Syndrome, []int) {
 		var syns []syndrome.Syndrome
 		var hypOf []int
 		for h, F := range hyps {
-			for _, b := range behaviors {
+			for _, b := range bs {
 				syns = append(syns, syndrome.NewLazy(F, b))
 				hypOf = append(hypOf, h)
 			}
 		}
-		// One duplicated (hypothesis, behaviour) pair exercises cache
-		// hits in ungrouped runs and member replay in grouped ones.
-		syns = append(syns, syndrome.NewLazy(hyps[0], behaviors[0]))
-		hypOf = append(hypOf, 0)
+		if dup {
+			// One duplicated (hypothesis, behaviour) pair exercises cache
+			// hits in ungrouped runs and member replay in grouped ones.
+			syns = append(syns, syndrome.NewLazy(hyps[0], bs[0]))
+			hypOf = append(hypOf, 0)
+		}
 		return syns, hypOf
 	}
 
 	// The paper-literal reference, once per distinct syndrome position.
-	refSyns, _ := makeSyns()
 	type refOut struct {
 		faults *bitset.Set
 		stats  *Stats
 		err    error
 	}
-	refs := make([]refOut, len(refSyns))
-	for i, s := range refSyns {
-		f, st, err := freeRef(s)
-		refs[i] = refOut{f, st, err}
+	reference := func(syns []syndrome.Syndrome) []refOut {
+		refs := make([]refOut, len(syns))
+		for i, s := range syns {
+			f, st, err := freeRef(s)
+			refs[i] = refOut{f, st, err}
+		}
+		return refs
 	}
+	refSyns, _ := makeSyns(behaviors, true)
+	refs := reference(refSyns)
+	memoSyns, _ := makeSyns(memoBehaviors, false)
+	memoRefs := reference(memoSyns)
 
 	// Engine single-syndrome serving path: bit-identical, lookups too.
-	syns, _ := makeSyns()
+	syns, _ := makeSyns(behaviors, true)
 	for i, s := range syns {
-		f, st, err := eng.DiagnoseOpts(s, Options{})
+		f, st, err := eng.DiagnoseOpts(s, base)
 		berr := diffStats(BatchResult{Faults: f, Stats: derefStats(st), Err: err},
-			refs[i].faults, refs[i].stats, refs[i].err, false, false, false)
+			refs[i].faults, refs[i].stats, refs[i].err, false, false, false, false)
 		if berr != nil {
 			t.Fatalf("%s: engine Diagnose syndrome %d: %v", tag, i, berr)
 		}
@@ -194,46 +211,65 @@ func runDifferentialMatrix(t *testing.T, tag string, eng *Engine, hyps []*bitset
 		}
 	}
 
+	var groupableSets []*bitset.Set
+	for _, F := range hyps {
+		if F.Count() <= delta && !slices.ContainsFunc(groupableSets, F.Equal) {
+			groupableSets = append(groupableSets, F)
+		}
+	}
 	for _, shareCert := range []bool{false, true} {
 		for _, shareFinal := range []bool{false, true} {
 			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s cert=%v final=%v cache=%v", tag, shareCert, shareFinal, cached)
-				syns, hypOf := makeSyns()
-				opt := BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal}
+				opt := BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal, Options: base}
 				if cached {
 					opt.Options.ResultCache = NewResultCache(64)
 				}
-				results := eng.DiagnoseBatch(syns, opt)
 				grouped := shareCert || shareFinal
-				// Grouping keys on fault-set equality, so two hypothesis
-				// indices holding equal sets share one group.
-				var seenSets []*bitset.Set
-				for i, r := range results {
-					F := hyps[hypOf[i]]
-					groupableHyp := F.Count() <= delta
-					member := false
-					if grouped && groupableHyp {
-						for _, s := range seenSets {
-							if s.Equal(F) {
-								member = true
-								break
+				for pass := 0; pass < 2; pass++ {
+					name := fmt.Sprintf("%s cert=%v final=%v cache=%v", tag, shareCert, shareFinal, cached)
+					syns, hypOf := makeSyns(behaviors, true)
+					want := refs
+					memo := pass == 1
+					if memo {
+						if !cached {
+							break
+						}
+						name += " memo"
+						syns, hypOf = makeSyns(memoBehaviors, false)
+						want = memoRefs
+					}
+					results := eng.DiagnoseBatch(syns, opt)
+					// Grouping keys on fault-set equality, so two hypothesis
+					// indices holding equal sets share one group.
+					var seenSets []*bitset.Set
+					for i, r := range results {
+						F := hyps[hypOf[i]]
+						member := false
+						if grouped && F.Count() <= delta {
+							member = memo || slices.ContainsFunc(seenSets, F.Equal)
+							if !member {
+								seenSets = append(seenSets, F)
 							}
 						}
-						if !member {
-							seenSets = append(seenSets, F)
+						if err := diffStats(r, want[i].faults, want[i].stats, want[i].err,
+							member, member && shareCert, member && shareFinal, cached); err != nil {
+							t.Fatalf("%s: syndrome %d: %v", name, i, err)
+						}
+						if !cached && !member && syns[i].Lookups() != refSyns[i].Lookups() {
+							t.Fatalf("%s: syndrome %d consulted %d, free function %d",
+								name, i, syns[i].Lookups(), refSyns[i].Lookups())
+						}
+						// A cache hit consults nothing; anything else is
+						// consulted exactly as its Stats account.
+						if got := syns[i].Lookups(); member && r.Err == nil && got != r.Stats.TotalLookups && !(cached && got == 0) {
+							t.Fatalf("%s: member syndrome %d consulted %d, stats say %d",
+								name, i, got, r.Stats.TotalLookups)
 						}
 					}
-					if err := diffStats(r, refs[i].faults, refs[i].stats, refs[i].err,
-						member, member && shareCert, member && shareFinal); err != nil {
-						t.Fatalf("%s: syndrome %d: %v", name, i, err)
-					}
-					if !cached && !member && syns[i].Lookups() != refSyns[i].Lookups() {
-						t.Fatalf("%s: syndrome %d consulted %d, free function %d",
-							name, i, syns[i].Lookups(), refSyns[i].Lookups())
-					}
-					if !cached && member && r.Err == nil && syns[i].Lookups() != r.Stats.TotalLookups {
-						t.Fatalf("%s: member syndrome %d consulted %d, stats say %d",
-							name, i, syns[i].Lookups(), r.Stats.TotalLookups)
+					if memo && grouped {
+						if hits := opt.Options.ResultCache.Stats().HypothesisHits; hits != int64(len(groupableSets)) {
+							t.Fatalf("%s: %d hypothesis hits, want one per groupable hypothesis (%d)", name, hits, len(groupableSets))
+						}
 					}
 				}
 			}
@@ -276,7 +312,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		)
 		eng := NewGraphEngine(inst.g, inst.delta, inst.parts)
 		tag := fmt.Sprintf("seed=%d n=%d δ=%d", seed, inst.g.N(), inst.delta)
-		runDifferentialMatrix(t, tag, eng, hyps, inst.delta, func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) {
+		runDifferentialMatrix(t, tag, eng, hyps, inst.delta, Options{}, func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) {
 			return DiagnoseGraph(inst.g, inst.delta, inst.parts, s, Options{})
 		})
 		return !t.Failed()
@@ -315,78 +351,10 @@ func TestDifferentialDeclaredFamilies(t *testing.T) {
 				syndrome.RandomFaults(g.N(), eff+1, rng),
 			)
 			tag := fmt.Sprintf("%s trial=%d bound=%d", nw.Name(), trial, bound)
-			matrixEng := eng
 			opts := Options{FaultBound: bound}
-			runMatrixWithOptions(t, tag, matrixEng, hyps, eff, opts, func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) {
+			runDifferentialMatrix(t, tag, eng, hyps, eff, opts, func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) {
 				return DiagnoseOpts(nw, s, opts)
 			})
-		}
-	}
-}
-
-// runMatrixWithOptions is runDifferentialMatrix with base Options
-// applied to every engine call (e.g. a tightened FaultBound).
-func runMatrixWithOptions(t *testing.T, tag string, eng *Engine, hyps []*bitset.Set, delta int,
-	base Options, freeRef func(s syndrome.Syndrome) (*bitset.Set, *Stats, error)) {
-	t.Helper()
-	behaviors := syndrome.AllBehaviors(42)
-	makeSyns := func() ([]syndrome.Syndrome, []int) {
-		var syns []syndrome.Syndrome
-		var hypOf []int
-		for h, F := range hyps {
-			for _, b := range behaviors {
-				syns = append(syns, syndrome.NewLazy(F, b))
-				hypOf = append(hypOf, h)
-			}
-		}
-		return syns, hypOf
-	}
-	refSyns, _ := makeSyns()
-	type refOut struct {
-		faults *bitset.Set
-		stats  *Stats
-		err    error
-	}
-	refs := make([]refOut, len(refSyns))
-	for i, s := range refSyns {
-		f, st, err := freeRef(s)
-		refs[i] = refOut{f, st, err}
-	}
-	for _, shareCert := range []bool{false, true} {
-		for _, shareFinal := range []bool{false, true} {
-			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s cert=%v final=%v cache=%v", tag, shareCert, shareFinal, cached)
-				syns, hypOf := makeSyns()
-				opt := BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal, Options: base}
-				if cached {
-					opt.Options.ResultCache = NewResultCache(64)
-				}
-				results := eng.DiagnoseBatch(syns, opt)
-				grouped := shareCert || shareFinal
-				// Grouping keys on fault-set equality, so two hypothesis
-				// indices holding equal sets share one group.
-				var seenSets []*bitset.Set
-				for i, r := range results {
-					F := hyps[hypOf[i]]
-					groupableHyp := F.Count() <= delta
-					member := false
-					if grouped && groupableHyp {
-						for _, s := range seenSets {
-							if s.Equal(F) {
-								member = true
-								break
-							}
-						}
-						if !member {
-							seenSets = append(seenSets, F)
-						}
-					}
-					if err := diffStats(r, refs[i].faults, refs[i].stats, refs[i].err,
-						member, member && shareCert, member && shareFinal); err != nil {
-						t.Fatalf("%s: syndrome %d: %v", name, i, err)
-					}
-				}
-			}
 		}
 	}
 }

@@ -366,17 +366,13 @@ func (e *Engine) diagnose(b *binding, s syndrome.Syndrome, opt Options) (*bitset
 		delta = opt.FaultBound
 	}
 	var lz *syndrome.Lazy
-	if opt.ResultCache != nil && opt.Parts == nil && opt.shared == nil &&
-		(opt.resumePrefix == nil || !opt.resumePrefix.valid) {
-		// Grouped members whose run will carry shared accounting
-		// (CertLookups 0 and/or suffix-only FinalLookups) skip the
-		// cache: those Stats must not be memoised as the hypothesis's
-		// canonical full-run Stats, and a hit would bypass the shared
-		// state they are supposed to adopt. A member whose group
-		// recorded no usable checkpoint runs fully canonically, so it
-		// still consults (and populates) the cache — otherwise a warm-
-		// cache representative hit (which records no checkpoint) would
-		// degrade every member of the group to a full diagnosis.
+	if opt.ResultCache != nil && opt.Parts == nil {
+		// Grouped members consult the cache too, before adopting any
+		// shared state: an exact repeat costs nothing, and a member's
+		// outcome is memoised with its member-row Stats (CertLookups 0
+		// under a shared scan, FinalLookups + SharedFinalLookups equal to
+		// the solo FinalLookups) — the Stats of the run that populated
+		// the entry, as for every hit.
 		if l, ok := s.(*syndrome.Lazy); ok && cacheable(l) {
 			lz = l
 			if ent, hit := opt.ResultCache.lookup(l, delta, opt.Strategy, b.epoch); hit {
@@ -551,16 +547,16 @@ type BatchOptions struct {
 	// the flags compose but are independent — either may be set alone.
 	// FinalWorkers > 1 final passes (on graphs large enough to engage
 	// the parallel pass) record no checkpoint and members run in full.
+	//
+	// With Options.ResultCache set, both kinds of shared state outlive
+	// the batch: each hypothesis's scan verdict and checkpoint are
+	// stored as a hypothesis entry of the cache (see ResultCache), and
+	// a later batch resumes every syndrome of a stored hypothesis as a
+	// member — no representative re-runs the scan or the prefix. Each
+	// flag still governs only its own half: a batch without
+	// ShareFinalPrefix never resumes a stored checkpoint, one without
+	// ShareCertification never adopts a stored verdict.
 	ShareFinalPrefix bool
-	// FullCheckpoint makes ShareFinalPrefix checkpoints use the
-	// pre-delta dense layout: full copies of the U words and the whole
-	// parent array per group, restored wholesale per member. The default
-	// (false) records only the words and tree entries the prefix
-	// actually touched — O(touched + |U|) instead of O(n) per snapshot
-	// and restore, which is what keeps million-node batches affordable.
-	// Results and look-up counts are identical either way; the flag
-	// exists for the ablation benchmark and the bit-identity tests.
-	FullCheckpoint bool
 	// Options applies to every diagnosis in the batch. Scratch is
 	// ignored (workers bind their own); Workers inside Options still
 	// selects parallel part certification per syndrome and composes
@@ -608,13 +604,17 @@ func (e *Engine) DiagnoseBatch(syndromes []syndrome.Syndrome, opt BatchOptions) 
 }
 
 // diagnoseGrouped implements BatchOptions.ShareCertification and
-// BatchOptions.ShareFinalPrefix: phase A diagnoses each fault
-// hypothesis's first syndrome (and every ungroupable one) in full —
-// recording, when final-prefix sharing is on, the group's shared
-// final-prefix checkpoint as a side effect — and phase B re-runs the
-// remaining group members under the representative's certification
-// verdict and/or resumed from its checkpoint. See the two BatchOptions
-// fields for the soundness arguments and the accounting contracts.
+// BatchOptions.ShareFinalPrefix. Syndromes are grouped by fault
+// hypothesis, and each group resolves its shared state (hypState) from
+// the store: the batch-local groups, backed by the ResultCache's
+// hypothesis entries when Options.ResultCache is set. A group whose
+// hypothesis is stored has no representative; otherwise phase A
+// diagnoses its first syndrome (and every ungroupable one) in full,
+// recording the final-prefix checkpoint as a side effect, and the
+// recorded state is stored. Phase B then runs every member under the
+// shared certification verdict and/or resumed from the checkpoint. See
+// the two BatchOptions fields for the soundness arguments and the
+// accounting contracts.
 func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrome.Syndrome, bopt BatchOptions, results []BatchResult) {
 	opt := bopt.Options
 	delta := b.delta
@@ -622,89 +622,103 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 		delta = opt.FaultBound
 	}
 	groupable := opt.Strategy == StrategyScan && opt.Parts == nil
+	memo := opt.ResultCache
 
 	type group struct {
-		rep     int
-		members []int
-		fp      *finalPrefix
+		faults *bitset.Set
+		hash   uint64 // faultsHash(faults)
+		idx    []int  // the group's syndromes, in batch order
+		rep    bool   // idx[0] runs in phase A and records hyp
+		hyp    *hypState
 	}
-	var phaseA []int // representatives and ungroupable syndromes
+	type task struct {
+		idx int
+		hyp *hypState // nil for ungroupable syndromes
+	}
+	var phaseA []task
 	var groups []*group
 	byHash := make(map[uint64][]*group)
 	for i, s := range syndromes {
 		lz, ok := s.(*syndrome.Lazy)
 		if !ok || !groupable || lz.Faults().Count() > delta {
-			phaseA = append(phaseA, i)
+			phaseA = append(phaseA, task{idx: i})
 			continue
 		}
 		h := faultsHash(lz.Faults())
 		var grp *group
 		for _, cand := range byHash[h] {
-			if syndromes[cand.rep].(*syndrome.Lazy).Faults().Equal(lz.Faults()) {
+			if cand.faults.Equal(lz.Faults()) {
 				grp = cand
 				break
 			}
 		}
 		if grp == nil {
-			grp = &group{rep: i}
+			grp = &group{faults: lz.Faults(), hash: h}
 			byHash[h] = append(byHash[h], grp)
 			groups = append(groups, grp)
-			phaseA = append(phaseA, i)
-			continue
 		}
-		grp.members = append(grp.members, i)
+		grp.idx = append(grp.idx, i)
 	}
 
-	// Arm final-prefix recording on every representative that actually
-	// has members to share with; singleton groups record nothing.
-	var recFor map[int]*finalPrefix
-	if bopt.ShareFinalPrefix {
-		recFor = make(map[int]*finalPrefix)
-		for _, grp := range groups {
-			if len(grp.members) > 0 {
-				grp.fp = &finalPrefix{full: bopt.FullCheckpoint}
-				recFor[grp.rep] = grp.fp
+	for _, grp := range groups {
+		if memo != nil {
+			if hs := memo.lookupHypothesis(grp.faults, grp.hash, delta, opt.Strategy, b.epoch, bopt.ShareFinalPrefix); hs != nil {
+				grp.hyp = hs
+				continue
 			}
 		}
+		grp.hyp = &hypState{}
+		// Record the final prefix only where someone can resume from it:
+		// the group's own members, or later batches through the memo.
+		if bopt.ShareFinalPrefix && (len(grp.idx) > 1 || memo != nil) {
+			grp.hyp.prefix = &finalPrefix{}
+		}
+		grp.rep = true
+		phaseA = append(phaseA, task{grp.idx[0], grp.hyp})
 	}
 
 	pool.RunScratch(len(phaseA), func(sc *Scratch, k int) {
-		i := phaseA[k]
+		t := phaseA[k]
 		o := opt
-		o.recordPrefix = recFor[i]
-		results[i] = e.diagnoseOne(b, syndromes[i], o, sc)
+		if t.hyp != nil {
+			o.recordPrefix = t.hyp.prefix
+		}
+		results[t.idx] = e.diagnoseOne(b, syndromes[t.idx], o, sc)
 	})
 
-	type memberTask struct {
-		idx    int
-		shared *sharedScan
-		fp     *finalPrefix
-	}
-	var phaseB []memberTask
+	var phaseB []task
 	for _, grp := range groups {
-		if len(grp.members) == 0 {
-			continue
+		members := grp.idx
+		if grp.rep {
+			members = members[1:]
+			// A completed scan is shareable whether it certified (Err ==
+			// nil or the final pass overflowed the bound) or exhausted the
+			// candidates (ErrNoHealthyPart); any other error happened
+			// before certification, so members diagnose in full and fail
+			// the same way the representative did.
+			rep := results[grp.idx[0]]
+			if rep.Err == nil || errors.Is(rep.Err, ErrNoHealthyPart) || errors.Is(rep.Err, ErrTooManyFaults) {
+				grp.hyp.scan = &sharedScan{certified: rep.Stats.CertifiedPart, partsScanned: rep.Stats.PartsScanned}
+				// A representative answered from the result cache recorded
+				// no prefix; storing its state would pin an empty one.
+				if memo != nil && (grp.hyp.prefix == nil || grp.hyp.prefix.settled) {
+					memo.insertHypothesis(grp.faults, grp.hash, delta, opt.Strategy, b.epoch, grp.hyp, b.adj.N())
+				}
+			}
 		}
-		rep := results[grp.rep]
-		var sh *sharedScan
-		// A completed scan is shareable whether it certified
-		// (Err == nil or the final pass overflowed the bound) or
-		// exhausted the candidates (ErrNoHealthyPart); any other error
-		// happened before certification, so members diagnose in full
-		// and fail the same way the representative did.
-		if bopt.ShareCertification &&
-			(rep.Err == nil || errors.Is(rep.Err, ErrNoHealthyPart) || errors.Is(rep.Err, ErrTooManyFaults)) {
-			sh = &sharedScan{certified: rep.Stats.CertifiedPart, partsScanned: rep.Stats.PartsScanned}
-		}
-		for _, m := range grp.members {
-			phaseB = append(phaseB, memberTask{m, sh, grp.fp})
+		for _, m := range members {
+			phaseB = append(phaseB, task{m, grp.hyp})
 		}
 	}
 	pool.RunScratch(len(phaseB), func(sc *Scratch, k int) {
 		t := phaseB[k]
 		o := opt
-		o.shared = t.shared
-		o.resumePrefix = t.fp
+		if bopt.ShareCertification {
+			o.shared = t.hyp.scan
+		}
+		if bopt.ShareFinalPrefix {
+			o.resumePrefix = t.hyp.prefix
+		}
 		results[t.idx] = e.diagnoseOne(b, syndromes[t.idx], o, sc)
 	})
 }

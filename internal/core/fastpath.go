@@ -65,10 +65,8 @@ func setBuilderLazyInto(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 in
 	} else {
 		res.U.Add(int(u0))
 		uCount = 1
-		rec := sc.prefixRec
-		if rec != nil && !rec.begin(a, l.Faults(), u0) {
-			rec = nil // even the pair scan is hazardous: no shareable prefix
-			sc.prefixRec = nil
+		if sc.prefixRec != nil && !sc.beginPrefix(a, l.Faults(), u0) {
+			sc.prefixRec = nil // even the pair scan is hazardous: no shareable prefix
 		}
 
 		// Build U_1 exactly as the reference loop: u0 tests unordered pairs
@@ -127,7 +125,7 @@ func setBuilderLazyInto(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 in
 	// frontier was recorded at a round boundary, hence sorted.)
 	sorted := slices.IsSorted(frontier)
 	for len(frontier) > 0 {
-		if rec := sc.prefixRec; rec != nil && rec.frontierHazardous(frontier) {
+		if rec := sc.prefixRec; rec != nil && sc.frontierHazardous(frontier) {
 			// The next round would consult a comparison involving a
 			// hypothesised-faulty node: this round boundary is the end
 			// of the behaviour-independent prefix.

@@ -109,7 +109,7 @@ func TestImplicitEngineMatchesCSR(t *testing.T) {
 // engine against the CSR engine: member-for-member identical fault
 // sets and Stats under every ShareCertification × ShareFinalPrefix
 // combination, with and without a result cache. This is the path the
-// shared-final delta checkpoints (and their full-copy ablation) ride.
+// shared-final delta checkpoints ride.
 func TestImplicitEngineBatch(t *testing.T) {
 	for _, nw := range []topology.CayleyStructured{
 		topology.NewHypercube(8),
@@ -133,7 +133,6 @@ func TestImplicitEngineBatch(t *testing.T) {
 				{bopt: BatchOptions{ShareCertification: true}},
 				{bopt: BatchOptions{ShareFinalPrefix: true}},
 				{bopt: BatchOptions{ShareCertification: true, ShareFinalPrefix: true}},
-				{bopt: BatchOptions{ShareCertification: true, ShareFinalPrefix: true, FullCheckpoint: true}},
 				{bopt: BatchOptions{ShareFinalPrefix: true}, cache: true},
 			} {
 				bopt, boptCsr := tc.bopt, tc.bopt

@@ -51,6 +51,10 @@ type Scratch struct {
 	prefixRec *finalPrefix
 	prefixRes *finalPrefix
 
+	// hazard is the recorder's F ∪ N(F) mask (see beginPrefix), kept
+	// here so a stored checkpoint carries no recording-only state.
+	hazard []uint64
+
 	// finalWorkers asks the next word-kernel final pass to split its
 	// rounds across this many goroutines (runWordKernel). Like the
 	// prefix fields it is per-call plumbing, set and cleared around the
@@ -87,6 +91,7 @@ func (sc *Scratch) init(n int) {
 	sc.mask = nil
 	sc.fset = nil
 	sc.prev = nil
+	sc.hazard = nil
 	sc.ns = sc.ns[:0]
 	sc.nbuf = sc.nbuf[:0]
 	sc.faults = nil
@@ -176,16 +181,16 @@ func (sc *Scratch) faultsBuf() *bitset.Set {
 // ScratchFootprintBytes estimates the resident size of one fully
 // populated Scratch for graphs on n nodes: the dense per-node arrays
 // every diagnosis touches — the parent tree (4 bytes/node), the two
-// frontier buffers (worst case 4 bytes/node each), and the seven
+// frontier buffers (worst case 4 bytes/node each), and the eight
 // word-granular sets and snapshots (U, Contributors, added, part mask,
-// frontier membership, round-start U snapshot, output fault set — one
-// bit/node each). Engines keep one scratch per serving worker in their
+// frontier membership, round-start U snapshot, output fault set, and
+// the shared-prefix recorder's hazard mask — one bit/node each). Engines keep one scratch per serving worker in their
 // pool, so a deployment's scratch budget is this figure times the pool
 // size; cmd/topoinfo prints it next to the adjacency memory models
 // (ROADMAP: dense scratch is fine at Q20, revisit at Q24).
 func ScratchFootprintBytes(n int) int64 {
 	words := int64((n + 63) / 64)
-	return 3*4*int64(n) + 7*8*words
+	return 3*4*int64(n) + 8*8*words
 }
 
 // scratchPool recycles Scratches across Diagnose calls so steady-state

@@ -34,88 +34,87 @@ import (
 // rounds are clean, only healthy nodes enter U, so the frontier can
 // never smuggle in a faulty tester unnoticed.
 //
-// Concurrency: a checkpoint is written once by the representative's
-// worker (phase A of diagnoseGrouped) and read concurrently by member
-// workers (phase B); the phases are separated by a pool barrier.
+// Lifetime: a checkpoint is written once, by the representative's
+// worker during phase A of diagnoseGrouped, and is immutable from then
+// on. Members read it concurrently in phase B (the phases are separated
+// by a pool barrier), and with Options.ResultCache set it is stored as
+// part of the hypothesis's cache entry and read by the members of later
+// batches too (see hypState). The recording-only buffers — the hazard
+// mask and the neighbour buffer — therefore live in the recorder's
+// Scratch, not here.
+//
 // Encoding. U grows from empty (the caller resets the tree before the
 // pass), so the checkpoint state is fully described by the non-zero U
-// words and the parents of their set bits. The default layout is that
-// sparse delta encoding — dirtyIdx/dirtyW list the touched words,
-// parents packs the tree entries of their set bits in ascending node
-// order — which costs O(touched words + |U|) to record and restore
-// instead of the full-array O(n) copies per batch member. The pre-delta
-// full-copy layout (dense uw/parent snapshots) is kept behind
-// BatchOptions.FullCheckpoint as the ablation baseline.
+// words and the parents of their set bits: dirtyIdx/dirtyW list the
+// touched words, parents packs the tree entries of their set bits in
+// ascending node order. Recording and restoring cost O(touched words +
+// |U|), and a stored checkpoint holds nothing proportional to the graph.
 type finalPrefix struct {
+	settled  bool  // the recording pass ran; valid false then means an empty prefix
 	valid    bool  // a checkpoint was recorded; members may resume
 	complete bool  // the whole pass was clean; members adopt everything
-	full     bool  // use the dense full-copy layout (ablation)
 	u0       int32 // seed the prefix grew from (resume sanity check)
 	rounds   int   // growth rounds contained in the prefix
 	lookups  int64 // syndrome consultations the prefix spent
 	uCount   int   // |U| at the checkpoint
 
-	// Delta layout (default): sparse dirty lists.
 	dirtyIdx []int32  // indices of non-zero U words, ascending
 	dirtyW   []uint64 // their word values
 	parents  []int32  // tree parents of the set bits, packed ascending
-
-	// Full-copy layout (full == true): dense snapshots.
-	uw     []uint64
-	parent []int32
-
-	frontier []int32 // round-start frontier at the boundary (sorted)
-
-	hazard []uint64 // F ∪ N(F) mask, used only while recording
-	nbuf   []int32  // neighbour buffer for implicit adjacencies
+	frontier []int32  // round-start frontier at the boundary (sorted)
 }
 
-// begin arms the recorder for one final pass: it materialises the
-// hazard mask F ∪ N(F) and pins the seed. It returns false — and the
-// checkpoint stays invalid — when even the seed's own pair scan would
-// consult a hazardous comparison (u0 faulty or adjacent to a fault):
-// the shareable prefix is empty and members simply run in full.
-func (fp *finalPrefix) begin(a graph.Adjacencer, faults *bitset.Set, u0 int32) bool {
+// bytes is the size of the checkpoint's lists, charged against the
+// ResultCache's hypothesis byte ceiling.
+func (fp *finalPrefix) bytes() int64 {
+	return int64(4*cap(fp.dirtyIdx) + 8*cap(fp.dirtyW) + 4*cap(fp.parents) + 4*cap(fp.frontier))
+}
+
+// beginPrefix arms the scratch's recorder for one final pass: it
+// materialises the hazard mask F ∪ N(F) and pins the seed. It returns
+// false — and the checkpoint stays invalid — when even the seed's own
+// pair scan would consult a hazardous comparison (u0 faulty or adjacent
+// to a fault): the shareable prefix is empty and members simply run in
+// full. A hypothesis whose width differs from the bound graph (one
+// drawn before a Rebind changed the node count) also gets an empty
+// prefix: its ids do not all name nodes of this graph.
+func (sc *Scratch) beginPrefix(a graph.Adjacencer, faults *bitset.Set, u0 int32) bool {
+	sc.prefixRec.u0 = u0
+	if faults.Len() != a.N() {
+		return false
+	}
 	g := graph.CSR(a)
 	words := (a.N() + 63) / 64
-	if len(fp.hazard) != words {
-		fp.hazard = make([]uint64, words)
+	if len(sc.hazard) != words {
+		sc.hazard = make([]uint64, words)
 	} else {
-		for i := range fp.hazard {
-			fp.hazard[i] = 0
-		}
+		clear(sc.hazard)
 	}
 	for wi, w := range faults.Words() {
 		for ; w != 0; w &= w - 1 {
 			f := int32(wi<<6 + bits.TrailingZeros64(w))
-			fp.hazard[f>>6] |= 1 << (uint32(f) & 63)
+			sc.hazard[f>>6] |= 1 << (uint32(f) & 63)
 			var nbrs []int32
 			if g != nil {
 				nbrs = g.Neighbors(f)
 			} else {
-				fp.nbuf = a.AppendNeighbors(f, fp.nbuf)
-				nbrs = fp.nbuf
+				sc.nbuf = a.AppendNeighbors(f, sc.nbuf)
+				nbrs = sc.nbuf
 			}
 			for _, nb := range nbrs {
-				fp.hazard[nb>>6] |= 1 << (uint32(nb) & 63)
+				sc.hazard[nb>>6] |= 1 << (uint32(nb) & 63)
 			}
 		}
 	}
-	fp.u0 = u0
-	return !fp.hazardous(u0)
-}
-
-// hazardous reports whether v is faulty or has a faulty neighbour.
-func (fp *finalPrefix) hazardous(v int32) bool {
-	return fp.hazard[v>>6]&(1<<(uint32(v)&63)) != 0
+	return sc.hazard[u0>>6]&(1<<(uint32(u0)&63)) == 0
 }
 
 // frontierHazardous reports whether any frontier node touches the
 // hazard mask — i.e. whether the next round would consult a comparison
 // involving a hypothesised-faulty node.
-func (fp *finalPrefix) frontierHazardous(frontier []int32) bool {
+func (sc *Scratch) frontierHazardous(frontier []int32) bool {
 	for _, u := range frontier {
-		if fp.hazard[u>>6]&(1<<(uint32(u)&63)) != 0 {
+		if sc.hazard[u>>6]&(1<<(uint32(u)&63)) != 0 {
 			return true
 		}
 	}
@@ -127,48 +126,33 @@ func (fp *finalPrefix) frontierHazardous(frontier []int32) bool {
 // comparison. frontier must be the (sorted) round-start frontier.
 func (fp *finalPrefix) snapshot(res *SetBuilderResult, frontier []int32, uCount, rounds int, lookups int64) {
 	uw := res.U.Words()
-	if fp.full {
-		if len(fp.uw) != len(uw) {
-			fp.uw = make([]uint64, len(uw))
-			fp.parent = make([]int32, len(res.Parent))
-		}
-		copy(fp.uw, uw)
-		copy(fp.parent, res.Parent)
-	} else {
-		// Size the lists exactly before filling them: one popcount-free
-		// pass counts the dirty words, and uCount is the parent count,
-		// so recording costs at most two allocations sized to the
-		// boundary tree — no append-doubling churn, and nothing
-		// proportional to the graph.
-		nz := 0
-		for _, w := range uw {
-			if w != 0 {
-				nz++
-			}
-		}
-		if cap(fp.dirtyIdx) < nz {
-			fp.dirtyIdx = make([]int32, 0, nz)
-			fp.dirtyW = make([]uint64, 0, nz)
-		}
-		if cap(fp.parents) < uCount {
-			fp.parents = make([]int32, 0, uCount)
-		}
-		fp.dirtyIdx = fp.dirtyIdx[:0]
-		fp.dirtyW = fp.dirtyW[:0]
-		fp.parents = fp.parents[:0]
-		parent := res.Parent
-		for wi, w := range uw {
-			if w == 0 {
-				continue
-			}
-			fp.dirtyIdx = append(fp.dirtyIdx, int32(wi))
-			fp.dirtyW = append(fp.dirtyW, w)
-			for ; w != 0; w &= w - 1 {
-				fp.parents = append(fp.parents, parent[wi<<6+bits.TrailingZeros64(w)])
-			}
+	// Size the lists exactly before filling them: one pass counts the
+	// dirty words, and uCount is the parent count, so the checkpoint is
+	// two allocations sized to the boundary tree (the int32 lists share
+	// one) — no append-doubling slack for a stored checkpoint to retain,
+	// and nothing proportional to the graph.
+	nz := 0
+	for _, w := range uw {
+		if w != 0 {
+			nz++
 		}
 	}
-	fp.frontier = append(fp.frontier[:0], frontier...)
+	i32 := make([]int32, nz+uCount+len(frontier))
+	fp.dirtyIdx = i32[:0:nz]
+	fp.parents = i32[nz : nz : nz+uCount]
+	fp.frontier = append(i32[nz+uCount:nz+uCount], frontier...)
+	fp.dirtyW = make([]uint64, 0, nz)
+	parent := res.Parent
+	for wi, w := range uw {
+		if w == 0 {
+			continue
+		}
+		fp.dirtyIdx = append(fp.dirtyIdx, int32(wi))
+		fp.dirtyW = append(fp.dirtyW, w)
+		for ; w != 0; w &= w - 1 {
+			fp.parents = append(fp.parents, parent[wi<<6+bits.TrailingZeros64(w)])
+		}
+	}
 	fp.uCount, fp.rounds, fp.lookups = uCount, rounds, lookups
 	fp.valid, fp.complete = true, false
 }
@@ -183,27 +167,23 @@ func (fp *finalPrefix) snapshotComplete(res *SetBuilderResult, uCount int, looku
 
 // loadInto restores the checkpoint into a member's scratch-backed
 // result: U and the tree are copied and the round-start frontier is
-// copied into the scratch's frontier buffer. The caller must already
-// have called resetTree, so Parent entries outside U are -1 in
-// fp.parent and the straight copy is exact. The contributor set is
+// copied into the scratch's frontier buffer; the checkpoint itself is
+// only read. The caller must already have called resetTree, so Parent
+// entries outside U are -1 and writing the parents of U's bits alone
+// restores the whole tree exactly. The contributor set is
 // NOT restored here: the word-kernel driver defers contributors and
 // rebuilds them from the final parents anyway, so only the generic
 // sweep (which tracks them live) calls restoreContributors.
 func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []int32) {
-	if fp.full {
-		copy(res.U.Words(), fp.uw)
-		copy(res.Parent, fp.parent)
-	} else {
-		uw := res.U.Words()
-		parent := res.Parent
-		pi := 0
-		for i, wi := range fp.dirtyIdx {
-			w := fp.dirtyW[i]
-			uw[wi] = w
-			for ; w != 0; w &= w - 1 {
-				parent[int32(wi)<<6+int32(bits.TrailingZeros64(w))] = fp.parents[pi]
-				pi++
-			}
+	uw := res.U.Words()
+	parent := res.Parent
+	pi := 0
+	for i, wi := range fp.dirtyIdx {
+		w := fp.dirtyW[i]
+		uw[wi] = w
+		for ; w != 0; w &= w - 1 {
+			parent[int32(wi)<<6+int32(bits.TrailingZeros64(w))] = fp.parents[pi]
+			pi++
 		}
 	}
 	return append(sc.frontier[:0], fp.frontier...)
@@ -213,16 +193,6 @@ func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []
 // the tree — the contributors are exactly the parents of admitted
 // nodes — and returns its count.
 func (fp *finalPrefix) restoreContributors(res *SetBuilderResult) int {
-	if fp.full {
-		for wi, w := range fp.uw {
-			for ; w != 0; w &= w - 1 {
-				if p := fp.parent[wi<<6+bits.TrailingZeros64(w)]; p >= 0 {
-					res.Contributors.Add(int(p))
-				}
-			}
-		}
-		return res.Contributors.Count()
-	}
 	for _, p := range fp.parents {
 		if p >= 0 {
 			res.Contributors.Add(int(p))

@@ -21,85 +21,74 @@ func sharedFinalBehaviors() []syndrome.Behavior {
 
 // checkSharedFinalGroup runs one fault hypothesis through a grouped
 // DiagnoseBatch on the given network/engine and pins the
-// ShareFinalPrefix contract against the paper-literal free functions:
-//
-//   - fault sets, errors and the shape fields of Stats (Seed, Rounds,
-//     HealthyCount, FaultCount, CertifiedPart) bit-identical;
-//   - prefix look-ups attributed once (to the representative), members
-//     reporting the delta: member.FinalLookups +
-//     member.SharedFinalLookups == free.FinalLookups, and the member's
-//     own syndrome consulted exactly TotalLookups times;
-//   - the group-total look-ups strictly below the unshared total
-//     whenever a non-empty prefix was shared.
+// ShareFinalPrefix contract against the paper-literal free functions
+// (checkBatchAgainstFree), plus the point of sharing: the group-total
+// look-ups strictly below the unshared total whenever a non-empty
+// prefix was shared.
 func checkSharedFinalGroup(t *testing.T, nw topology.Network, eng *Engine, F *bitset.Set, bopt BatchOptions) {
 	t.Helper()
-	behaviors := sharedFinalBehaviors()
-	var syns, refs []syndrome.Syndrome
-	for _, b := range behaviors {
-		syns = append(syns, syndrome.NewLazy(F, b))
-		refs = append(refs, syndrome.NewLazy(F, b))
-	}
 	bopt.ShareFinalPrefix = true
-	results := eng.DiagnoseBatch(syns, bopt)
-
+	behaviors := sharedFinalBehaviors()
+	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
+	results := checkBatchAgainstFree(t, "shared-final group", eng, F, behaviors, bopt, false, free)
 	var freeTotal, groupTotal int64
 	sharedAny := false
 	for i, r := range results {
-		want, wantStats, wantErr := Diagnose(nw, refs[i])
-		if (r.Err == nil) != (wantErr == nil) || (wantErr != nil && !errors.Is(r.Err, wantErr)) {
-			t.Fatalf("syndrome %d (%s): err %v, free function %v", i, behaviors[i].Name(), r.Err, wantErr)
-		}
-		if wantErr == nil && !r.Faults.Equal(want) {
-			t.Fatalf("syndrome %d (%s): fault set differs from free function", i, behaviors[i].Name())
-		}
-		freeTotal += refs[i].Lookups()
-		groupTotal += syns[i].Lookups()
-		if i == 0 {
-			// The representative pays the full, canonical run.
-			if wantStats != nil && r.Stats != *wantStats {
-				t.Fatalf("representative stats %+v differ from free-function %+v", r.Stats, *wantStats)
-			}
-			if syns[i].Lookups() != refs[i].Lookups() {
-				t.Fatalf("representative look-up counter diverged: %d vs %d", syns[i].Lookups(), refs[i].Lookups())
-			}
-			continue
-		}
-		st := r.Stats
-		if wantStats == nil {
-			continue
-		}
-		if st.Seed != wantStats.Seed || st.Rounds != wantStats.Rounds ||
-			st.HealthyCount != wantStats.HealthyCount || st.FaultCount != wantStats.FaultCount ||
-			st.CertifiedPart != wantStats.CertifiedPart || st.Delta != wantStats.Delta {
-			t.Fatalf("syndrome %d (%s): shape stats %+v differ from free function %+v", i, behaviors[i].Name(), st, *wantStats)
-		}
-		if st.FinalLookups+st.SharedFinalLookups != wantStats.FinalLookups {
-			t.Fatalf("syndrome %d (%s): member final %d + shared prefix %d ≠ free final %d",
-				i, behaviors[i].Name(), st.FinalLookups, st.SharedFinalLookups, wantStats.FinalLookups)
-		}
-		if st.SharedFinalRounds < 0 || st.SharedFinalRounds > st.Rounds {
+		ref := syndrome.NewLazy(F, behaviors[i])
+		free(ref)
+		freeTotal += ref.Lookups()
+		groupTotal += r.Stats.TotalLookups
+		if st := r.Stats; st.SharedFinalRounds < 0 || st.SharedFinalRounds > st.Rounds {
 			t.Fatalf("syndrome %d: shared rounds %d outside [0, %d]", i, st.SharedFinalRounds, st.Rounds)
 		}
-		if st.TotalLookups != st.CertLookups+st.FinalLookups {
-			t.Fatalf("syndrome %d: total %d ≠ cert %d + final %d", i, st.TotalLookups, st.CertLookups, st.FinalLookups)
-		}
-		if syns[i].Lookups() != st.TotalLookups {
-			t.Fatalf("syndrome %d: syndrome consulted %d times, stats report %d", i, syns[i].Lookups(), st.TotalLookups)
-		}
-		if bopt.ShareCertification {
-			if st.CertLookups != 0 {
-				t.Fatalf("syndrome %d: member spent %d certification look-ups with shared scans", i, st.CertLookups)
-			}
-		} else if st.CertLookups != wantStats.CertLookups {
-			t.Fatalf("syndrome %d: unshared-scan member cert %d ≠ free %d", i, st.CertLookups, wantStats.CertLookups)
-		}
-		if st.SharedFinalLookups > 0 {
-			sharedAny = true
-		}
+		sharedAny = sharedAny || r.Stats.SharedFinalLookups > 0
 	}
 	if sharedAny && groupTotal >= freeTotal {
 		t.Fatalf("group total %d look-ups not below unshared total %d despite a shared prefix", groupTotal, freeTotal)
 	}
+}
+
+// memoBehaviors is a behaviour panel disjoint from sharedFinalBehaviors:
+// a batch drawn from it after one drawn from sharedFinalBehaviors hits
+// no result-cache entry, so every syndrome exercises the hypothesis
+// memo instead.
+func memoBehaviors() []syndrome.Behavior {
+	return []syndrome.Behavior{syndrome.Random{Seed: 101}, syndrome.Random{Seed: 102}, syndrome.Random{Seed: 103}}
+}
+
+// checkBatchAgainstFree runs one hypothesis under the behaviour panel
+// as a grouped batch and pins every result against the paper-literal
+// free function under the accounting contract (diffStats): syndromes
+// past the first are members, and with allMembers so is the first —
+// the shape of a batch whose hypothesis is served from the memo. Every
+// successful syndrome must have been consulted exactly TotalLookups
+// times, or not at all when a result cache answered it. Hypotheses
+// beyond the bound are never grouped.
+func checkBatchAgainstFree(t *testing.T, label string, eng *Engine, F *bitset.Set, behaviors []syndrome.Behavior,
+	bopt BatchOptions, allMembers bool, free func(syndrome.Syndrome) (*bitset.Set, *Stats, error)) []BatchResult {
+	t.Helper()
+	var syns []syndrome.Syndrome
+	for _, b := range behaviors {
+		syns = append(syns, syndrome.NewLazy(F, b))
+	}
+	results := eng.DiagnoseBatch(syns, bopt)
+	groupable := F.Count() <= eng.Diagnosability()
+	for i, r := range results {
+		want, wantStats, wantErr := free(syndrome.NewLazy(F, behaviors[i]))
+		if wantErr != nil && !errors.Is(r.Err, wantErr) {
+			t.Fatalf("%s: syndrome %d (%s): err %v, free function %v", label, i, behaviors[i].Name(), r.Err, wantErr)
+		}
+		member := groupable && (allMembers || i > 0)
+		if err := diffStats(r, want, wantStats, wantErr,
+			member, member && bopt.ShareCertification, member && bopt.ShareFinalPrefix,
+			bopt.Options.ResultCache != nil); err != nil {
+			t.Fatalf("%s: syndrome %d (%s): %v", label, i, behaviors[i].Name(), err)
+		}
+		if got := syns[i].Lookups(); r.Err == nil && got != r.Stats.TotalLookups && !(bopt.Options.ResultCache != nil && got == 0) {
+			t.Fatalf("%s: syndrome %d consulted %d times, stats say %d", label, i, got, r.Stats.TotalLookups)
+		}
+	}
+	return results
 }
 
 // TestShareFinalPrefixAccounting pins the shared-final-prefix contract
@@ -302,6 +291,182 @@ func TestShareFinalPrefixWarmCache(t *testing.T) {
 		}
 		if got := syns[i].Lookups(); got != 0 {
 			t.Fatalf("syndrome %d consulted %d look-ups on a warm cache, want 0", i, got)
+		}
+	}
+}
+
+// TestHypothesisMemoAcrossBatches pins the cross-batch half of the
+// sharing contract: with a ResultCache, a hypothesis's scan verdict and
+// final-prefix checkpoint outlive the batch that recorded them.
+func TestHypothesisMemoAcrossBatches(t *testing.T) {
+	nw := topology.NewHypercube(9)
+	g := nw.Graph()
+	eng := NewEngine(nw)
+	parts, err := eng.Parts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Far-clustered faults: a long behaviour-independent prefix.
+	F := syndrome.ClusterFaults(g, parts[0].Seed^int32(g.N()-1), nw.Diagnosability())
+	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
+	both := func(cache *ResultCache) BatchOptions {
+		return BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
+	}
+	randoms := func(seeds ...uint64) []syndrome.Behavior {
+		var bs []syndrome.Behavior
+		for _, s := range seeds {
+			bs = append(bs, syndrome.Random{Seed: s})
+		}
+		return bs
+	}
+
+	// Two sequential batches on one cache: the first (a singleton group)
+	// records, the second has no representative and pays only suffixes.
+	t.Run("second-batch-pays-suffix", func(t *testing.T) {
+		cache := NewResultCache(16)
+		first := checkBatchAgainstFree(t, "first", eng, F, randoms(1), both(cache), false, free)
+		if first[0].Stats.CertLookups == 0 || first[0].Stats.SharedFinalLookups != 0 {
+			t.Fatalf("singleton representative stats %+v are not canonical", first[0].Stats)
+		}
+		second := checkBatchAgainstFree(t, "second", eng, F, randoms(2, 3), both(cache), true, free)
+		for i, r := range second {
+			if r.Stats.CertLookups != 0 || r.Stats.SharedFinalLookups == 0 ||
+				r.Stats.SharedFinalLookups != second[0].Stats.SharedFinalLookups {
+				t.Fatalf("member %d: stats %+v; want the stored scan and prefix adopted", i, r.Stats)
+			}
+		}
+		cs := cache.Stats()
+		if cs.HypothesisHits != 1 || cs.HypothesisEntries != 1 || cs.HypothesisBytes <= 0 {
+			t.Fatalf("cache stats %+v, want one hypothesis entry and one hit", cs)
+		}
+		// An exact repeat is a result-cache hit: no consultation, and the
+		// member row it was memoised with.
+		s := syndrome.NewLazy(F, syndrome.Random{Seed: 2})
+		r := eng.DiagnoseBatch([]syndrome.Syndrome{s}, both(cache))[0]
+		if s.Lookups() != 0 || r.Stats != second[0].Stats {
+			t.Fatalf("repeat consulted %d times, stats %+v; want 0 and %+v", s.Lookups(), r.Stats, second[0].Stats)
+		}
+	})
+
+	// Each flag governs only its own half of a stored entry.
+	t.Run("flags-honoured-separately", func(t *testing.T) {
+		cache := NewResultCache(16)
+		checkBatchAgainstFree(t, "record", eng, F, randoms(1), both(cache), false, free)
+		certOnly := BatchOptions{ShareCertification: true, Options: Options{ResultCache: cache}}
+		for _, r := range checkBatchAgainstFree(t, "cert-only", eng, F, randoms(4), certOnly, true, free) {
+			if r.Stats.CertLookups != 0 || r.Stats.SharedFinalLookups != 0 {
+				t.Fatalf("cert-only batch: stats %+v; want the stored verdict and no stored prefix", r.Stats)
+			}
+		}
+		finalOnly := BatchOptions{ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
+		for _, r := range checkBatchAgainstFree(t, "final-only", eng, F, randoms(5), finalOnly, true, free) {
+			if r.Stats.CertLookups == 0 || r.Stats.SharedFinalLookups == 0 {
+				t.Fatalf("final-only batch: stats %+v; want its own scan and the stored prefix", r.Stats)
+			}
+		}
+		// An entry recorded without ShareFinalPrefix carries no prefix: a
+		// prefix-sharing batch treats it as a miss and records a fuller
+		// one, which the next batch resumes.
+		cache = NewResultCache(16)
+		certOnly.Options.ResultCache = cache
+		checkBatchAgainstFree(t, "cert-record", eng, F, randoms(6), certOnly, false, free)
+		checkBatchAgainstFree(t, "upgrade", eng, F, randoms(7), both(cache), false, free)
+		for _, r := range checkBatchAgainstFree(t, "upgraded", eng, F, randoms(8), both(cache), true, free) {
+			if r.Stats.SharedFinalLookups == 0 {
+				t.Fatalf("upgraded entry: stats %+v; want the prefix adopted", r.Stats)
+			}
+		}
+		if cs := cache.Stats(); cs.HypothesisEntries != 1 || cs.HypothesisHits != 1 {
+			t.Fatalf("cache stats %+v, want one (replaced) entry and one hit", cs)
+		}
+	})
+
+	// Rebind flushes hypothesis entries; a cache not passed to Rebind
+	// still never resumes across the churn, because entries are keyed on
+	// the binding epoch.
+	t.Run("rebind-flushes-epoch", func(t *testing.T) {
+		eng := NewEngine(nw)
+		flushed, unflushed := NewResultCache(16), NewResultCache(16)
+		checkBatchAgainstFree(t, "record", eng, F, randoms(1), both(flushed), false, free)
+		checkBatchAgainstFree(t, "record", eng, F, randoms(1), both(unflushed), false, free)
+		gone := parts[len(parts)-1].Nodes[0] // outside part 0 and the far cluster
+		rep, err := eng.Rebind(g.Remove([]int32{gone}, nil), flushed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := flushed.Stats(); rep.CacheFlushed < 1 || cs.HypothesisEntries != 0 || cs.HypothesisBytes != 0 {
+			t.Fatalf("rebind flushed %d, cache stats %+v; want the hypothesis entry flushed", rep.CacheFlushed, cs)
+		}
+		s := syndrome.NewLazy(F, syndrome.Random{Seed: 9})
+		solo := syndrome.NewLazy(F, syndrome.Random{Seed: 9})
+		r := eng.DiagnoseBatch([]syndrome.Syndrome{s}, both(unflushed))[0]
+		want, wantStats, wantErr := eng.DiagnoseOpts(solo, Options{})
+		if err := diffStats(r, want, wantStats, wantErr, false, false, false, false); err != nil {
+			t.Fatalf("post-churn batch: %v", err)
+		}
+		if hits := unflushed.Stats().HypothesisHits; hits != 0 {
+			t.Fatalf("%d hypothesis hits across a rebind", hits)
+		}
+	})
+
+	// The checkpoints sit under the byte ceiling of the bound graph:
+	// past it, least-recently-used hypothesis entries are evicted, and an
+	// evicted hypothesis is simply recorded again.
+	t.Run("byte-ceiling-evicts", func(t *testing.T) {
+		cache := NewResultCache(1024)
+		dist := g.BFSFrom(parts[0].Seed, nil)
+		var syns []syndrome.Syndrome
+		var hyps []*bitset.Set
+		for v := range dist {
+			if dist[v] >= 7 { // single far faults: near-complete prefixes
+				F := bitset.New(g.N())
+				F.Add(v)
+				hyps = append(hyps, F)
+				syns = append(syns, syndrome.NewLazy(F, syndrome.Mimic{}))
+			}
+		}
+		for i, r := range eng.DiagnoseBatch(syns, both(cache)) {
+			if r.Err != nil || !r.Faults.Equal(hyps[i]) {
+				t.Fatalf("hypothesis %d misdiagnosed (%v)", i, r.Err)
+			}
+		}
+		cs := cache.Stats()
+		ceiling := hypothesisByteCeiling(g.N())
+		if cs.HypothesisBytes > ceiling || cs.Evictions == 0 || cs.HypothesisEntries >= len(hyps) {
+			t.Fatalf("cache stats %+v with %d hypotheses; want evictions under the %d-byte ceiling", cs, len(hyps), ceiling)
+		}
+		checkBatchAgainstFree(t, "evicted", eng, hyps[0], randoms(1, 2), both(cache), false, free)
+	})
+}
+
+// TestShareFinalPrefixHypothesisWiderThanBinding is the regression pin
+// for a hypothesis wider than the bound graph — one drawn before a
+// Rebind shrank it. The prefix recorder used to index the adjacency
+// with every hypothesised id and panic; a width mismatch now records an
+// empty prefix, and the grouped batch matches solo diagnoses.
+func TestShareFinalPrefixHypothesisWiderThanBinding(t *testing.T) {
+	eng := NewEngine(topology.NewHypercube(6))
+	if _, err := eng.Rebind(eng.Graph().Remove([]int32{5}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	F := bitset.New(64) // the pre-churn width; the survivor has 63 nodes
+	F.Add(63)
+	F.Add(20)
+	for _, bopt := range []BatchOptions{
+		{ShareFinalPrefix: true},
+		{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: NewResultCache(8)}},
+	} {
+		behaviors := []syndrome.Behavior{syndrome.Mimic{}, syndrome.AllOne{}}
+		var syns []syndrome.Syndrome
+		for _, b := range behaviors {
+			syns = append(syns, syndrome.NewLazy(F, b))
+		}
+		for i, r := range eng.DiagnoseBatch(syns, bopt) {
+			want, wantStats, wantErr := eng.DiagnoseOpts(syndrome.NewLazy(F, behaviors[i]), Options{})
+			member := i > 0 && bopt.ShareCertification
+			if err := diffStats(r, want, wantStats, wantErr, member, member, member, false); err != nil {
+				t.Fatalf("%+v syndrome %d: %v", bopt, i, err)
+			}
 		}
 	}
 }

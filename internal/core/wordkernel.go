@@ -108,10 +108,8 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		res.Rounds = fp.rounds
 	} else {
 		res.U.Add(int(u0))
-		rec := sc.prefixRec
-		if rec != nil && !rec.begin(a, l.Faults(), u0) {
-			rec = nil // even the pair scan is hazardous: no shareable prefix
-			sc.prefixRec = nil
+		if sc.prefixRec != nil && !sc.beginPrefix(a, l.Faults(), u0) {
+			sc.prefixRec = nil // even the pair scan is hazardous: no shareable prefix
 		}
 
 		// Build U_1 exactly as the reference loop: u0 tests unordered pairs
@@ -192,7 +190,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	// and the AllHealthy threshold is monotone, so the final count
 	// decides it — this drops a membership test from every admission.
 	for len(frontier) > 0 {
-		if rec := sc.prefixRec; rec != nil && rec.frontierHazardous(frontier) {
+		if rec := sc.prefixRec; rec != nil && sc.frontierHazardous(frontier) {
 			// End of the behaviour-independent prefix: the next round
 			// would consult a comparison involving a hypothesised-faulty
 			// node (see finalPrefix).

@@ -191,11 +191,16 @@ func (c *coalescer) flushBound(bound int, reqs []*request) {
 	}
 	results := c.eng.DiagnoseBatch(syns, opt)
 	width := len(reqs)
+	// Count the batch before answering anyone, so a client holding its
+	// answer always finds its look-ups in the counters.
 	var lookups, shared int64
 	for i, r := range reqs {
-		res := results[i]
 		lookups += r.syn.Lookups()
-		shared += res.Stats.SharedFinalLookups
+		shared += results[i].Stats.SharedFinalLookups
+	}
+	c.met.noteBatch(width, lookups, shared)
+	for i, r := range reqs {
+		res := results[i]
 		out := Outcome{
 			Faults: res.Faults, Stats: res.Stats, Err: res.Err,
 			BatchWidth: width, Waiters: len(r.out),
@@ -204,7 +209,6 @@ func (c *coalescer) flushBound(bound int, reqs []*request) {
 			ch <- out
 		}
 	}
-	c.met.noteBatch(width, lookups, shared)
 }
 
 // close drains the coalescer: later Submits refuse with ErrClosing,

@@ -182,6 +182,18 @@ func writePrometheus(w io.Writer, s Snapshot) {
 		for _, e := range s.Engines {
 			fmt.Fprintf(w, "diagnosed_cache_evictions_total{engine=%q} %d\n", e.Key, e.Cache.Evictions)
 		}
+		labelled("diagnosed_cache_hypothesis_hits_total", "Hypotheses resumed from a stored scan verdict and final prefix.", "counter")
+		for _, e := range s.Engines {
+			fmt.Fprintf(w, "diagnosed_cache_hypothesis_hits_total{engine=%q} %d\n", e.Key, e.Cache.HypothesisHits)
+		}
+		labelled("diagnosed_cache_hypothesis_entries", "Resident hypothesis entries.", "gauge")
+		for _, e := range s.Engines {
+			fmt.Fprintf(w, "diagnosed_cache_hypothesis_entries{engine=%q} %d\n", e.Key, e.Cache.HypothesisEntries)
+		}
+		labelled("diagnosed_cache_hypothesis_bytes", "Bytes retained by stored final-prefix checkpoints.", "gauge")
+		for _, e := range s.Engines {
+			fmt.Fprintf(w, "diagnosed_cache_hypothesis_bytes{engine=%q} %d\n", e.Key, e.Cache.HypothesisBytes)
+		}
 		labelled("diagnosed_runtime_workers", "Persistent runtime workers bound to the engine.", "gauge")
 		for _, e := range s.Engines {
 			fmt.Fprintf(w, "diagnosed_runtime_workers{engine=%q} %d\n", e.Key, e.Runtime.Workers)

@@ -243,6 +243,65 @@ func TestServedCoalescedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServedHypothesisMemo pins cross-window sharing: two width-1
+// requests in separate coalescing windows name one hypothesis under
+// different random seeds. The first is diagnosed in full and stores the
+// hypothesis's scan verdict and final prefix in the engine's result
+// cache; the second resumes from them, so its look-up bill is a member
+// row — no certification, only the suffix past the stored checkpoint —
+// and the server's look-up counter grows by exactly that suffix.
+func TestServedHypothesisMemo(t *testing.T) {
+	const spec = "q:8"
+	srv := New(Config{Window: time.Millisecond, Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	nw, err := topology.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Faults clustered far from node 0, where part 0 (and so the final
+	// pass) starts: a long behaviour-independent prefix.
+	F := syndrome.ClusterFaults(nw.Graph(), 255, 6)
+	post := func(seed uint64) DiagnoseResponse {
+		t.Helper()
+		status, dr := postDiagnose(t, ts.URL, DiagnoseRequest{Topology: spec, Faults: F.Members(), Behavior: "random", Seed: seed})
+		if status != http.StatusOK {
+			t.Fatalf("seed %d: status %d (%s)", seed, status, dr.Error)
+		}
+		if dr.BatchWidth != 1 {
+			t.Fatalf("seed %d: batch width %d, want 1 (separate windows)", seed, dr.BatchWidth)
+		}
+		soloF, solo := soloDiagnose(t, spec, F, syndrome.Random{Seed: seed})
+		checkBitIdentical(t, fmt.Sprintf("seed %d", seed), dr, soloF, solo)
+		return dr
+	}
+
+	first := post(1)
+	if first.Lookups.Cert == 0 || first.Lookups.SharedFinal != 0 {
+		t.Fatalf("first request bill %+v, want a full diagnosis", first.Lookups)
+	}
+	before := srv.Snapshot()
+	second := post(2)
+	after := srv.Snapshot()
+	if second.Lookups.Cert != 0 || second.Lookups.SharedFinal == 0 || second.Lookups.Total != second.Lookups.Final {
+		t.Fatalf("second request bill %+v, want a member row", second.Lookups)
+	}
+	if d := after.SyndromeLookups - before.SyndromeLookups; d != second.Lookups.Final {
+		t.Fatalf("server look-ups grew by %d, the response's own final is %d", d, second.Lookups.Final)
+	}
+	cs := after.Engines[0].Cache
+	if cs.HypothesisHits != 1 || cs.HypothesisEntries != 1 || cs.HypothesisBytes <= 0 {
+		t.Fatalf("cache stats %+v, want one stored hypothesis and one hit", cs)
+	}
+	var buf bytes.Buffer
+	writePrometheus(&buf, after)
+	if !strings.Contains(buf.String(), "diagnosed_cache_hypothesis_hits_total{engine=\"q:8\"} 1\n") {
+		t.Error("/metrics does not report the hypothesis hit")
+	}
+}
+
 // TestGracefulShutdownDrains pins the drain contract: requests sitting
 // in an unexpired coalescing window when Close is called are flushed
 // and answered — nothing is dropped — and the flush serves them as one
@@ -556,6 +615,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"diagnosed_syndrome_lookups_per_second",
 		"diagnosed_shared_final_lookups_total",
 		"diagnosed_cache_hit_rate{engine=\"q:6\"}",
+		"diagnosed_cache_hypothesis_hits_total{engine=\"q:6\"}",
+		"diagnosed_cache_hypothesis_bytes{engine=\"q:6\"}",
 		"diagnosed_runtime_worker_occupancy{engine=\"q:6\"}",
 		"diagnosed_engine_delta{engine=\"q:6\"",
 	} {
