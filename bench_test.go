@@ -1,7 +1,8 @@
 package comparisondiag
 
-// One benchmark per evaluation artefact of the paper (see DESIGN.md §4
-// for the experiment index and cmd/benchtab for the table renderer).
+// One benchmark per evaluation artefact of the paper (see
+// internal/experiments.ByID for the experiment index and cmd/benchtab
+// for the table renderer).
 // Benchmarks assert exactness on every iteration: a fast wrong answer
 // must fail, not score.
 

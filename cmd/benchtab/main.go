@@ -1,5 +1,5 @@
 // Command benchtab regenerates the paper's evaluation artefacts as
-// plain-text tables — one per experiment in DESIGN.md §4 — and, in
+// plain-text tables — one per experiment in internal/experiments — and, in
 // -json mode, the repository's perf-trajectory baseline.
 //
 // Usage:

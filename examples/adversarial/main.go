@@ -57,7 +57,7 @@ func main() {
 
 	_, _, err := cd.DiagnoseOpts(nw, s, cd.Options{Strategy: cd.StrategyPaper})
 	if errors.Is(err, cd.ErrNoHealthyPart) {
-		fmt.Println("  parts of size δ+1:  contributor certificate cannot fire (as DESIGN.md G1 predicts)")
+		fmt.Println("  parts of size δ+1:  contributor certificate cannot fire (as gap G1 in docs/algorithm.md predicts)")
 	} else {
 		log.Fatalf("expected ErrNoHealthyPart, got %v", err)
 	}

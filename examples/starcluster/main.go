@@ -5,7 +5,8 @@
 // alternative to the hypercube; the (n,k)-star generalises it. This
 // example diagnoses S_7 and S(7,3) with the partition algorithm, then
 // shows the S(6,2) boundary case where Theorem 1's partition cannot
-// exist (gap G3 in DESIGN.md) and the verification fallback takes over.
+// exist (gap G3 in docs/algorithm.md) and the verification fallback
+// takes over.
 //
 // Run with: go run ./examples/starcluster
 package main

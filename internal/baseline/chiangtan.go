@@ -142,7 +142,7 @@ func ClassifyBranch(s syndrome.Syndrome, x int32, br [4]int32) BranchVerdict {
 //
 //	x is faulty  ⟺  #accusing > #quiet.
 //
-// Correctness (details in DESIGN.md): a quiet branch under a faulty root
+// Correctness: a quiet branch under a faulty root
 // forces a, b, c faulty (3 faults); an accusing branch under a healthy
 // root forces b, c faulty (2 faults); fault-free branches are quiet
 // under a healthy root and accusing under a faulty one. Counting faults

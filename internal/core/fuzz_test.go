@@ -168,8 +168,8 @@ func FuzzMixedRadixSteps(f *testing.F) {
 		// The binder only reads the graph's size and max degree, so a
 		// ring of the right order stands in for the real adjacency —
 		// this fuzzes the schedule compiler, not descriptor validation.
-		g := graph.FromAdjacency(n, func(u int32) []int32 {
-			return []int32{int32((int(u) + 1) % n), int32((int(u) + n - 1) % n)}
+		g := graph.FromAdjacency(n, func(dst []int32, u int32) []int32 {
+			return append(dst, int32((int(u)+1)%n), int32((int(u)+n-1)%n))
 		})
 		k := bindMixedRadixKernel(*mr, g)
 		if k == nil {

@@ -3,8 +3,8 @@
 // economy of Section 6, the comparisons with Chiang–Tan and Yang of
 // Sections 3/6, the diagnosability validations, the distributed
 // comparison of the Conclusions, and the repository's own ablations.
-// Each experiment returns a Table that cmd/benchtab prints; the index
-// lives in DESIGN.md §4 and the recorded outcomes in EXPERIMENTS.md.
+// Each experiment returns a Table that cmd/benchtab prints; ByID is the
+// index (t2..t14 for the paper's claims, a1..a3 for the ablations).
 package experiments
 
 import (

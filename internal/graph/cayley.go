@@ -188,18 +188,31 @@ func verifyXORCayley(g *Graph, d XORCayley) error {
 	// Distinct masks produce distinct u^m, so per node it suffices that
 	// the degree matches and every edge difference is a generator.
 	deg := len(masks)
+	isMask := maskTable(n, masks)
 	for u := int32(0); int(u) < n; u++ {
 		adj := g.Neighbors(u)
 		if len(adj) != deg {
 			return fmt.Errorf("graph: node %d has degree %d, descriptor says %d", u, len(adj), deg)
 		}
 		for _, v := range adj {
-			if _, ok := slices.BinarySearch(masks, u^v); !ok {
+			if !isMask[u^v] {
 				return fmt.Errorf("graph: edge %d-%d (difference %#x) not generated by the mask set", u, v, u^v)
 			}
 		}
 	}
 	return nil
+}
+
+// maskTable returns the n-entry membership table of an XOR generator
+// set: isMask[x] reports whether x is a mask. Node ids u, v < n = 2^bits
+// keep every edge difference u^v inside the table, so each arc costs one
+// load instead of a search.
+func maskTable(n int, masks []int32) []bool {
+	isMask := make([]bool, n)
+	for _, m := range masks {
+		isMask[m] = true
+	}
+	return isMask
 }
 
 func verifyAdditiveCayley(g *Graph, d AdditiveCayley) error {
@@ -365,13 +378,14 @@ func DetectXORCayley(g *Graph) (XORCayley, bool) {
 		return XORCayley{}, false
 	}
 	deg := len(masks)
+	isMask := maskTable(n, masks)
 	for u := int32(1); int(u) < n; u++ {
 		adj := g.Neighbors(u)
 		if len(adj) != deg {
 			return XORCayley{}, false
 		}
 		for _, v := range adj {
-			if _, ok := slices.BinarySearch(masks, u^v); !ok {
+			if !isMask[u^v] {
 				return XORCayley{}, false
 			}
 		}

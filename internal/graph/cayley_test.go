@@ -10,36 +10,33 @@ import (
 // rebuilt here from their defining adjacency rules.
 
 func hyperGraph(n int) *Graph {
-	return FromAdjacency(1<<uint(n), func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	return FromAdjacency(1<<uint(n), func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		return out
+		return dst
 	})
 }
 
 func foldedGraph(n int) *Graph {
 	full := int32(1<<uint(n) - 1)
-	return FromAdjacency(1<<uint(n), func(u int32) []int32 {
-		out := make([]int32, 0, n+1)
+	return FromAdjacency(1<<uint(n), func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		return append(out, u^full)
+		return append(dst, u^full)
 	})
 }
 
 func augmentedGraph(n int) *Graph {
-	return FromAdjacency(1<<uint(n), func(u int32) []int32 {
-		out := make([]int32, 0, 2*n-1)
+	return FromAdjacency(1<<uint(n), func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
 		for i := 1; i < n; i++ {
-			out = append(out, u^int32(1<<uint(i+1)-1))
+			dst = append(dst, u^int32(1<<uint(i+1)-1))
 		}
-		return out
+		return dst
 	})
 }
 
@@ -48,8 +45,7 @@ func karyGraph(k, n int) *Graph {
 	for i := 0; i < n; i++ {
 		N *= k
 	}
-	return FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, 2*n)
+	return FromAdjacency(N, func(dst []int32, u int32) []int32 {
 		stride := int32(1)
 		x := u
 		for d := 0; d < n; d++ {
@@ -61,11 +57,11 @@ func karyGraph(k, n int) *Graph {
 			if digit == 0 {
 				down = u + int32(k-1)*stride
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 			x /= int32(k)
 			stride *= int32(k)
 		}
-		return out
+		return dst
 	})
 }
 
@@ -77,8 +73,7 @@ func mixedTorus(radices []int) *Graph {
 	for _, k := range radices {
 		N *= k
 	}
-	return FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, 2*len(radices))
+	return FromAdjacency(N, func(dst []int32, u int32) []int32 {
 		stride := int32(1)
 		x := u
 		for _, k := range radices {
@@ -90,11 +85,11 @@ func mixedTorus(radices []int) *Graph {
 			if digit == 0 {
 				down = u + int32(k-1)*stride
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 			x /= int32(k)
 			stride *= int32(k)
 		}
-		return out
+		return dst
 	})
 }
 
@@ -118,8 +113,8 @@ func augKaryGraph(k, n int) *Graph {
 	for i := 0; i < n; i++ {
 		N *= k
 	}
-	return FromAdjacency(int(N), func(u int32) []int32 {
-		digits := make([]int32, n)
+	digits := make([]int32, n)
+	return FromAdjacency(int(N), func(dst []int32, u int32) []int32 {
 		x := u
 		for d := 0; d < n; d++ {
 			digits[d] = x % int32(k)
@@ -135,7 +130,6 @@ func augKaryGraph(k, n int) *Graph {
 			}
 			return v
 		}
-		var out []int32
 		stride := int32(1)
 		for d := 0; d < n; d++ {
 			up, down := u+stride, u-stride
@@ -145,13 +139,13 @@ func augKaryGraph(k, n int) *Graph {
 			if digits[d] == 0 {
 				down = u + int32(k-1)*stride
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 			stride *= int32(k)
 		}
 		for i := 2; i <= n; i++ {
-			out = append(out, add(i, 1), add(i, -1))
+			dst = append(dst, add(i, 1), add(i, -1))
 		}
-		return out
+		return dst
 	})
 }
 

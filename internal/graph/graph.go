@@ -2,23 +2,28 @@
 // interconnection networks. Nodes are dense int32 identifiers in [0, N);
 // adjacency is stored in compressed-sparse-row (CSR) form — one flat
 // target array plus per-node offsets — so that networks with millions of
-// nodes fit comfortably in memory, neighbour scans are a single
-// contiguous read, and the whole structure is built in O(m) by counting
-// sort. The package also supplies the exact structural computations the
-// diagnosis theory relies on: connectivity (via Menger/max-flow),
-// articulation points, components and BFS layers.
+// nodes fit comfortably in memory and neighbour scans are a single
+// contiguous read. FromAdjacency builds the structure in O(m) without
+// sorting: it calls a neighbour-appending callback once per node, then
+// lays the target array down at exact size as the input's transpose,
+// which also proves the input symmetric. Builder assembles it from an
+// edge list by counting sort. The package also supplies the exact
+// structural computations the diagnosis theory relies on: connectivity
+// (via Menger/max-flow), articulation points, components and BFS
+// layers.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
 // Graph is a simple undirected graph over nodes 0..N-1 in CSR layout:
 // the neighbours of u are targets[offsets[u]:offsets[u+1]], ascending.
-// Build one with NewBuilder; a finished Graph is immutable and safe for
-// concurrent readers.
+// Build one with FromAdjacency or NewBuilder; a finished Graph is
+// immutable and safe for concurrent readers.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; offsets[u] is the start of u's block
@@ -167,9 +172,10 @@ func (b *Builder) MustAddEdge(u, v int32) {
 // Build deduplicates edges and produces the Graph in CSR form. The whole
 // construction is O(m + n): each undirected edge is expanded into its two
 // directed arcs, the arc list is sorted with two stable counting-sort
-// passes (by target, then by source — an LSD radix sort on node ids), and
-// duplicates, now adjacent, are dropped while the flat target array and
-// offsets are laid down.
+// passes (by target, then by source — an LSD radix sort on node ids), the
+// distinct arcs, now adjacent, are counted so the target array is
+// allocated at exact size, and the flat target array and offsets are
+// laid down.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	na := 2 * len(b.edges)
@@ -185,8 +191,14 @@ func (b *Builder) Build() *Graph {
 	countingSortByKey(dst, src, dst, tmpS, tmpD, count)  // stable pass 1: by target
 	countingSortByKey(tmpS, tmpS, tmpD, src, dst, count) // stable pass 2: by source
 
+	distinct := 0
+	for i := 0; i < na; i++ {
+		if i == 0 || src[i] != src[i-1] || dst[i] != dst[i-1] {
+			distinct++
+		}
+	}
 	offsets := make([]int32, n+1)
-	targets := make([]int32, 0, na)
+	targets := make([]int32, 0, distinct)
 	prevS, prevD := int32(-1), int32(-1)
 	u := int32(0)
 	for i := 0; i < na; i++ {
@@ -231,22 +243,116 @@ func countingSortByKey(key, src, dst, outS, outD, count []int32) {
 	}
 }
 
-// FromAdjacency builds a Graph directly from an adjacency function: for
-// every node u, neigh(u) must list u's neighbours (order irrelevant,
-// duplicates tolerated). Symmetry is the caller's responsibility and is
-// checked by Validate in tests.
-func FromAdjacency(n int, neigh func(u int32) []int32) *Graph {
-	b := NewBuilder(n)
+// FromAdjacency builds a Graph from an adjacency callback, calling it
+// once per node and never going through Builder. For every node u in
+// ascending order, appendNeighbors(dst, u) must append u's neighbours to
+// dst and return the extended slice, exactly like the built-in append:
+// the callback writes straight into a growing arc array, so it need not
+// allocate. Neighbours may come in any order and may repeat.
+//
+// Nothing is sorted. Each node's block is range- and self-loop-checked
+// and deduplicated as it arrives. A symmetric adjacency is its own
+// transpose, so the CSR is laid down as the transpose: scattering every
+// arc u→v into v's block, u ascending, writes each block already sorted
+// into a target array allocated at exact size. A membership pass then
+// proves every block holds exactly the neighbours its node listed, so
+// symmetry is enforced, not assumed.
+//
+// FromAdjacency panics, naming the offending node or arc, on a
+// self-loop, an out-of-range neighbour, an arc whose reverse is missing,
+// or a graph an int32 CSR cannot index: more than MaxInt32 nodes, or
+// n × deg(0) arcs beyond MaxInt32, refused before anything proportional
+// to n is allocated.
+func FromAdjacency(n int, appendNeighbors func(dst []int32, u int32) []int32) *Graph {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes do not fit int32 node ids", n))
+	}
+	if n == 0 {
+		return &Graph{offsets: make([]int32, 1), targets: []int32{}}
+	}
+	// Node 0's degree sizes the input array, exactly for the regular
+	// graphs every topology family produces.
+	first := appendNeighbors(nil, 0)
+	distinct := slices.Clone(first)
+	slices.Sort(distinct)
+	deg0 := len(slices.Compact(distinct))
+	if arcs := int64(n) * int64(deg0); arcs > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes of degree %d make %d arcs, beyond int32 CSR offsets", n, deg0, arcs))
+	}
+
+	// in holds each node's listed neighbours, deduplicated, unsorted;
+	// stamp[v] == u+1 once u has listed v.
+	in := append(make([]int32, 0, n*deg0), first...)
+	offsets := make([]int32, n+1)
+	stamp := make([]int32, n)
 	for u := int32(0); int(u) < n; u++ {
-		for _, v := range neigh(u) {
-			if u < v {
-				b.MustAddEdge(u, v)
-			} else if v < u {
-				b.MustAddEdge(v, u)
-			} else {
-				panic(fmt.Sprintf("graph: self-loop produced for node %d", u))
+		start := int(offsets[u])
+		if u > 0 {
+			in = appendNeighbors(in, u)
+		}
+		kept := start
+		for _, v := range in[start:] {
+			if v == u {
+				panic(fmt.Sprintf("graph: self-loop at node %d", u))
+			}
+			if v < 0 || int(v) >= n {
+				panic(fmt.Sprintf("graph: neighbour %d of node %d out of range [0,%d)", v, u, n))
+			}
+			if stamp[v] != u+1 {
+				stamp[v] = u + 1
+				in[kept] = v
+				kept++
+			}
+		}
+		if kept > math.MaxInt32 {
+			panic(fmt.Sprintf("graph: more than %d arcs by node %d, beyond int32 CSR offsets", math.MaxInt32, u))
+		}
+		in = in[:kept]
+		offsets[u+1] = int32(kept)
+	}
+
+	// Scatter the transpose: cur[v] (reusing the stamp array) is the next
+	// free slot of v's block. No block overflows only if no node is
+	// listed by more nodes than it lists itself; as the totals agree,
+	// every block then ends up full.
+	targets := make([]int32, len(in))
+	cur := stamp
+	copy(cur, offsets[:n])
+	for u := int32(0); int(u) < n; u++ {
+		for _, v := range in[offsets[u]:offsets[u+1]] {
+			c := cur[v]
+			if c == offsets[v+1] {
+				// One more node lists v than v lists, so one of them
+				// is missing from v's own list.
+				own := in[offsets[v]:offsets[v+1]]
+				for _, x := range append(targets[offsets[v]:c:c], u) {
+					if !slices.Contains(own, x) {
+						panicAsymmetric(x, v)
+					}
+				}
+			}
+			targets[c] = u
+			cur[v] = c + 1
+		}
+	}
+
+	// Block v now lists, ascending, the nodes that listed v, as many as
+	// v listed itself, all distinct: it equals v's own list exactly when
+	// every lister is among v's neighbours.
+	clear(stamp)
+	for v := int32(0); int(v) < n; v++ {
+		for _, x := range in[offsets[v]:offsets[v+1]] {
+			stamp[x] = v + 1
+		}
+		for _, x := range targets[offsets[v]:offsets[v+1]] {
+			if stamp[x] != v+1 {
+				panicAsymmetric(x, v)
 			}
 		}
 	}
-	return b.Build()
+	return &Graph{n: n, offsets: offsets, targets: targets, m: len(targets) / 2}
+}
+
+func panicAsymmetric(u, v int32) {
+	panic(fmt.Sprintf("graph: arc %d→%d has no reverse arc %d→%d", u, v, v, u))
 }

@@ -9,12 +9,11 @@ import (
 // benchCube builds Q_n without importing the topology package (which
 // would create an import cycle in benchmarks).
 func benchCube(n int) *Graph {
-	return FromAdjacency(1<<uint(n), func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	return FromAdjacency(1<<uint(n), func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		return out
+		return dst
 	})
 }
 

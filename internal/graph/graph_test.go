@@ -259,9 +259,9 @@ func TestLocalConnectivity(t *testing.T) {
 }
 
 func TestFromAdjacency(t *testing.T) {
-	g := FromAdjacency(4, func(u int32) []int32 {
+	g := FromAdjacency(4, func(dst []int32, u int32) []int32 {
 		// C4 given redundantly from both sides.
-		return []int32{(u + 1) % 4, (u + 3) % 4}
+		return append(dst, (u+1)%4, (u+3)%4)
 	})
 	if g.M() != 4 || !g.IsRegular(2) {
 		t.Fatalf("C4 malformed: M=%d", g.M())

@@ -45,9 +45,9 @@ func TestCayleyAdjacencyMatchesCSR(t *testing.T) {
 				t.Fatalf("descriptor round-trip: %s != %s", ca.Descriptor().String(), desc.String())
 			}
 			var buf []int32
-			g := FromAdjacency(ca.N(), func(u int32) []int32 {
+			g := FromAdjacency(ca.N(), func(dst []int32, u int32) []int32 {
 				buf = ca.AppendNeighbors(u, buf)
-				return buf
+				return append(dst, buf...)
 			})
 			if err := VerifyCayley(g, desc); err != nil {
 				t.Fatalf("generated adjacency fails the descriptor's own edge scan: %v", err)
@@ -108,9 +108,9 @@ func TestNeighborsOfSetOnInto(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf []int32
-			g := FromAdjacency(ca.N(), func(u int32) []int32 {
+			g := FromAdjacency(ca.N(), func(dst []int32, u int32) []int32 {
 				buf = ca.AppendNeighbors(u, buf)
-				return buf
+				return append(dst, buf...)
 			})
 			n := ca.N()
 			rng := rand.New(rand.NewSource(42))

@@ -854,7 +854,7 @@ func servedBatchCase(bits, hyps int, coalesce bool) Result {
 	})
 }
 
-// graphBuildCase measures CSR construction of Q_n via the Builder.
+// graphBuildCase measures CSR construction of Q_n via FromAdjacency.
 func graphBuildCase(n int) Result {
 	return run(fmt.Sprintf("graphbuild/Q%d", n), nil, func(b *testing.B) {
 		b.ReportAllocs()

@@ -521,6 +521,8 @@ func TestDiagnoseValidation(t *testing.T) {
 		{"unknown field", `{"topology":"q:6","bogus":1}`, http.StatusBadRequest},
 		{"missing topology", `{"faults":[1]}`, http.StatusBadRequest},
 		{"bad topology", `{"topology":"nonsense:9"}`, http.StatusBadRequest},
+		{"too many arcs for int32", `{"topology":"q:27","faults":[1]}`, http.StatusBadRequest},
+		{"too many nodes for int32", `{"topology":"q:40","faults":[1]}`, http.StatusBadRequest},
 		{"bad behavior", `{"topology":"q:6","behavior":"liar"}`, http.StatusBadRequest},
 		{"fault out of range", `{"topology":"q:6","faults":[64]}`, http.StatusBadRequest},
 		{"negative fault", `{"topology":"q:6","faults":[-1]}`, http.StatusBadRequest},

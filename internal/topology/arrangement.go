@@ -12,7 +12,7 @@ import (
 // [11], diagnosability k(n-k) [6].
 //
 // Note: the paper's Section 5.2 "proof" for arrangement graphs is a
-// copy of the pancake paragraph (gap G2 in DESIGN.md); the partition
+// copy of the pancake paragraph (gap G2 in docs/algorithm.md); the partition
 // implemented here is the real one — fix the last j positions to get
 // n!/(n-j)! copies of A_{n-j,k-j}.
 type Arrangement struct {
@@ -30,19 +30,18 @@ func NewArrangement(n, k int) *Arrangement {
 	N := codec.Count()
 	p := make([]int8, k)
 	var unused []int8
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		codec.Unrank(u, p)
 		unused = unusedSymbols(n, p, unused[:0])
-		out := make([]int32, 0, k*(n-k))
 		for i := 0; i < k; i++ {
 			old := p[i]
 			for _, s := range unused {
 				p[i] = s
-				out = append(out, codec.Rank(p))
+				dst = append(dst, codec.Rank(p))
 			}
 			p[i] = old
 		}
-		return out
+		return dst
 	})
 	return &Arrangement{n: n, k: k, codec: codec, g: g}
 }
@@ -68,7 +67,8 @@ func (a *Arrangement) Diagnosability() int { return a.k * (a.n - a.k) }
 // Parts implements Network. Fixing the last j positions yields
 // n!/(n-j)! copies of A_{n-j,k-j}; A_{m,1} is the complete graph K_m.
 // For small k the precondition N > δ(δ+1) is unsatisfiable — e.g. every
-// A_{n,2} — and ErrNoPartition is returned (gap G3 in DESIGN.md).
+// A_{n,2} — and ErrNoPartition is returned (gap G3 in
+// docs/algorithm.md).
 func (a *Arrangement) Parts(minSize, minCount int) ([]Part, error) {
 	return suffixParts(a.g, a.codec, a.n, a.k, minSize, minCount, func(nRem, kRem int) bool {
 		// Induced degree of A_{nRem,kRem} is kRem(nRem-kRem); the

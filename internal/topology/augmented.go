@@ -24,16 +24,15 @@ func NewAugmentedCube(n int) *AugmentedCube {
 	if n < 2 {
 		panic("topology: augmented cube needs n ≥ 2")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, 2*n-1)
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
 		for i := 1; i < n; i++ {
-			out = append(out, u^int32((1<<uint(i+1))-1))
+			dst = append(dst, u^int32((1<<uint(i+1))-1))
 		}
-		return out
+		return dst
 	})
 	return &AugmentedCube{n: n, g: g}
 }
@@ -97,9 +96,8 @@ func NewTwistedNCube(n int) *TwistedNCube {
 	if n < 2 {
 		panic("topology: twisted N-cube needs n ≥ 2")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		onFace := u < 4
 		for b := 0; b < n; b++ {
 			v := u ^ int32(1<<uint(b))
@@ -108,9 +106,9 @@ func NewTwistedNCube(n int) *TwistedNCube {
 				// rewired endpoints are u XOR 3.
 				v = u ^ 3
 			}
-			out = append(out, v)
+			dst = append(dst, v)
 		}
-		return out
+		return dst
 	})
 	return &TwistedNCube{n: n, g: g}
 }

@@ -26,13 +26,12 @@ func NewCrossedCube(n int) *CrossedCube {
 	if n < 2 {
 		panic("topology: crossed cube needs n ≥ 2")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		for l := 0; l < n; l++ {
-			out = append(out, crossedNeighbor(u, l))
+			dst = append(dst, crossedNeighbor(u, l))
 		}
-		return out
+		return dst
 	})
 	return &CrossedCube{n: n, g: g}
 }

@@ -19,15 +19,13 @@ func NewFoldedHypercube(n int) *FoldedHypercube {
 	if n < 2 {
 		panic("topology: folded hypercube needs n ≥ 2")
 	}
-	N := 1 << uint(n)
+	N := pow(2, n)
 	full := int32(N - 1)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n+1)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		out = append(out, u^full)
-		return out
+		return append(dst, u^full)
 	})
 	return &FoldedHypercube{n: n, g: g}
 }
@@ -75,15 +73,13 @@ func NewEnhancedHypercube(n, f int) *EnhancedHypercube {
 	if n < 2 || f < 2 || f > n {
 		panic("topology: enhanced hypercube needs n ≥ 2 and 2 ≤ f ≤ n")
 	}
-	N := 1 << uint(n)
+	N := pow(2, n)
 	mask := int32(((1 << uint(f)) - 1) << uint(n-f))
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n+1)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		out = append(out, u^mask)
-		return out
+		return append(dst, u^mask)
 	})
 	return &EnhancedHypercube{n: n, f: f, g: g}
 }

@@ -19,13 +19,12 @@ func NewHypercube(n int) *Hypercube {
 	if n < 2 {
 		panic("topology: hypercube needs n ≥ 2")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		for b := 0; b < n; b++ {
-			out = append(out, u^int32(1<<uint(b)))
+			dst = append(dst, u^int32(1<<uint(b)))
 		}
-		return out
+		return dst
 	})
 	return &Hypercube{n: n, g: g}
 }

@@ -22,8 +22,7 @@ func NewKAryNCube(k, n int) *KAryNCube {
 		panic("topology: k-ary n-cube needs k ≥ 3, n ≥ 1")
 	}
 	N := pow(k, n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, 2*n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		stride := int32(1)
 		x := u
 		for d := 0; d < n; d++ {
@@ -36,11 +35,11 @@ func NewKAryNCube(k, n int) *KAryNCube {
 			if digit == 0 {
 				down = u + int32(k-1)*stride
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 			x /= int32(k)
 			stride *= int32(k)
 		}
-		return out
+		return dst
 	})
 	return &KAryNCube{k: k, n: n, g: g}
 }
@@ -111,9 +110,8 @@ func NewAugmentedKAryNCube(k, n int) *AugmentedKAryNCube {
 	}
 	N := pow(k, n)
 	// runDelta[i] = id-space delta of +(1,…,1 over i low digits).
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, 4*n-2)
-		digits := make([]int32, n)
+	digits := make([]int32, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		x := u
 		for d := 0; d < n; d++ {
 			digits[d] = x % int32(k)
@@ -130,7 +128,7 @@ func NewAugmentedKAryNCube(k, n int) *AugmentedKAryNCube {
 			if digits[d] == 0 {
 				down = u + int32(k-1)*stride
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 			stride *= int32(k)
 		}
 		// ± runs of length i over the low digits.
@@ -150,9 +148,9 @@ func NewAugmentedKAryNCube(k, n int) *AugmentedKAryNCube {
 				}
 				stride *= int32(k)
 			}
-			out = append(out, up, down)
+			dst = append(dst, up, down)
 		}
-		return out
+		return dst
 	})
 	return &AugmentedKAryNCube{k: k, n: n, g: g}
 }

@@ -24,15 +24,14 @@ func NewPancake(n int) *Pancake {
 	codec := newPermCodec(n, n)
 	N := codec.Count()
 	p := make([]int8, n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		codec.Unrank(u, p)
-		out := make([]int32, 0, n-1)
 		for l := 2; l <= n; l++ {
 			reversePrefix(p, l)
-			out = append(out, codec.Rank(p))
+			dst = append(dst, codec.Rank(p))
 			reversePrefix(p, l)
 		}
-		return out
+		return dst
 	})
 	return &Pancake{n: n, codec: codec, g: g}
 }

@@ -17,7 +17,7 @@ import (
 // these preserve the structural contract the diagnosis theory needs —
 // n-regularity, recursive partition into 16 copies of SQ_{n-4}, and
 // connectivity n, the latter verified empirically for SQ_6 in tests.
-// See DESIGN.md, substitutions.
+// See "Substituted constructions" in docs/algorithm.md.
 var shuffleTables = [4][4]int32{
 	{0x1, 0x2, 0x4, 0x8},
 	{0x3, 0x6, 0xC, 0x9},
@@ -40,20 +40,19 @@ func NewShuffleCube(n int) *ShuffleCube {
 	if n < 2 || n%4 != 2 {
 		panic("topology: shuffle cube needs n ≡ 2 (mod 4)")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n)
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		// SQ_2 core on the low two bits.
-		out = append(out, u^1, u^2)
+		dst = append(dst, u^1, u^2)
 		// Cross edges at each recursion level: the level-t prefix is the
 		// 4 bits starting at position 2+4t.
 		s := u & 3
 		for p := 2; p+4 <= n; p += 4 {
 			for _, d := range shuffleTables[s] {
-				out = append(out, u^(d<<uint(p)))
+				dst = append(dst, u^(d<<uint(p)))
 			}
 		}
-		return out
+		return dst
 	})
 	return &ShuffleCube{n: n, g: g}
 }

@@ -25,15 +25,14 @@ func NewStar(n int) *Star {
 	codec := newPermCodec(n, n)
 	N := codec.Count()
 	p := make([]int8, n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		codec.Unrank(u, p)
-		out := make([]int32, 0, n-1)
 		for i := 1; i < n; i++ {
 			p[0], p[i] = p[i], p[0]
-			out = append(out, codec.Rank(p))
+			dst = append(dst, codec.Rank(p))
 			p[0], p[i] = p[i], p[0]
 		}
-		return out
+		return dst
 	})
 	return &Star{n: n, codec: codec, g: g}
 }
@@ -117,22 +116,21 @@ func NewNKStar(n, k int) *NKStar {
 	N := codec.Count()
 	p := make([]int8, k)
 	var unused []int8
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
 		codec.Unrank(u, p)
-		out := make([]int32, 0, n-1)
 		for i := 1; i < k; i++ {
 			p[0], p[i] = p[i], p[0]
-			out = append(out, codec.Rank(p))
+			dst = append(dst, codec.Rank(p))
 			p[0], p[i] = p[i], p[0]
 		}
 		unused = unusedSymbols(n, p, unused[:0])
 		old := p[0]
 		for _, s := range unused {
 			p[0] = s
-			out = append(out, codec.Rank(p))
+			dst = append(dst, codec.Rank(p))
 		}
 		p[0] = old
-		return out
+		return dst
 	})
 	return &NKStar{n: n, k: k, codec: codec, g: g}
 }
@@ -159,7 +157,8 @@ func (s *NKStar) Diagnosability() int { return s.n - 1 }
 // S_{n,k} into n!/(n-j)! copies of S_{n-j,k-j}; S_{m,1} is the complete
 // graph K_m (min degree m-1 ≥ 2 needs m ≥ 3). For k = 2 the partition
 // precondition of Theorem 1 is unsatisfiable — N = n(n-1) is smaller
-// than (δ+1)² — and ErrNoPartition is returned (gap G3 in DESIGN.md).
+// than (δ+1)² — and ErrNoPartition is returned (gap G3 in
+// docs/algorithm.md).
 func (s *NKStar) Parts(minSize, minCount int) ([]Part, error) {
 	return suffixParts(s.g, s.codec, s.n, s.k, minSize, minCount, func(nRem, kRem int) bool {
 		// S_{m,1} = K_m and S_{m,l} both need m ≥ 3 for induced degree ≥ 2.

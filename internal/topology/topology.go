@@ -14,6 +14,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"comparisondiag/internal/bitset"
@@ -47,8 +48,13 @@ type Network interface {
 
 // ErrNoPartition reports that a network cannot be split into enough
 // sufficiently large connected parts — e.g. (n,2)-stars, where
-// N = n(n-1) < (δ+1)² (gap G3 in DESIGN.md).
+// N = n(n-1) < (δ+1)² (gap G3 in docs/algorithm.md).
 var ErrNoPartition = errors.New("topology: no partition with requested part size and count exists")
+
+// buildCSR is the CSR constructor every family builds its graph with.
+// Tests swap in an edge-by-edge graph.Builder reference to pin that the
+// one-pass build produces the identical CSR.
+var buildCSR = graph.FromAdjacency
 
 // rangeParts builds parts that are contiguous id ranges [i·size,
 // (i+1)·size) — the natural shape for dimensional networks where a part
@@ -58,7 +64,16 @@ func rangeParts(total, size int) []Part {
 	// the partition per call, so building total/size separate slices
 	// would dominate its allocation profile.
 	flat := make([]int32, total)
-	for i := range flat {
+	// Four ids per iteration: this fill is most of an implicit Q18 bind,
+	// and a one-store loop's speed swings by up to 2× with where its few
+	// bytes of code land relative to 64-byte fetch boundaries, which any
+	// edit to code linked before it can move.
+	i := 0
+	for ; i+4 <= total; i += 4 {
+		f, v := flat[i:i+4:i+4], int32(i)
+		f[0], f[1], f[2], f[3] = v, v+1, v+2, v+3
+	}
+	for ; i < total; i++ {
 		flat[i] = int32(i)
 	}
 	parts := make([]Part, 0, total/size)
@@ -316,10 +331,15 @@ func ValidatePartition(g *graph.Graph, parts []Part, minSize, minCount int) erro
 	return nil
 }
 
-// pow returns b^e for small non-negative integers.
+// pow returns b^e for positive b and non-negative e, saturating at
+// math.MaxInt so an oversized family is refused by the CSR build
+// instead of wrapping around to a small node count.
 func pow(b, e int) int {
 	r := 1
 	for i := 0; i < e; i++ {
+		if r > math.MaxInt/b {
+			return math.MaxInt
+		}
 		r *= b
 	}
 	return r

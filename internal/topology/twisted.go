@@ -21,7 +21,8 @@ import (
 // reproducible offline; this construction preserves the properties the
 // diagnosis theory uses — n-regularity, partition into 4 copies of
 // TQ_{n-2} by fixing the two high bits, and connectivity n (verified
-// empirically in tests for small n). See DESIGN.md, substitutions.
+// empirically in tests for small n). See "Substituted constructions" in
+// docs/algorithm.md.
 type TwistedCube struct {
 	n int
 	g *graph.Graph
@@ -32,20 +33,19 @@ func NewTwistedCube(n int) *TwistedCube {
 	if n < 3 || n%2 == 0 {
 		panic("topology: twisted cube needs odd n ≥ 3")
 	}
-	N := 1 << uint(n)
-	g := graph.FromAdjacency(N, func(u int32) []int32 {
-		out := make([]int32, 0, n)
-		out = append(out, u^1) // dimension 0
+	N := pow(2, n)
+	g := buildCSR(N, func(dst []int32, u int32) []int32 {
+		dst = append(dst, u^1) // dimension 0
 		for j := 1; j < n; j += 2 {
 			below := uint32(u) & ((1 << uint(j)) - 1)
 			parity := bits.OnesCount32(below) & 1
 			if parity == 0 {
-				out = append(out, u^int32(1<<uint(j)), u^int32(1<<uint(j+1)))
+				dst = append(dst, u^int32(1<<uint(j)), u^int32(1<<uint(j+1)))
 			} else {
-				out = append(out, u^int32(3<<uint(j)), u^int32(1<<uint(j+1)))
+				dst = append(dst, u^int32(3<<uint(j)), u^int32(1<<uint(j+1)))
 			}
 		}
-		return out
+		return dst
 	})
 	return &TwistedCube{n: n, g: g}
 }
