@@ -65,7 +65,7 @@ func main() {
 	cacheCap := flag.Int("cache", 0, "with -trials > 1: result-cache capacity (0 = off); repeated syndromes replay without diagnosis")
 	shareCert := flag.Bool("share-cert", false, "with -trials > 1: share part certification across syndromes of one fault hypothesis")
 	shareFinal := flag.Bool("share-final", false, "with -trials > 1: share the behaviour-independent final-pass prefix across syndromes of one fault hypothesis")
-	cacheAdmission := flag.Bool("cache-admission", false, "with -cache: admit a result only on its second sighting (scan-resistant admission)")
+	cacheAdmission := flag.Bool("cache-admission", false, "with -cache: admit a result only on its second sighting (a count-min frequency sketch at threshold 2; scan-resistant admission)")
 	churn := flag.Int("churn", 0, "remove this many random nodes and rebind the engine before diagnosing (degraded mode; routes through the engine even for one trial; contradicts -churn-nodes and -flap)")
 	churnNodes := flag.String("churn-nodes", "", "comma-separated node ids to remove (one-shot explicit churn), or the set each -flap cycle removes; contradicts -churn")
 	flap := flag.Int("flap", 0, "run this many remove-restore cycles before serving: each cycle removes nodes (the -churn-nodes list, default 4 random picks), rebinds, restores them and rebinds again, reporting both rebinds; contradicts -churn")
@@ -195,7 +195,10 @@ func main() {
 			opt.Strategy = core.StrategyPaper
 		}
 		if *cacheCap > 0 {
-			opt.ResultCache = core.NewResultCacheWithAdmission(*cacheCap, *cacheAdmission)
+			opt.ResultCache = core.NewResultCache(*cacheCap)
+			if *cacheAdmission {
+				opt.ResultCache = core.NewResultCacheWithSketch(*cacheCap, 2)
+			}
 		}
 		runBatch(nw, behavior, makeFaults, *trials, *workers, *shards, *churn, *flap, churnList, *seed, nFaults, opt, *shareCert, *shareFinal)
 		return

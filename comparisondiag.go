@@ -115,7 +115,9 @@ type (
 	// generators.
 	AdditiveCayley = graph.AdditiveCayley
 	// MixedRadixCayley declares per-dimension arities and arbitrary
-	// digit-vector generators (augmented k-ary n-cubes).
+	// digit-vector generators (augmented k-ary n-cubes). It drives
+	// implicit adjacencies and coset partitions; no final-pass kernel
+	// covers it, so engines bound to it serve the generic pass.
 	MixedRadixCayley = graph.MixedRadixCayley
 	// CayleyStructured is the optional Network extension that declares
 	// a CayleyDescriptor.
@@ -301,10 +303,6 @@ var (
 	// NewResultCache builds a bounded engine result cache (see
 	// docs/runtime.md).
 	NewResultCache = core.NewResultCache
-	// NewResultCacheWithAdmission is NewResultCache with an optional
-	// admit-on-second-sight admission policy (scan resistance; see
-	// docs/churn.md).
-	NewResultCacheWithAdmission = core.NewResultCacheWithAdmission
 	// NewResultCacheWithSketch is NewResultCache with count-min-sketch
 	// admission: a key is admitted after an estimated threshold
 	// sightings, with periodic counter aging (see docs/churn.md).

@@ -39,27 +39,18 @@ import (
 // so walking dimensions descending with the two "+" steps, then
 // ascending with the two "−" steps, visits every candidate's testers in
 // ascending node order — the reference pass's exact prefix (see
-// runWordKernel for the shared round loop and equivalence argument).
+// runFinalPass for the shared round loop and equivalence argument).
 
 // addStep is one schedule entry: candidates gated by cond are tested by
 // their frontier neighbour at v - shift. words indexes cond's non-zero
 // words, so a round only visits words that can produce candidates —
-// high-dimension wrap conditions (digit = 0 or k-1 at stride ≥ 64) and
-// the mixed-radix compiler's borrow-pattern masks are block-sparse, and
-// scanning their empty words would dominate the round cost.
+// high-dimension wrap conditions (digit = 0 or k-1 at stride ≥ 64) are
+// block-sparse, and scanning their empty words would dominate the
+// round cost.
 type addStep struct {
 	shift int      // tester of candidate v is v - shift
 	cond  []uint64 // digit condition on v, tail-masked to [0, n)
 	words []int32  // indices of non-zero cond words
-
-	// ids, when non-nil, replaces cond/words entirely: the step's
-	// candidates listed explicitly in ascending id order, probed one by
-	// one instead of word-at-a-time. The mixed-radix pruner emits this
-	// layout for sparse-but-spread conditions (few candidates scattered
-	// over many words), where per-word funnel shifts would mostly visit
-	// empty lanes. Candidate order — hence the look-up trace — is
-	// unchanged: both layouts enumerate the step's candidates ascending.
-	ids []int32
 }
 
 // stepWords fills each step's non-zero word index list and returns the
@@ -80,7 +71,6 @@ func stepWords(steps []addStep) int {
 }
 
 type additiveKernel struct {
-	name      string
 	steps     []addStep
 	threshold int // frontier size where word rounds beat the sweep
 }
@@ -88,7 +78,7 @@ type additiveKernel struct {
 // bindAdditiveKernel binds the kernel to a graph declared (and
 // verified) to be a k-ary Dims-cube. Floor: ≥ 64 nodes; k ≥ 3 keeps the
 // two generator directions distinct.
-func bindAdditiveKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) finalKernel {
+func bindAdditiveKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) wordRounder {
 	ac, ok := desc.(graph.AdditiveCayley)
 	if !ok {
 		return nil
@@ -162,17 +152,11 @@ func bindAdditiveKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) finalKe
 	}
 	// Every step funnel-shifts the frontier bitset across its live
 	// words, so a round costs the summed non-zero word count.
-	return &additiveKernel{name: "additive-rotate", steps: steps, threshold: sweepThresholdFor(stepWords(steps), a)}
+	return &additiveKernel{steps: steps, threshold: sweepThresholdFor(stepWords(steps), a)}
 }
 
-// Name implements finalKernel. The funnel-shift round is shared with
-// the mixed-radix binder (see mixedradix.go), which reports its own
-// name.
-func (k *additiveKernel) Name() string { return k.name }
-
-func (k *additiveKernel) run(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, delta int) *SetBuilderResult {
-	return runWordKernel(sc, a, l, u0, delta, k)
-}
+// Name implements wordRounder.
+func (k *additiveKernel) Name() string { return "additive-rotate" }
 
 func (k *additiveKernel) sweepThreshold() int { return k.threshold }
 
@@ -186,25 +170,6 @@ func (k *additiveKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy
 	for si := range k.steps {
 		st := &k.steps[si]
 		t := st.shift
-		if st.ids != nil {
-			// Listed step: probe each candidate directly — is it still
-			// outside U, and is its tester v - shift in the frontier?
-			for _, v := range st.ids {
-				if uw[v>>6]&(1<<(uint32(v)&63)) != 0 {
-					continue
-				}
-				u := v - int32(t)
-				if fw[u>>6]&(1<<(uint32(u)&63)) == 0 {
-					continue
-				}
-				if l.Test(u, v, parent[u]) == 0 {
-					uw[v>>6] |= 1 << (uint32(v) & 63)
-					parent[v] = u
-					admitted++
-				}
-			}
-			continue
-		}
 		qoff := (-t) >> 6 // floor division: int shifts are arithmetic
 		r := uint((-t) & 63)
 		for _, wi32 := range st.words {
@@ -247,43 +212,19 @@ func (k *additiveKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy
 }
 
 // roundRange implements rangedRounder: the schedule restricted to the
-// candidate words [lo, hi). Each step's live-word list (and a listed
-// step's candidate ids) is ascending, so the owned slice is found by
-// binary search; candidate suppression stays in the candidate's own uw
-// word, giving the bit-identical-result-and-look-ups argument of the
-// XOR kernel (see rangedRounder). The bodies mirror round's, kept
+// candidate words [lo, hi). Each step's live-word list is ascending,
+// so the owned slice is found by binary search; candidate suppression
+// stays in the candidate's own uw word, giving the
+// bit-identical-result-and-look-ups argument of the XOR kernel (see
+// rangedRounder). The bodies mirror round's, kept
 // separate (on a concrete *syndrome.Shard) so the sequential path
-// stays devirtualised on *syndrome.Lazy. Covers the mixed-radix
-// schedules too — their binder emits an additiveKernel.
+// stays devirtualised on *syndrome.Lazy.
 func (k *additiveKernel) roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int {
 	admitted := 0
 	words := len(fw)
 	for si := range k.steps {
 		st := &k.steps[si]
 		t := st.shift
-		if st.ids != nil {
-			ids := st.ids
-			i, _ := slices.BinarySearch(ids, int32(lo)<<6)
-			j := len(ids)
-			if hi < words {
-				j, _ = slices.BinarySearch(ids, int32(hi)<<6)
-			}
-			for _, v := range ids[i:j] {
-				if uw[v>>6]&(1<<(uint32(v)&63)) != 0 {
-					continue
-				}
-				u := v - int32(t)
-				if fw[u>>6]&(1<<(uint32(u)&63)) == 0 {
-					continue
-				}
-				if sh.Test(u, v, parent[u]) == 0 {
-					uw[v>>6] |= 1 << (uint32(v) & 63)
-					parent[v] = u
-					admitted++
-				}
-			}
-			continue
-		}
 		i, _ := slices.BinarySearch(st.words, int32(lo))
 		j, _ := slices.BinarySearch(st.words, int32(hi))
 		qoff := (-t) >> 6 // floor division: int shifts are arithmetic

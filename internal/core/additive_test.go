@@ -14,12 +14,10 @@ import (
 // and the same look-up count as the looped paper-literal free function.
 func TestEngineBatchMatchesFreeLoopOnStructuredFamilies(t *testing.T) {
 	nets := []topology.Network{
-		topology.NewFoldedHypercube(8),       // xor-cayley[multi-bit]
-		topology.NewAugmentedCube(8),         // xor-cayley[multi-bit]
-		topology.NewKAryNCube(4, 4),          // additive-rotate, word-aligned
-		topology.NewKAryNCube(3, 5),          // additive-rotate, ragged tail
-		topology.NewAugmentedKAryNCube(5, 3), // additive-rotate[mixed-radix], ragged tail
-		topology.NewAugmentedKAryNCube(4, 4), // additive-rotate[mixed-radix], word-aligned
+		topology.NewFoldedHypercube(8), // xor-cayley[multi-bit]
+		topology.NewAugmentedCube(8),   // xor-cayley[multi-bit]
+		topology.NewKAryNCube(4, 4),    // additive-rotate, word-aligned
+		topology.NewKAryNCube(3, 5),    // additive-rotate, ragged tail
 	}
 	const trials = 12
 	for _, nw := range nets {
@@ -61,13 +59,11 @@ func TestEngineBatchMatchesFreeLoopOnStructuredFamilies(t *testing.T) {
 }
 
 // TestGenericFinalOptionMatchesKernel pins the ablation knob: with
-// Options.GenericFinal the engine must take the generic adaptive pass
-// and still produce identical results and look-up counts.
+// Options.GenericFinal the engine must take the generic pass and still produce identical results and look-up counts.
 func TestGenericFinalOptionMatchesKernel(t *testing.T) {
 	for _, nw := range []topology.Network{
 		topology.NewFoldedHypercube(8),
 		topology.NewKAryNCube(4, 4),
-		topology.NewAugmentedKAryNCube(4, 4),
 	} {
 		eng := NewEngine(nw)
 		delta := nw.Diagnosability()
@@ -98,7 +94,6 @@ func TestEngineKernelWarmZeroAllocs(t *testing.T) {
 	for _, nw := range []topology.Network{
 		topology.NewFoldedHypercube(9),
 		topology.NewKAryNCube(4, 4),
-		topology.NewAugmentedKAryNCube(4, 4),
 	} {
 		eng := NewEngine(nw)
 		if eng.KernelName() == "generic" {

@@ -45,7 +45,7 @@ import (
 // residency rather than once per batch. Hypothesis entries share the
 // LRU list and Capacity with result entries, keep their key as a
 // member list, and additionally sit under a byte ceiling derived from
-// the bound graph (hypothesisByteCeiling); the admission policies gate
+// the bound graph (hypothesisByteCeiling); the admission sketch gates
 // result entries only.
 type ResultCache struct {
 	mu        sync.Mutex
@@ -63,21 +63,13 @@ type ResultCache struct {
 	hypBytes   int64
 	hypHits    int64
 
-	// admitOnSecond gates admission on a hypothesis having been seen
-	// before: the first sighting of a key records it in seen and skips
-	// the insert, so one-shot hypotheses never displace entries that
-	// are actually re-queried. seen is bounded (cleared wholesale past
-	// seenBound) and keyed by the entry hash — a collision can at worst
-	// admit an entry one sighting early, never corrupt a result.
-	admitOnSecond bool
-	seen          map[uint64]struct{}
-
-	// sketch generalises the admission gate to a frequency threshold: a
-	// count-min sketch over hypothesis keys estimates how often each
-	// has completed, and an insert is admitted only once the estimate
-	// reaches sketchThreshold sightings. Collisions can at worst admit
-	// early (count-min never under-estimates its own increments), never
-	// corrupt a result.
+	// sketch gates admission on a frequency threshold: a count-min
+	// sketch over hypothesis keys estimates how often each has
+	// completed, and an insert is admitted only once the estimate
+	// reaches sketchThreshold sightings, so one-shot hypotheses never
+	// displace entries that are actually re-queried. Collisions can at
+	// worst admit early (count-min never under-estimates its own
+	// increments), never corrupt a result.
 	sketch          *cmSketch
 	sketchThreshold int
 }
@@ -217,44 +209,29 @@ const DefaultCacheCapacity = 1024
 // diagnosis results (≤ 0 means DefaultCacheCapacity). Every completed
 // diagnosis is admitted immediately.
 func NewResultCache(capacity int) *ResultCache {
-	return NewResultCacheWithAdmission(capacity, false)
-}
-
-// NewResultCacheWithAdmission is NewResultCache with an explicit
-// admission policy. With admitOnSecond set, a fault hypothesis is only
-// cached on its second sighting: the first diagnosis of a key records
-// the key and bypasses the insert (counted in CacheStats.Bypassed), so
-// workloads dominated by one-shot hypotheses stop churning the LRU
-// list with entries that will never be hit again. Lookups are
-// unaffected — an admitted entry serves hits exactly as under the
-// default policy.
-func NewResultCacheWithAdmission(capacity int, admitOnSecond bool) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	c := &ResultCache{
-		capacity:      capacity,
-		ll:            list.New(),
-		byHash:        make(map[uint64][]*list.Element),
-		admitOnSecond: admitOnSecond,
+	return &ResultCache{
+		capacity: capacity,
+		ll:       list.New(),
+		byHash:   make(map[uint64][]*list.Element),
 	}
-	if admitOnSecond {
-		c.seen = make(map[uint64]struct{})
-	}
-	return c
 }
 
 // NewResultCacheWithSketch returns a cache whose admission is gated by
-// a count-min frequency sketch over hypothesis keys — the
-// generalisation of admit-on-second-sight to an arbitrary recurrence
-// threshold: a completed diagnosis is admitted only once its key has
-// been sighted at least threshold times (the current completion
-// included), so with threshold 2 the first sighting is declined like
-// admit-on-second-sight, and higher thresholds reserve the LRU for
-// genuinely hot hypotheses. Declined inserts count in
-// CacheStats.Bypassed; the sketch ages by periodic halving
-// (CacheStats.SketchResets) so cooled-off keys have to earn admission
-// again. threshold ≤ 1 admits everything, like NewResultCache.
+// a count-min frequency sketch over hypothesis keys: a completed
+// diagnosis is admitted only once its key has been sighted at least
+// threshold times (the current completion included). Threshold 2 is
+// admit-on-second-sight — the first sighting is declined, so workloads
+// dominated by one-shot hypotheses stop churning the LRU list with
+// entries that will never be hit again — and higher thresholds reserve
+// the LRU for genuinely hot hypotheses. Lookups are unaffected: an
+// admitted entry serves hits exactly as under the default policy.
+// Declined inserts count in CacheStats.Bypassed; the sketch ages by
+// periodic halving (CacheStats.SketchResets) so cooled-off keys have to
+// earn admission again. threshold ≤ 1 admits everything, like
+// NewResultCache.
 func NewResultCacheWithSketch(capacity, threshold int) *ResultCache {
 	c := NewResultCache(capacity)
 	if threshold > 1 {
@@ -264,19 +241,13 @@ func NewResultCacheWithSketch(capacity, threshold int) *ResultCache {
 	return c
 }
 
-// seenBound caps the admission-policy sighting set at a multiple of the
-// cache capacity; past it the set is cleared wholesale (an O(1) reset
-// beats tracking per-key recency for what is only a heuristic).
-func (c *ResultCache) seenBound() int { return 8 * c.capacity }
-
 // CacheStats is a point-in-time observability snapshot of a
 // ResultCache.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-	// Bypassed counts completed diagnoses the admission policy declined
-	// to cache (first sightings under admit-on-second-sight,
-	// below-threshold sightings under the frequency sketch); always 0
-	// under the default admit-everything policy.
+	// Bypassed counts completed diagnoses the frequency sketch declined
+	// to cache (below-threshold sightings); always 0 under the default
+	// admit-everything policy.
 	Bypassed int64
 	// SketchResets counts aging halvings of the frequency sketch
 	// (NewResultCacheWithSketch only); a growing value means the
@@ -492,9 +463,9 @@ func (c *ResultCache) lookup(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // insert memoises one diagnosis outcome, cloning the key and result so
 // the entry shares no storage with the caller. A concurrent duplicate
 // (two callers missing on the same key and both diagnosing) keeps the
-// first entry; the outcomes are identical by construction. Under
-// admit-on-second-sight the first sighting of a key only records it
-// and bypasses the insert.
+// first entry; the outcomes are identical by construction. Under the
+// frequency sketch a below-threshold sighting only records the key and
+// bypasses the insert.
 func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch uint64, faults *bitset.Set, stats *Stats, err error) {
 	b := lz.Behavior()
 	h := cacheHash(lz.Faults(), b, delta, strat)
@@ -515,16 +486,6 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.admitOnSecond {
-		if _, ok := c.seen[h]; !ok {
-			if len(c.seen) >= c.seenBound() {
-				clear(c.seen)
-			}
-			c.seen[h] = struct{}{}
-			c.bypassed++
-			return
-		}
-	}
 	if c.sketch != nil {
 		if c.sketch.addEstimate(h) < c.sketchThreshold {
 			c.bypassed++
@@ -560,8 +521,8 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // cost profile (look-up counts, parts scanned) from before the churn,
 // with Delta/Degraded/EffectiveDelta rewritten to the new binding —
 // degraded reports the rebound engine's stamp, so a full recovery
-// clears the fields exactly as live diagnoses would. LRU order, the
-// admission sighting set and the frequency sketch are reset wholesale.
+// clears the fields exactly as live diagnoses would. LRU order and the
+// frequency sketch are reset wholesale.
 func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epoch uint64, degraded bool) (flushed, kept int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -569,9 +530,6 @@ func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epo
 	c.ll = list.New()
 	c.byHash = make(map[uint64][]*list.Element)
 	c.hypEntries, c.hypBytes = 0, 0
-	if c.seen != nil {
-		clear(c.seen)
-	}
 	if c.sketch != nil {
 		c.sketch.clear()
 	}

@@ -39,9 +39,10 @@ func checkDeltaAgainstFree(t *testing.T, label string, eng *Engine, F *bitset.Se
 // full copy of the work it replaces, the free function's complete run:
 // fault sets, errors and the shape Stats equal, the adopted prefix plus
 // the member's own suffix equal to the full final pass, per syndrome.
-// Cases cover every final-pass driver (generic sweep, xor-cayley,
-// additive-rotate, mixed-radix) and the empty hypothesis whose prefix
-// is complete, both inside one batch and resumed from the ResultCache.
+// Cases cover every final-pass kernel (the generic pass, xor-cayley,
+// additive-rotate), a declared mixed-radix structure the generic pass
+// serves, and the empty hypothesis whose prefix is complete, both
+// inside one batch and resumed from the ResultCache.
 func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 	cases := []struct {
 		name    string

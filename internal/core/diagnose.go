@@ -60,11 +60,11 @@ type Options struct {
 	// actually engaged.
 	FinalWorkers int
 	// GenericFinal suppresses the engine's structure-specialised final
-	// kernel, forcing the generic adaptive pass (setBuilderLazyInto).
-	// Results and look-up counts are identical either way; the knob
-	// exists for ablations and the perf suite's kernel-vs-generic
-	// comparison. Ignored by the free functions (which never bind a
-	// kernel).
+	// kernel, forcing the generic pass (runFinalPass without a
+	// rounder). Results and look-up counts are identical either way;
+	// the knob exists for ablations and the perf suite's
+	// kernel-vs-generic comparison. Ignored by the free functions
+	// (which never bind a kernel).
 	GenericFinal bool
 	// ResultCache, when non-nil, memoises whole diagnosis outcomes on
 	// the engine serving path: a *syndrome.Lazy whose fault hypothesis
@@ -77,14 +77,14 @@ type Options struct {
 	// ignore the field — they are the paper-literal reference and
 	// always recompute.
 	ResultCache *ResultCache
-	// fastFinal routes the final pass through the engine's specialised
-	// kernel when the syndrome is a *syndrome.Lazy (set by Engine; the
+	// fastFinal routes the final pass through the engine's serving
+	// driver when the syndrome is a *syndrome.Lazy (set by Engine; the
 	// free functions keep the reference loop). Output and look-up count
-	// are identical either way — see setBuilderLazyInto.
+	// are identical either way — see runFinalPass.
 	fastFinal bool
 	// kernel carries the engine's bound structure kernel into the final
 	// pass (see kernel.go); nil for generic topologies.
-	kernel finalKernel
+	kernel wordRounder
 	// shared carries a certification verdict computed once per fault
 	// hypothesis (see BatchOptions.ShareCertification and hypState): the
 	// certified part index and the representative's scan footprint.
@@ -305,7 +305,7 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 				// the tree AND the look-up count stay bit-identical to the
 				// sequential kernel (see rangedRounder).
 				sc.finalWorkers = finalWorkers
-				final = opt.kernel.run(sc, a, lz, seed, delta)
+				final = runFinalPass(sc, a, lz, seed, delta, opt.kernel)
 				sc.finalWorkers = 0
 			}
 		}
@@ -317,9 +317,8 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 		}
 	} else if opt.fastFinal {
 		if lz, ok := s.(*syndrome.Lazy); ok {
-			// Checkpoint plumbing rides on the scratch so every final
-			// kernel (word-parallel drivers and the generic sweep) sees
-			// it without widening the kernel interface. Resume engages
+			// Checkpoint plumbing rides on the scratch so the driver
+			// sees it without widening its signature. Resume engages
 			// only when the checkpoint grew from this call's certified
 			// seed — with unshared certification a member's own scan is
 			// behaviour-independent under the grouping guards, so this
@@ -329,11 +328,7 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 				resumed = fp
 			}
 			sc.prefixRec = opt.recordPrefix
-			if opt.kernel != nil {
-				final = opt.kernel.run(sc, a, lz, seed, delta)
-			} else {
-				final = setBuilderLazyInto(sc, a, lz, seed, delta)
-			}
+			final = runFinalPass(sc, a, lz, seed, delta, opt.kernel)
 			sc.prefixRec, sc.prefixRes = nil, nil
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // paper-literal reference path and rebuild that state per call; the
 // Engine is the serving path. Both produce identical fault sets, stats
 // and syndrome look-up counts for the same inputs: the engine's
-// specialised final Set_Builder pass (see setBuilderLazyInto) consults
+// specialised final Set_Builder pass (see runFinalPass) consults
 // exactly the same test prefix per node as the reference loop.
 //
 // An Engine is safe for concurrent use: Diagnose and DiagnoseBatch may
@@ -69,10 +69,10 @@ type binding struct {
 
 	// kernel is the specialised final-pass kernel bound from the
 	// network's declared Cayley structure (or from-scratch detection);
-	// nil routes the final pass through the generic adaptive kernel.
+	// nil routes the final pass through the generic pass.
 	// desc is the verified descriptor the kernel was bound from, kept so
 	// a rebind can re-verify it against the surviving component.
-	kernel finalKernel
+	kernel wordRounder
 	desc   graph.CayleyDescriptor
 
 	// degraded marks a binding produced by churn (Rebind/Survivor):
@@ -126,7 +126,7 @@ func NewEngine(nw topology.Network) *Engine {
 // probe for networks that declare nothing. Both paths are O(m) and run
 // once per engine. The verified descriptor is returned alongside the
 // kernel so a later Rebind can re-verify it on the surviving component.
-func bindStructure(nw topology.Network, g *graph.Graph) (finalKernel, graph.CayleyDescriptor) {
+func bindStructure(nw topology.Network, g *graph.Graph) (wordRounder, graph.CayleyDescriptor) {
 	if cs, ok := nw.(topology.CayleyStructured); ok {
 		if desc := cs.CayleyStructure(); desc != nil && graph.VerifyCayley(g, desc) == nil {
 			// A verified declaration is the whole truth about the
@@ -143,7 +143,7 @@ func bindStructure(nw topology.Network, g *graph.Graph) (finalKernel, graph.Cayl
 }
 
 // kernelName is the observability tag for a (possibly nil) kernel.
-func kernelName(k finalKernel) string {
+func kernelName(k wordRounder) string {
 	if k == nil {
 		return "generic"
 	}
@@ -151,10 +151,10 @@ func kernelName(k finalKernel) string {
 }
 
 // KernelName reports the bound final-pass kernel — "xor-cayley",
-// "xor-cayley[multi-bit]", "additive-rotate",
-// "additive-rotate[mixed-radix]", or "generic" when no structure
-// bound. Observability only: all kernels are defined to be result- and
-// look-up-identical.
+// "xor-cayley[multi-bit]", "additive-rotate", or "generic" when no
+// kernel bound (including structures no kernel covers, such as the
+// augmented k-ary cubes' mixed-radix descriptors). Observability only:
+// all kernels are defined to be result- and look-up-identical.
 func (e *Engine) KernelName() string { return kernelName(e.bnd.Load().kernel) }
 
 // BindCayley routes the final pass of a graph-bound engine through a

@@ -12,8 +12,8 @@ import (
 // engineNetworks is the equivalence-test matrix: hypercubes exercise
 // the word-parallel XOR-Cayley kernel (Q12 crosses its per-round
 // threshold many rounds in a row), the folded hypercube its multi-bit
-// complement mask, and the star and k-ary cube the generic adaptive
-// kernel (their adjacency is not XOR-structured).
+// complement mask, and the star and k-ary cube the generic pass (their
+// adjacency is not XOR-structured).
 func engineNetworks() []topology.Network {
 	return []topology.Network{
 		topology.NewHypercube(8),

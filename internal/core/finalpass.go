@@ -1,97 +1,63 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
 
+	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 )
 
-// wordRounder is the per-structure half of a word-parallel final-pass
-// kernel: one growth round against the fixed round-start frontier
-// bitset fw, admitting into uw/parent via l and returning the admission
-// count. The driver (runWordKernel) owns everything else — the U_1 pair
-// scan, the sorted-frontier gate, the small-round reference sweep, the
-// round-start snapshot and next-frontier extraction, and the deferred
-// contributor reconstruction — so a new structure family only has to
-// supply its round permutation schedule.
+// runFinalPass is the engine's serving driver for the final
+// (unrestricted) Set_Builder pass over a *syndrome.Lazy. It produces
+// bit-identical output — the same U, Parent, Contributors, Rounds,
+// AllHealthy AND the same syndrome look-up count — as the reference
+// SetBuilder, by preserving its per-node test discipline while
+// removing its throughput sinks:
 //
-// round contract: for every candidate v ∉ U with a neighbour in the
-// frontier, test v by its frontier neighbours in ascending node order,
-// stopping at the first 0 answer (admission: set v's bit in uw, record
-// parent[v], count it). Admissions must be visible immediately, so a
-// node admitted by one step is excluded as candidate from every later
-// step of the same round — the reference pass's prefix-until-0
-// suppression.
-type wordRounder interface {
-	Name() string
-	round(fw, uw []uint64, parent []int32, l *syndrome.Lazy) int
-	// sweepThreshold is the frontier size above which the kernel's
-	// word-parallel round beats the reference sweep, fixed at bind time
-	// (see sweepThresholdFor); smaller frontiers take the sweep.
-	sweepThreshold() int
-}
-
-// rangedRounder is the multi-worker half of a wordRounder: one growth
-// round restricted to the candidate words [lo, hi). Splitting a round
-// at word granularity keeps even the look-up count bit-identical to
-// the sequential kernel: every candidate v lives in exactly one word,
-// so exactly one worker tests it; the frontier bitset fw and the
-// parents of frontier testers are frozen for the round; and a
-// same-round admission only ever suppresses later tests of the
-// admitted node itself (its own uw word), which its owning worker
-// observes exactly as the sequential round would. Word ownership is a
-// fixed contiguous range for the whole round — an admission in one
-// step must suppress the same candidate in every later step — and uw
-// reads and writes stay inside the owned range, so workers share no
-// mutable words (see runWordKernel).
-type rangedRounder interface {
-	wordRounder
-	roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int
-}
-
-// sweepThresholdFor converts a kernel's fixed round cost (word visits
-// weighted by per-word permute work) into the frontier size above which
-// the word-parallel path wins. The sweep spends ~|frontier|·deg probes
-// per round (CSR read + bitset test each); a word visit costs a couple
-// probes' worth of ALU work, hence the factor. Degree ties the two:
-// dense small graphs (augmented cubes: deg ≈ word count) cross over
-// much later than big sparse ones, which is what the old flat
-// words-count gate got wrong. The word floor stays: below one word per
-// frontier node the permutes cannot pay for themselves.
-func sweepThresholdFor(roundCost int, a graph.Adjacencer) int {
-	words := (a.N() + 63) / 64
-	deg := a.MaxDegree()
-	if deg == 0 {
-		return words
-	}
-	t := 2 * roundCost / deg
-	if t < words {
-		t = words
-	}
-	return t
-}
-
-// runWordKernel drives a word-parallel kernel to the same output and
-// the same syndrome look-up count as the reference SetBuilder.
+//   - devirtualisation: tests go through a concrete (*Lazy).Test call
+//     instead of an interface dispatch per look-up, and the restrict
+//     closure of the general builder disappears entirely;
+//
+//   - adaptive scan direction: each growth round costs Θ(Δ·min(|Fr|,
+//     |V∖U|)) instead of Θ(Δ·|Fr|). Once U is dense (the common regime:
+//     almost all nodes are healthy), walking the few remaining
+//     non-members and probing their frontier neighbours is far cheaper
+//     than sweeping the huge frontier past neighbours already in U;
+//
+//   - word-parallel rounds: with a structure kernel k bound, a large
+//     sorted frontier grows by k.round, 64 candidates per handful of
+//     ALU ops. A nil k is the generic pass: no word rounds, no fan-out.
 //
 // Why the look-up count is identical: in the reference loop, a
 // non-member v is tested by its frontier neighbours in ascending node
 // order until one answers 0 (the frontier is sorted and each admission
 // is visible immediately), so v's testers form exactly the prefix of
-// its ascending frontier neighbours ending at the first 0 answer. The
-// kernel's round consults literally that prefix for each v; only the
+// its ascending frontier neighbours ending at the first 0 answer (all
+// of them if none answers 0). The complement walk and every kernel
+// round consult literally that prefix for each v; only the
 // interleaving across different v differs, which is unobservable for
-// any deterministic syndrome.
-func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, delta int, k wordRounder) *SetBuilderResult {
+// any deterministic syndrome (the Syndrome contract: repeated
+// consultation of an entry yields the same answer).
+func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, delta int, k wordRounder) *SetBuilderResult {
 	sc.ensure(a.N())
 	csr := graph.CSR(a)
 	sc.resetTree()
 	res := &sc.res
 	*res = SetBuilderResult{U: sc.u, Parent: sc.parent, Contributors: sc.contributors}
 	start := l.Lookups()
+	// The contributor set is exactly the set of parents of admitted
+	// nodes. The generic pass records it as it admits; kernel rounds do
+	// not report their testers, and a resumed prefix carries only the
+	// tree, so those passes rebuild it from the parents at the end
+	// (contrib stays nil).
+	var contrib *bitset.Set
+	if k == nil && sc.prefixRes == nil {
+		contrib = res.Contributors
+	}
 
 	var frontier, next []int32
 	var uCount int
@@ -142,12 +108,14 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		}
 		if len(frontier) > 0 {
 			res.Rounds = 1
+			if contrib != nil {
+				contrib.Add(int(u0))
+			}
 		}
 		uCount = 1 + len(frontier)
 	}
 
 	n := a.N()
-	added := sc.added
 	var offs, tgts []int32
 	if csr != nil {
 		offs, tgts = csr.Adjacency()
@@ -155,14 +123,19 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	uw := res.U.Words()
 	parent := res.Parent
 	fw := sc.fsetBuf().Words()
-	pw := sc.prevBuf()
-	// Word-parallel rounds test each candidate's frontier neighbours in
-	// ascending order, which equals the reference's frontier-order sweep
-	// only while the frontier is sorted. Round 2+ frontiers always are;
-	// a faulty seed's arbitrary pair answers can scramble the U_1
-	// frontier, and those rounds must take the order-preserving sweep.
+	var pw []uint64 // round-start U snapshot, fetched by the first word round
+	// Word-parallel rounds and the dense complement walk test each
+	// candidate's frontier neighbours in ascending order, which equals
+	// the reference's frontier-order sweep only while the frontier is
+	// sorted. Round 2+ frontiers always are, and so is a resumed one
+	// (recorded at a round boundary); a faulty seed's arbitrary pair
+	// answers can scramble the U_1 frontier, and those rounds must take
+	// the order-preserving sweep.
 	sorted := slices.IsSorted(frontier)
-	threshold := k.sweepThreshold()
+	threshold := math.MaxInt // the generic pass never takes a word round
+	if k != nil {
+		threshold = k.sweepThreshold()
+	}
 	// Parallel fan-out (Options.FinalWorkers, via sc.finalWorkers):
 	// word-granular rounds split their candidate words across workers,
 	// which keeps results AND look-up counts bit-identical to the
@@ -185,10 +158,6 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		}
 		wadm = make([]int, workers)
 	}
-	// Contributor bookkeeping is deferred: the contributor set is
-	// exactly the set of parents, reconstructed in one pass at the end,
-	// and the AllHealthy threshold is monotone, so the final count
-	// decides it — this drops a membership test from every admission.
 	for len(frontier) > 0 {
 		if rec := sc.prefixRec; rec != nil && sc.frontierHazardous(frontier) {
 			// End of the behaviour-independent prefix: the next round
@@ -199,6 +168,9 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		}
 		admitted := 0
 		if sorted && len(frontier) > threshold {
+			if pw == nil {
+				pw = sc.prevBuf()
+			}
 			copy(pw, uw)
 			// Word-parallel round against the fixed round-start frontier.
 			for _, u := range frontier {
@@ -226,48 +198,16 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 				}
 			}
 		} else if sorted && len(frontier) > n-uCount {
-			// Dense sweep round: few non-members remain, so walk V∖U and
-			// probe each non-member's frontier neighbours in ascending
-			// order until one vouches — the same test prefix, far fewer
-			// probes (the adaptive direction of setBuilderLazyInto).
+			// Dense regime: few non-members remain, so walk V∖U and probe
+			// each non-member's frontier neighbours in ascending order
+			// until one vouches — the same test prefix, far fewer probes.
 			for _, u := range frontier {
 				fw[u>>6] |= 1 << (uint(u) & 63)
 			}
-			next = next[:0]
 			if workers > 1 && n-uCount >= parallelFrontierMin {
-				next, admitted = parallelComplementSweep(sc, a, offs, tgts, uw, fw, parent, shards, wadm, n, workers, next)
+				next, admitted = parallelComplementSweep(sc, a, offs, tgts, uw, fw, parent, shards, wadm, n, workers, next[:0])
 			} else {
-				for wi, w := range uw {
-					inv := ^w
-					if wi == len(uw)-1 {
-						if tail := n & 63; tail != 0 {
-							inv &= 1<<uint(tail) - 1
-						}
-					}
-					for inv != 0 {
-						v := int32(wi<<6 + bits.TrailingZeros64(inv))
-						inv &= inv - 1
-						var nbrs []int32
-						if csr != nil {
-							nbrs = tgts[offs[v]:offs[v+1]]
-						} else {
-							sc.nbuf = a.AppendNeighbors(v, sc.nbuf)
-							nbrs = sc.nbuf
-						}
-						for _, u := range nbrs {
-							if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
-								continue
-							}
-							if l.Test(u, v, parent[u]) != 0 {
-								continue
-							}
-							parent[v] = u
-							next = append(next, v)
-							admitted++
-							break
-						}
-					}
-				}
+				next, admitted = complementRound(sc, a, offs, tgts, uw, fw, parent, l, n, next[:0], contrib)
 			}
 			for _, u := range frontier {
 				fw[u>>6] &^= 1 << (uint(u) & 63)
@@ -278,40 +218,19 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 			// The complement walk visits v ascending, so next is already
 			// the sorted frontier; membership is applied afterwards
 			// (admitted nodes are not frontier members this round, so
-			// deferral is unobservable — see setBuilderLazyInto).
+			// deferral is unobservable).
 			for _, v := range next {
 				uw[v>>6] |= 1 << (uint(v) & 63)
 			}
 		} else {
-			// Small (or unsorted) round: the devirtualised reference
-			// sweep (as in setBuilderLazyInto) beats whole-bitset
-			// permutes and is the only order-preserving option for a
+			// Sparse (or unsorted) regime: the reference frontier sweep,
+			// devirtualised — the only order-preserving option for a
 			// scrambled U_1 frontier.
-			for _, u := range frontier {
-				tu := parent[u]
-				var nbrs []int32
-				if csr != nil {
-					nbrs = tgts[offs[u]:offs[u+1]]
-				} else {
-					sc.nbuf = a.AppendNeighbors(u, sc.nbuf)
-					nbrs = sc.nbuf
-				}
-				for _, v := range nbrs {
-					if uw[v>>6]&(1<<(uint(v)&63)) != 0 {
-						continue
-					}
-					if l.Test(u, v, tu) == 0 {
-						uw[v>>6] |= 1 << (uint(v) & 63)
-						parent[v] = u
-						added.Add(int(v))
-						admitted++
-					}
-				}
-			}
+			admitted = sweepRound(sc, a, offs, tgts, frontier, uw, parent, l, contrib)
 			if admitted == 0 {
 				break
 			}
-			next = added.Drain(next[:0])
+			next = sc.added.Drain(next[:0])
 			sorted = true
 		}
 		uCount += admitted
@@ -320,30 +239,119 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	}
 	sc.frontier, sc.next = frontier, next
 
-	// Reconstruct the contributor set: exactly the parents of admitted
-	// nodes (a node was marked contributor when it admitted someone, and
-	// every admission records its parent). AllHealthy is monotone in the
-	// contributor count, so the final count decides it — identical to
-	// the per-round checks of the reference pass.
-	for wi, w := range uw {
-		for ; w != 0; w &= w - 1 {
-			if p := parent[wi<<6+bits.TrailingZeros64(w)]; p >= 0 {
-				res.Contributors.Add(int(p))
+	if contrib == nil {
+		// Reconstruct the contributor set from the tree: every admission
+		// recorded its parent, and a node is a contributor exactly when
+		// it admitted someone.
+		for wi, w := range uw {
+			for ; w != 0; w &= w - 1 {
+				if p := parent[wi<<6+bits.TrailingZeros64(w)]; p >= 0 {
+					res.Contributors.Add(int(p))
+				}
 			}
 		}
 	}
+	// AllHealthy is monotone in the contributor count, so the final
+	// count decides it — identical to the per-round checks of the
+	// reference pass.
 	res.AllHealthy = res.Contributors.Count() > delta
 	for _, sh := range shards {
 		sh.Close()
 	}
 	res.Lookups = l.Lookups() - start
 	if rec := sc.prefixRec; rec != nil {
-		// Clean to termination: the whole result is behaviour-
-		// independent and members adopt it outright (see finalPrefix).
+		// Clean to termination (e.g. the empty hypothesis): the whole
+		// result is behaviour-independent and members adopt it
+		// outright (see finalPrefix).
 		rec.snapshotComplete(res, uCount, res.Lookups)
 		sc.prefixRec = nil
 	}
 	return res
+}
+
+// sweepRound is one sparse growth round: the reference frontier sweep,
+// walking the CSR arrays directly (offs nil means an implicit
+// adjacency, generated into sc.nbuf). Admissions are visible
+// immediately and collected in sc.added for the caller to drain in
+// order; contributors are recorded into contrib when it is non-nil.
+// It lives outside runFinalPass so the sweep's inner loop does not
+// compete with the driver's locals for registers.
+func sweepRound(sc *Scratch, a graph.Adjacencer, offs, tgts, frontier []int32, uw []uint64, parent []int32, l *syndrome.Lazy, contrib *bitset.Set) int {
+	added := sc.added
+	admitted := 0
+	for _, u := range frontier {
+		tu := parent[u]
+		contributed := false
+		var nbrs []int32
+		if offs != nil {
+			nbrs = tgts[offs[u]:offs[u+1]]
+		} else {
+			sc.nbuf = a.AppendNeighbors(u, sc.nbuf)
+			nbrs = sc.nbuf
+		}
+		for _, v := range nbrs {
+			if uw[v>>6]&(1<<(uint(v)&63)) != 0 {
+				continue
+			}
+			if l.Test(u, v, tu) == 0 {
+				uw[v>>6] |= 1 << (uint(v) & 63)
+				parent[v] = u
+				added.Add(int(v))
+				admitted++
+				contributed = true
+			}
+		}
+		if contributed && contrib != nil {
+			contrib.Add(int(u))
+		}
+	}
+	return admitted
+}
+
+// complementRound is one dense growth round: walk the non-members of U
+// in ascending order and probe each one's frontier neighbours (members
+// of fw) in ascending order until one vouches. Membership is deferred:
+// uw is only read, and the admissions are appended to next in
+// ascending order for the caller to apply. Contributors are recorded
+// into contrib when it is non-nil. complementSweepShard is its
+// parallel twin.
+func complementRound(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, l *syndrome.Lazy, n int, next []int32, contrib *bitset.Set) ([]int32, int) {
+	admitted := 0
+	for wi, w := range uw {
+		inv := ^w
+		if wi == len(uw)-1 {
+			if tail := n & 63; tail != 0 {
+				inv &= 1<<uint(tail) - 1
+			}
+		}
+		for inv != 0 {
+			v := int32(wi<<6 + bits.TrailingZeros64(inv))
+			inv &= inv - 1
+			var nbrs []int32
+			if offs != nil {
+				nbrs = tgts[offs[v]:offs[v+1]]
+			} else {
+				sc.nbuf = a.AppendNeighbors(v, sc.nbuf)
+				nbrs = sc.nbuf
+			}
+			for _, u := range nbrs {
+				if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
+					continue
+				}
+				if l.Test(u, v, parent[u]) != 0 {
+					continue
+				}
+				parent[v] = u
+				next = append(next, v)
+				admitted++
+				if contrib != nil {
+					contrib.Add(int(u))
+				}
+				break
+			}
+		}
+	}
+	return next, admitted
 }
 
 // parallelKernelRound fans one word-parallel kernel round out across
@@ -351,7 +359,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 // admission in one step must suppress the same candidate in every
 // later step, so word ownership cannot move mid-round. Results and
 // look-ups are bit-identical to the sequential round (rangedRounder).
-// It lives outside runWordKernel so the goroutine closures cannot
+// It lives outside runFinalPass so the goroutine closures cannot
 // force the driver's hot-loop locals onto the heap on sequential
 // calls.
 func parallelKernelRound(rk rangedRounder, fw, uw []uint64, parent []int32, shards []*syndrome.Shard, wadm []int, workers int) int {
@@ -417,9 +425,9 @@ func parallelComplementSweep(sc *Scratch, a graph.Adjacencer, offs, tgts []int32
 // complementSweepShard is one worker's slice of a parallel dense sweep
 // round: walk the non-members whose ids fall in words [lo, hi) of uw
 // and probe each one's frontier neighbours in ascending order until one
-// vouches. It mirrors the sequential branch of runWordKernel — kept
-// separate (with a concrete *syndrome.Shard) so the sequential path
-// stays devirtualised on *syndrome.Lazy. Membership stays deferred:
+// vouches. It mirrors complementRound — kept separate (with a concrete
+// *syndrome.Shard) so the sequential path stays devirtualised on
+// *syndrome.Lazy. Membership stays deferred:
 // uw is read-only here, next collects admissions in ascending order.
 func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, sh *syndrome.Shard, n, lo, hi int, next, nbuf []int32) ([]int32, []int32, int) {
 	admitted := 0

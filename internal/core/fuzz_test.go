@@ -3,18 +3,16 @@ package core
 import (
 	"slices"
 	"testing"
-
-	"comparisondiag/internal/graph"
 )
 
-// The fuzz tier targets the two step compilers — the pieces of the
+// The fuzz tier targets the XOR step compiler — the piece of the
 // kernel layer whose correctness burden is an *ordering* argument, not
 // a data-path one: every emitted schedule must visit each candidate's
 // testers in strictly ascending node order (the reference pass's test
-// prefix) and cover each generator exactly once. Both targets check the
+// prefix) and cover each generator exactly once. The target checks the
 // compiled schedule against the naive comparison sort of the testers.
-// Seed corpora live in testdata/fuzz/ and cover the deployed families
-// (Q/FQ/EQ/AQ mask sets, torus and augmented k-ary radix shapes).
+// Its seed corpus lives in testdata/fuzz/ and covers the deployed
+// families (Q/FQ/EQ/AQ mask sets).
 
 // fuzzMasks decodes a mask set from fuzz bytes: 2..12 masks of up to
 // 10 bits. Duplicates are possible (and meaningful: the compiler must
@@ -98,129 +96,6 @@ func FuzzCompileXORSchedule(f *testing.F) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("masks %v v=%d: schedule order %v, naive sort %v", masks, v, got, want)
-			}
-		}
-	})
-}
-
-// fuzzMixedRadix decodes a mixed-radix descriptor from fuzz bytes:
-// 3..4 dimensions of arity 2..5 and 1..3 distinct non-zero generator
-// digit vectors.
-func fuzzMixedRadix(data []byte) *graph.MixedRadixCayley {
-	if len(data) < 8 {
-		return nil
-	}
-	dims := 3 + int(data[0])%2
-	radices := make([]int, dims)
-	for d := range radices {
-		radices[d] = 2 + int(data[1+d])%4
-	}
-	nGens := 1 + int(data[1+dims])%3
-	at := 2 + dims
-	var gens [][]int
-	for i := 0; i < nGens; i++ {
-		gen := make([]int, dims)
-		zero := true
-		for d := range gen {
-			gen[d] = int(data[(at+i*dims+d)%len(data)]) % radices[d]
-			if gen[d] != 0 {
-				zero = false
-			}
-		}
-		if zero {
-			continue
-		}
-		dup := false
-		for _, g := range gens {
-			if slices.Equal(g, gen) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			gens = append(gens, gen)
-		}
-	}
-	if len(gens) == 0 {
-		return nil
-	}
-	return &graph.MixedRadixCayley{Radices: radices, Gens: gens}
-}
-
-// FuzzMixedRadixSteps pins the mixed-radix step compiler: the emitted
-// addStep schedule (one step per generator × borrow pattern, sorted by
-// descending shift) must, for every candidate id v, select exactly the
-// testers {v ⊖ g : g ∈ Gens} in strictly ascending order — the naive
-// comparison sort of the digit-wise subtractions.
-func FuzzMixedRadixSteps(f *testing.F) {
-	f.Add([]byte{0, 2, 2, 2, 1, 1, 0, 0, 1, 1, 1, 0})       // torus-ish unit + run
-	f.Add([]byte{1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 3, 3, 3, 3}) // 4 dims
-	f.Add([]byte{0, 3, 1, 0, 2, 2, 1, 1, 1, 2, 2, 0})       // augmented shape
-	f.Fuzz(func(t *testing.T, data []byte) {
-		mr := fuzzMixedRadix(data)
-		if mr == nil {
-			return
-		}
-		n := mr.Order()
-		if n < 64 || n > 4096 {
-			return // below the kernel's word floor / needlessly slow
-		}
-		// The binder only reads the graph's size and max degree, so a
-		// ring of the right order stands in for the real adjacency —
-		// this fuzzes the schedule compiler, not descriptor validation.
-		g := graph.FromAdjacency(n, func(dst []int32, u int32) []int32 {
-			return append(dst, int32((int(u)+1)%n), int32((int(u)+n-1)%n))
-		})
-		k := bindMixedRadixKernel(*mr, g)
-		if k == nil {
-			t.Fatalf("radices %v gens %v: binder refused a well-formed descriptor", mr.Radices, mr.Gens)
-		}
-		steps := k.(*additiveKernel).steps
-
-		stride := make([]int, len(mr.Radices))
-		s := 1
-		for d, kd := range mr.Radices {
-			stride[d] = s
-			s *= kd
-		}
-		sub := func(v int, gen []int) int {
-			u := 0
-			x := v
-			for d, kd := range mr.Radices {
-				digit := x % kd
-				x /= kd
-				u += ((digit - gen[d] + kd) % kd) * stride[d]
-			}
-			return u
-		}
-		for v := 0; v < n; v++ {
-			want := make([]int, 0, len(mr.Gens))
-			for _, gen := range mr.Gens {
-				want = append(want, sub(v, gen))
-			}
-			slices.Sort(want) // the naive comparison sort
-			var got []int
-			for si := range steps {
-				st := &steps[si]
-				// The pruner may have rewritten the step to an explicit
-				// candidate list (see addStep.ids); membership is then a
-				// search in the ascending ids instead of a mask probe.
-				if st.ids != nil {
-					if _, ok := slices.BinarySearch(st.ids, int32(v)); !ok {
-						continue
-					}
-				} else if st.cond[v>>6]&(1<<(uint(v)&63)) == 0 {
-					continue
-				}
-				u := v - st.shift
-				if u < 0 || u >= n {
-					t.Fatalf("radices %v gens %v v=%d: tester %d out of range", mr.Radices, mr.Gens, v, u)
-				}
-				got = append(got, u)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("radices %v gens %v v=%d: schedule order %v, naive sort %v",
-					mr.Radices, mr.Gens, v, got, want)
 			}
 		}
 	})

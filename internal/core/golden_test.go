@@ -61,8 +61,9 @@ type goldenFixture struct {
 }
 
 // goldenCases defines the corpus: a declared family per kernel
-// (xor-cayley, multi-bit, additive-rotate, mixed-radix), a generic
-// permutation family, every adversary class, and one beyond-δ refusal.
+// (xor-cayley, multi-bit, additive-rotate), a declared mixed-radix
+// family and a permutation family on the generic pass, every adversary
+// class, and one beyond-δ refusal.
 // The injected fault sets are frozen into the fixtures at -update time.
 var goldenCases = []struct {
 	name     string

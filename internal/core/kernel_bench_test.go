@@ -9,8 +9,9 @@ import (
 )
 
 // BenchmarkFinalKernels compares each structure kernel against the
-// generic adaptive pass on the same instance and syndrome — the
-// isolated final-pass half of the diagnosebatch-vs-generic perf cases.
+// generic pass (the driver with a nil rounder) on the same instance
+// and syndrome — the isolated final-pass half of the
+// diagnosebatch-vs-generic perf cases.
 func BenchmarkFinalKernels(b *testing.B) {
 	for _, nw := range []topology.Network{
 		topology.NewFoldedHypercube(12),
@@ -33,12 +34,12 @@ func BenchmarkFinalKernels(b *testing.B) {
 		sc := NewScratch(g.N())
 		b.Run("kernel/"+nw.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.run(sc, g, s, seed, delta)
+				runFinalPass(sc, g, s, seed, delta, k)
 			}
 		})
 		b.Run("generic/"+nw.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				setBuilderLazyInto(sc, g, s, seed, delta)
+				runFinalPass(sc, g, s, seed, delta, nil)
 			}
 		})
 	}

@@ -43,7 +43,7 @@ type parallelAdmission struct {
 // Callers that need the paper's exact look-up economy use the
 // sequential pass; callers that need wall-clock on huge graphs use this
 // one. (The engine's word kernels have a stronger parallel mode that
-// keeps even the look-up count exact — see runWordKernel.)
+// keeps even the look-up count exact — see runFinalPass.)
 func SetBuilderParallel(a graph.Adjacencer, s syndrome.Syndrome, u0 int32, delta int, restrict *bitset.Set, workers int) *SetBuilderResult {
 	if workers = ClampWorkers(workers); workers < 2 {
 		// One hardware thread: the barrier machinery cannot pay for
@@ -143,7 +143,7 @@ func setBuilderParallelInto(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome
 	// Barrier rounds break admission ties towards the least tester,
 	// which matches the sequential sweep only while the frontier is
 	// sorted; a faulty seed can scramble the U_1 frontier (see
-	// setBuilderLazyInto), and those rounds must stay sequential.
+	// runFinalPass), and those rounds must stay sequential.
 	sorted := slices.IsSorted(frontier)
 	for len(frontier) > 0 {
 		admitted := 0

@@ -251,11 +251,12 @@ func TestRebindCacheFlushAndRemap(t *testing.T) {
 	}
 }
 
-// TestCacheAdmitOnSecondSight pins the admission policy: first sighting
-// bypasses, second sighting admits, third is a hit.
+// TestCacheAdmitOnSecondSight pins admit-on-second-sight, the sketch
+// at threshold 2: first sighting bypasses, second sighting admits,
+// third is a hit.
 func TestCacheAdmitOnSecondSight(t *testing.T) {
 	eng := NewEngine(topology.NewHypercube(7))
-	cache := NewResultCacheWithAdmission(32, true)
+	cache := NewResultCacheWithSketch(32, 2)
 	F := syndrome.RandomFaults(eng.Graph().N(), 3, rand.New(rand.NewSource(1)))
 	opt := Options{ResultCache: cache}
 	for i := 0; i < 3; i++ {

@@ -35,8 +35,8 @@ type Scratch struct {
 	next         []int32
 	added        *bitset.Set // nodes admitted this round, drained in order
 	mask         *bitset.Set // kept empty between certifications
-	fset         *bitset.Set // frontier membership for inverted-scan rounds
-	prev         []uint64    // round-start U snapshot (XOR-Cayley kernel)
+	fset         *bitset.Set // frontier membership for word and complement rounds
+	prev         []uint64    // round-start U snapshot (kernel word rounds)
 	ns           []int32
 	nbuf         []int32 // neighbour-generation buffer (implicit adjacency)
 	faults       *bitset.Set
@@ -56,7 +56,7 @@ type Scratch struct {
 	hazard []uint64
 
 	// finalWorkers asks the next word-kernel final pass to split its
-	// rounds across this many goroutines (runWordKernel). Like the
+	// rounds across this many goroutines (runFinalPass). Like the
 	// prefix fields it is per-call plumbing, set and cleared around the
 	// pass by diagnoseInto.
 	finalWorkers int
@@ -184,10 +184,11 @@ func (sc *Scratch) faultsBuf() *bitset.Set {
 // frontier buffers (worst case 4 bytes/node each), and the eight
 // word-granular sets and snapshots (U, Contributors, added, part mask,
 // frontier membership, round-start U snapshot, output fault set, and
-// the shared-prefix recorder's hazard mask — one bit/node each). Engines keep one scratch per serving worker in their
-// pool, so a deployment's scratch budget is this figure times the pool
-// size; cmd/topoinfo prints it next to the adjacency memory models
-// (ROADMAP: dense scratch is fine at Q20, revisit at Q24).
+// the shared-prefix recorder's hazard mask — one bit/node each).
+// Engines keep one scratch per serving worker in their pool, so a
+// deployment's scratch budget is this figure times the pool size;
+// cmd/topoinfo prints it next to the adjacency memory models (ROADMAP:
+// dense scratch is fine at Q20, revisit at Q24).
 func ScratchFootprintBytes(n int) int64 {
 	words := int64((n + 63) / 64)
 	return 3*4*int64(n) + 8*8*words

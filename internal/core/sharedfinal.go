@@ -170,10 +170,9 @@ func (fp *finalPrefix) snapshotComplete(res *SetBuilderResult, uCount int, looku
 // copied into the scratch's frontier buffer; the checkpoint itself is
 // only read. The caller must already have called resetTree, so Parent
 // entries outside U are -1 and writing the parents of U's bits alone
-// restores the whole tree exactly. The contributor set is
-// NOT restored here: the word-kernel driver defers contributors and
-// rebuilds them from the final parents anyway, so only the generic
-// sweep (which tracks them live) calls restoreContributors.
+// restores the whole tree exactly. The contributor set is not
+// restored: a resumed pass rebuilds it from the final parents (see
+// runFinalPass).
 func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []int32) {
 	uw := res.U.Words()
 	parent := res.Parent
@@ -187,16 +186,4 @@ func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []
 		}
 	}
 	return append(sc.frontier[:0], fp.frontier...)
-}
-
-// restoreContributors rebuilds the checkpoint's contributor set from
-// the tree — the contributors are exactly the parents of admitted
-// nodes — and returns its count.
-func (fp *finalPrefix) restoreContributors(res *SetBuilderResult) int {
-	for _, p := range fp.parents {
-		if p >= 0 {
-			res.Contributors.Add(int(p))
-		}
-	}
-	return res.Contributors.Count()
 }

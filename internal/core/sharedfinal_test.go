@@ -117,9 +117,10 @@ func TestShareFinalPrefixAccounting(t *testing.T) {
 }
 
 // TestShareFinalPrefixGenericAndKernels pins the contract across every
-// final-pass driver: the generic adaptive sweep (GenericFinal), the
-// xor-cayley kernel (Q8), the additive-rotate kernel (k-ary torus) and
-// the mixed-radix kernel (augmented k-ary), under random fault loads.
+// final-pass kernel: the generic pass (GenericFinal, and the augmented
+// k-ary cube's mixed-radix declaration no kernel covers), the
+// xor-cayley kernel (Q8) and the additive-rotate kernel (k-ary torus),
+// under random fault loads.
 func TestShareFinalPrefixGenericAndKernels(t *testing.T) {
 	cases := []struct {
 		name    string

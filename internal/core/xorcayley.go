@@ -46,7 +46,7 @@ import (
 //
 // Admissions update U immediately, so a node admitted by one step
 // vanishes from every later step's candidate words — exactly the
-// reference's prefix-until-0 suppression (see runWordKernel for the
+// reference's prefix-until-0 suppression (see runFinalPass for the
 // shared round loop and the full equivalence argument).
 
 // deltaSwapMasks[d] selects the lower element of each bit pair at
@@ -79,7 +79,7 @@ type xorKernel struct {
 // be XOR-Cayley. Floors: ≥ 64 nodes (below that the word logic cannot
 // win) and ≤ 32 generators; the descriptor must match the graph order
 // and carry well-formed masks.
-func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) finalKernel {
+func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) wordRounder {
 	xc, ok := desc.(graph.XORCayley)
 	if !ok {
 		return nil
@@ -216,16 +216,12 @@ func withXORLit(s []xorSched, bit int, val bool) []xorSched {
 	return out
 }
 
-// Name implements finalKernel.
+// Name implements wordRounder.
 func (k *xorKernel) Name() string {
 	if k.multi {
 		return "xor-cayley[multi-bit]"
 	}
 	return "xor-cayley"
-}
-
-func (k *xorKernel) run(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, delta int) *SetBuilderResult {
-	return runWordKernel(sc, a, l, u0, delta, k)
 }
 
 func (k *xorKernel) sweepThreshold() int { return k.threshold }

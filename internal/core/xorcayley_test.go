@@ -1,9 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"comparisondiag/internal/graph"
@@ -13,7 +13,7 @@ import (
 
 // declaredKernel binds the final-pass kernel a network's declared
 // Cayley structure resolves to, failing the test when nothing binds.
-func declaredKernel(t *testing.T, nw topology.Network) finalKernel {
+func declaredKernel(t *testing.T, nw topology.Network) wordRounder {
 	t.Helper()
 	cs, ok := nw.(topology.CayleyStructured)
 	if !ok {
@@ -34,8 +34,8 @@ func declaredKernel(t *testing.T, nw topology.Network) finalKernel {
 // registry's observable contract. Multi-bit XOR families (folded,
 // enhanced, augmented) now get the generalised word-parallel kernel
 // instead of falling back to the generic pass, tori bind the
-// additive-rotate kernel, and node-dependent or undersized families
-// stay generic.
+// additive-rotate kernel, and node-dependent, mixed-radix or undersized
+// families stay generic.
 func TestKernelBinding(t *testing.T) {
 	cases := []struct {
 		nw   topology.Network
@@ -49,10 +49,10 @@ func TestKernelBinding(t *testing.T) {
 		{topology.NewAugmentedCube(8), "xor-cayley[multi-bit]"},
 		{topology.NewKAryNCube(4, 4), "additive-rotate"},
 		{topology.NewKAryNCube(3, 5), "additive-rotate"},
-		// Augmented k-ary cubes declare the mixed-radix descriptor; the
-		// run generators compile into per-borrow-pattern steps.
-		{topology.NewAugmentedKAryNCube(4, 3), "additive-rotate[mixed-radix]"},
-		{topology.NewAugmentedKAryNCube(3, 6), "additive-rotate[mixed-radix]"},
+		// Augmented k-ary cubes declare a mixed-radix descriptor, which
+		// no kernel covers: they serve the generic pass.
+		{topology.NewAugmentedKAryNCube(4, 3), "generic"},
+		{topology.NewAugmentedKAryNCube(3, 6), "generic"},
 		// Negative cases: permutation families have no uniform
 		// generator set and must stay on the generic kernel.
 		{topology.NewStar(5), "generic"},
@@ -67,14 +67,7 @@ func TestKernelBinding(t *testing.T) {
 		{topology.NewAugmentedKAryNCube(3, 3), "generic"}, // 27 < 64 nodes
 	}
 	for _, c := range cases {
-		got := NewEngine(c.nw).KernelName()
-		if c.want == "additive-rotate[mixed-radix]" {
-			// The mixed-radix name carries the schedule pruner's counts
-			// (steps/merged/listed), which are sizes, not contract.
-			if !strings.HasPrefix(got, "additive-rotate[mixed-radix") {
-				t.Errorf("%s: kernel %q, want %q prefix", c.nw.Name(), got, c.want)
-			}
-		} else if got != c.want {
+		if got := NewEngine(c.nw).KernelName(); got != c.want {
 			t.Errorf("%s: kernel %q, want %q", c.nw.Name(), got, c.want)
 		}
 	}
@@ -141,11 +134,36 @@ func structuredNetworks() []topology.Network {
 		topology.NewKAryNCube(4, 3),
 		topology.NewKAryNCube(3, 4),
 		topology.NewKAryNCube(4, 5),
-		topology.NewAugmentedKAryNCube(4, 3), // mixed-radix, 64 nodes
-		topology.NewAugmentedKAryNCube(5, 3), // mixed-radix, ragged tail
-		topology.NewAugmentedKAryNCube(3, 6), // mixed-radix, long run generators
-		topology.NewAugmentedKAryNCube(4, 5), // mixed-radix, word-round regime
 	}
+}
+
+// genericGraph is a named instance no kernel binds, with the fault
+// bound its equivalence runs use.
+type genericGraph struct {
+	name  string
+	g     *graph.Graph
+	delta int
+}
+
+// genericGraphs are the inputs of the generic pass (runFinalPass with
+// a nil rounder): declared mixed-radix structures no kernel covers,
+// permutation families, and a churned hypercube whose Cayley structure
+// the removal destroyed.
+func genericGraphs() []genericGraph {
+	var out []genericGraph
+	for _, nw := range []topology.Network{
+		topology.NewAugmentedKAryNCube(4, 3), // 64 nodes
+		topology.NewAugmentedKAryNCube(5, 3), // ragged tail
+		topology.NewAugmentedKAryNCube(3, 6), // long run generators
+		topology.NewAugmentedKAryNCube(4, 5), // 1024 nodes, dense rounds
+		topology.NewStar(5),
+		topology.NewPancake(5),
+	} {
+		out = append(out, genericGraph{nw.Name(), nw.Graph(), nw.Diagnosability()})
+	}
+	q8 := topology.NewHypercube(8)
+	rm := q8.Graph().RemoveNodes([]int32{5, 77, 200})
+	return append(out, genericGraph{"Q8-minus-3", rm.G, q8.Diagnosability() - 3})
 }
 
 // TestKernelsMatchReferenceWithFaultySeed pins the unsorted-frontier
@@ -168,9 +186,17 @@ func TestKernelsMatchReferenceWithFaultySeed(t *testing.T) {
 			testKernelsFaultySeed(t, g, delta, k)
 		})
 	}
+	for _, gg := range genericGraphs() {
+		t.Run(gg.name, func(t *testing.T) {
+			testKernelsFaultySeed(t, gg.g, gg.delta, nil)
+		})
+	}
 }
 
-func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k finalKernel) {
+// testKernelsFaultySeed runs the driver with kernel k (when non-nil)
+// and with the nil rounder of the generic pass, comparing both against
+// the reference field by field.
+func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k wordRounder) {
 	for _, b := range syndrome.AllBehaviors(3) {
 		for trial := int64(0); trial < 20; trial++ {
 			// Seed 0 is always faulty, plus random companions.
@@ -179,12 +205,14 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k finalKerne
 			sRef := syndrome.NewLazy(F, b)
 			ref := SetBuilder(g, sRef, 0, delta, nil)
 
-			sKer := syndrome.NewLazy(F, b)
-			got := k.run(NewScratch(g.N()), g, sKer, 0, delta)
-			sLzy := syndrome.NewLazy(F, b)
-			lzy := setBuilderLazyInto(NewScratch(g.N()), g, sLzy, 0, delta)
-
-			for name, r := range map[string]*SetBuilderResult{k.Name(): got, "lazy": lzy} {
+			arms := []wordRounder{nil}
+			if k != nil {
+				arms = append(arms, k)
+			}
+			for _, ak := range arms {
+				name := kernelName(ak)
+				s := syndrome.NewLazy(F, b)
+				r := runFinalPass(NewScratch(g.N()), g, s, 0, delta, ak)
 				if !ref.U.Equal(r.U) || !slices.Equal(ref.Parent, r.Parent) {
 					t.Fatalf("%s trial %d %s: tree differs from reference", b.Name(), trial, name)
 				}
@@ -192,12 +220,9 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k finalKerne
 					ref.Rounds != r.Rounds || ref.AllHealthy != r.AllHealthy {
 					t.Fatalf("%s trial %d %s: metadata differs", b.Name(), trial, name)
 				}
-				if ref.Lookups != r.Lookups {
+				if ref.Lookups != r.Lookups || s.Lookups() != sRef.Lookups() {
 					t.Fatalf("%s trial %d %s: lookups %d vs reference %d", b.Name(), trial, name, r.Lookups, ref.Lookups)
 				}
-			}
-			if sKer.Lookups() != sRef.Lookups() || sLzy.Lookups() != sRef.Lookups() {
-				t.Fatalf("%s trial %d: syndrome counters diverged", b.Name(), trial)
 			}
 
 			sPar := syndrome.NewLazy(F, b)
@@ -214,7 +239,11 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k finalKerne
 // Contributors and the exact look-up count — across behaviours, fault
 // loads (healthy-dominant, at δ, beyond δ) and seeds, on sizes that
 // exercise both the word-parallel and the small-round sweep paths.
+// Beside the plain kernel pass, two arms pin the contributor rebuild:
+// a kernel pass whose sweep rounds precede a word round, and a generic
+// member resumed from a prefix another behaviour recorded.
 func TestStructureKernelsMatchReference(t *testing.T) {
+	sweptThenWord, resumed := 0, 0
 	for _, nw := range structuredNetworks() {
 		g := nw.Graph()
 		delta := nw.Diagnosability()
@@ -229,27 +258,77 @@ func TestStructureKernelsMatchReference(t *testing.T) {
 				sRef := syndrome.NewLazy(F, b)
 				ref := SetBuilder(g, sRef, seed, delta, nil)
 
-				sKer := syndrome.NewLazy(F, b)
-				got := k.run(NewScratch(g.N()), g, sKer, seed, delta)
-
-				if !ref.U.Equal(got.U) {
-					t.Fatalf("%s %s f=%d: U differs", nw.Name(), b.Name(), f)
+				arms := []struct {
+					name string
+					run  func(s *syndrome.Lazy) (*SetBuilderResult, int64) // result, look-ups it adopted
+				}{
+					{k.Name(), func(s *syndrome.Lazy) (*SetBuilderResult, int64) {
+						return runFinalPass(NewScratch(g.N()), g, s, seed, delta, k), 0
+					}},
+					{"kernel sweep then word", func(s *syndrome.Lazy) (*SetBuilderResult, int64) {
+						pk := &probeRounder{wordRounder: k}
+						r := runFinalPass(NewScratch(g.N()), g, s, seed, delta, pk)
+						if pk.firstU > 1+g.MaxDegree() {
+							sweptThenWord++ // more than U_1 grew before the first word round
+						}
+						return r, 0
+					}},
+					{"resumed generic", func(s *syndrome.Lazy) (*SetBuilderResult, int64) {
+						fp := &finalPrefix{}
+						rec := NewScratch(g.N())
+						rec.prefixRec = fp
+						runFinalPass(rec, g, syndrome.NewLazy(F, syndrome.AllOne{}), seed, delta, nil)
+						sc := NewScratch(g.N())
+						adopted := int64(0)
+						if fp.valid {
+							sc.prefixRes = fp
+							adopted = fp.lookups
+							resumed++
+						}
+						return runFinalPass(sc, g, s, seed, delta, nil), adopted
+					}},
 				}
-				if !slices.Equal(ref.Parent, got.Parent) {
-					t.Fatalf("%s %s f=%d: Parent differs", nw.Name(), b.Name(), f)
-				}
-				if !ref.Contributors.Equal(got.Contributors) {
-					t.Fatalf("%s %s f=%d: Contributors differ", nw.Name(), b.Name(), f)
-				}
-				if ref.Rounds != got.Rounds || ref.AllHealthy != got.AllHealthy {
-					t.Fatalf("%s %s f=%d: rounds/AllHealthy differ", nw.Name(), b.Name(), f)
-				}
-				if ref.Lookups != got.Lookups || sRef.Lookups() != sKer.Lookups() {
-					t.Fatalf("%s %s f=%d: lookups differ: %d vs %d", nw.Name(), b.Name(), f, got.Lookups, ref.Lookups)
+				for _, arm := range arms {
+					sArm := syndrome.NewLazy(F, b)
+					got, adopted := arm.run(sArm)
+					if !ref.U.Equal(got.U) {
+						t.Fatalf("%s %s f=%d %s: U differs", nw.Name(), b.Name(), f, arm.name)
+					}
+					if !slices.Equal(ref.Parent, got.Parent) {
+						t.Fatalf("%s %s f=%d %s: Parent differs", nw.Name(), b.Name(), f, arm.name)
+					}
+					if !ref.Contributors.Equal(got.Contributors) {
+						t.Fatalf("%s %s f=%d %s: Contributors differ", nw.Name(), b.Name(), f, arm.name)
+					}
+					if ref.Rounds != got.Rounds || ref.AllHealthy != got.AllHealthy {
+						t.Fatalf("%s %s f=%d %s: rounds/AllHealthy differ", nw.Name(), b.Name(), f, arm.name)
+					}
+					if ref.Lookups != got.Lookups+adopted || sRef.Lookups() != sArm.Lookups()+adopted {
+						t.Fatalf("%s %s f=%d %s: lookups differ: %d+%d vs %d", nw.Name(), b.Name(), f, arm.name, got.Lookups, adopted, ref.Lookups)
+					}
 				}
 			}
 		}
 	}
+	if sweptThenWord == 0 || resumed == 0 {
+		t.Fatalf("arms not exercised: %d kernel passes swept before a word round, %d generic members resumed", sweptThenWord, resumed)
+	}
+}
+
+// probeRounder wraps a kernel and records |U| when its first word
+// round starts.
+type probeRounder struct {
+	wordRounder
+	firstU int
+}
+
+func (p *probeRounder) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy) int {
+	if p.firstU == 0 {
+		for _, w := range uw {
+			p.firstU += bits.OnesCount64(w)
+		}
+	}
+	return p.wordRounder.round(fw, uw, parent, l)
 }
 
 // TestXORScheduleIsOrderExact checks the compiled schedule directly:
