@@ -12,7 +12,7 @@
 //
 //	diagnosed [-addr 127.0.0.1:7133] [-registry 8] [-window 2ms]
 //	          [-max-batch 64] [-workers N] [-cache 1024]
-//	          [-preload q:14,implicit:q:20]
+//	          [-preload q:20,star:7]
 //
 // Diagnose one hypothesis:
 //
@@ -49,7 +49,7 @@ func main() {
 	cacheCap := flag.Int("cache", 1024, "per-engine result-cache capacity (0 disables caching)")
 	noShareCert := flag.Bool("no-share-cert", false, "disable shared certification in coalesced batches (ablation)")
 	noShareFinal := flag.Bool("no-share-final", false, "disable shared final prefixes in coalesced batches (ablation)")
-	preload := flag.String("preload", "", "comma-separated specs to bind at startup (prefix implicit: for descriptor binding)")
+	preload := flag.String("preload", "", "comma-separated specs to bind at startup; hypercubes (q:<n>) bind from their XOR descriptor, with or without the implicit: prefix, and are refused from q:27 up (n·2^n arcs beyond int32), other families build their CSR")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {

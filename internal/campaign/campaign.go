@@ -11,6 +11,7 @@ import (
 	"errors"
 
 	"comparisondiag/internal/core"
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -116,8 +117,10 @@ func Sweep(nw topology.Network, cfg Config) []Point {
 // network by the NewShardedRuntime contract). Each trial diagnoses
 // through its worker's pinned engine, so a sharded runtime spreads the
 // sweep across engine snapshots and scratch pools. Implicit
-// (descriptor-backed) engines are served like CSR ones. Config.Workers
-// and Config.OnEngine are ignored here: the runtime fixes both.
+// (descriptor-backed) engines are served like CSR ones; one with no
+// usable partition gets its CSR built once, for the verification
+// fallback to scan. Config.Workers and Config.OnEngine are ignored
+// here: the runtime fixes both.
 func SweepRuntime(rt *Runtime, cfg Config) []Point {
 	if cfg.Behavior == nil {
 		cfg.Behavior = syndrome.Mimic{}
@@ -127,6 +130,16 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 	g := eng.Graph() // nil for implicit engines; only the fallback needs it
 	delta := eng.Diagnosability()
 	perr := eng.PartsErr()
+	if perr != nil && g == nil {
+		// Implicit engine with no usable partition (Q2–Q5 among
+		// hypercubes): materialise the graph the fallback scans.
+		adj := eng.Adjacency()
+		var buf []int32
+		g = graph.FromAdjacency(n, func(dst []int32, u int32) []int32 {
+			buf = adj.AppendNeighbors(u, buf)
+			return append(dst, buf...)
+		})
+	}
 
 	var points []Point
 	results := make([]Outcome, cfg.Trials)
@@ -141,13 +154,6 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 			F := syndrome.RandomFaults(n, f, w.RNG)
 			s := syndrome.NewLazy(F, cfg.Behavior)
 			if perr != nil {
-				if g == nil {
-					// Implicit engine with no usable partition: there is
-					// no CSR for the verification fallback to scan, so the
-					// typed partition error is the verdict.
-					results[i] = classify(false, perr)
-					return
-				}
 				// No partition: campaign the verification path.
 				got, err := core.DiagnoseWithVerification(g, delta, s)
 				results[i] = classify(got != nil && got.Equal(F), err)

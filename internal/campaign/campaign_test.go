@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"comparisondiag/internal/core"
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -96,6 +98,37 @@ func TestSweepVerificationPathOnGapG3Instance(t *testing.T) {
 	for _, p := range points {
 		if p.Exact != p.Trials {
 			t.Fatalf("verification path not exact at %d faults: %+v", p.Faults, p)
+		}
+	}
+}
+
+// TestSweepVerificationPathImplicitEngine campaigns Q2–Q5, which have
+// no Theorem 1 partition, through descriptor-bound engines: with no CSR
+// bound, SweepRuntime must still take the verification fallback and
+// match the CSR-bound sweep point for point.
+func TestSweepVerificationPathImplicitEngine(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		masks := make([]int32, n)
+		for i := range masks {
+			masks[i] = 1 << uint(i)
+		}
+		eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.PartsErr() == nil || eng.Graph() != nil {
+			t.Fatalf("Q%d: want a partition-less engine with no CSR", n)
+		}
+		cfg := Config{MinFaults: 0, MaxFaults: n + 1, Trials: 8, Seed: 3}
+		rt := NewRuntime(eng, 2)
+		got := SweepRuntime(rt, cfg)
+		rt.Close()
+		want := Sweep(topology.NewHypercube(n), cfg)
+		if !pointsEqual(got, want) {
+			t.Fatalf("Q%d: implicit sweep %+v, CSR sweep %+v", n, got, want)
+		}
+		if want[1].Exact == 0 {
+			t.Fatalf("Q%d: verification path exact at no single fault: %+v", n, want[1])
 		}
 	}
 }

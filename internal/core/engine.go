@@ -238,9 +238,20 @@ func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 	}
 	b.parts, b.partsErr = topology.CayleyParts(desc, delta+1, delta+1)
 	b.kernel = bindFinalKernel(desc, ca)
-	e := &Engine{name: desc.String()}
+	e := &Engine{name: cayleyEngineName(desc)}
 	e.bnd.Store(b)
 	return e, nil
+}
+
+// cayleyEngineName names a descriptor-bound engine in its error text.
+// A single-bit XOR descriptor with one generator per bit is Q_n, and
+// takes the hypercube network's name, so the two bindings of Q_n fail
+// with the same message; any other descriptor is named by its String.
+func cayleyEngineName(desc graph.CayleyDescriptor) string {
+	if x, ok := desc.(graph.XORCayley); ok && !x.MultiBit() && len(x.Masks) == x.Bits {
+		return fmt.Sprintf("Q%d", x.Bits)
+	}
+	return desc.String()
 }
 
 // Graph returns the bound graph (the surviving component after a

@@ -271,12 +271,16 @@ func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, d
 
 // sweepRound is one sparse growth round: the reference frontier sweep,
 // walking the CSR arrays directly (offs nil means an implicit
-// adjacency, generated into sc.nbuf). Admissions are visible
+// adjacency: a hypercube's goes to sweepBasisRound, any other is
+// generated into sc.nbuf). Admissions are visible
 // immediately and collected in sc.added for the caller to drain in
 // order; contributors are recorded into contrib when it is non-nil.
 // It lives outside runFinalPass so the sweep's inner loop does not
 // compete with the driver's locals for registers.
 func sweepRound(sc *Scratch, a graph.Adjacencer, offs, tgts, frontier []int32, uw []uint64, parent []int32, l *syndrome.Lazy, contrib *bitset.Set) int {
+	if basis := graph.XORBasis(a); basis != 0 {
+		return sweepBasisRound(sc.added, basis, frontier, uw, parent, l, contrib)
+	}
 	added := sc.added
 	admitted := 0
 	for _, u := range frontier {
@@ -308,14 +312,47 @@ func sweepRound(sc *Scratch, a graph.Adjacencer, offs, tgts, frontier []int32, u
 	return admitted
 }
 
+// sweepBasisRound is sweepRound over a hypercube's implicit adjacency:
+// the same admissions in the same order, with each neighbourhood walked
+// by the inlined graph.BasisWalk. A function of its own keeps the walk's
+// few live values in registers.
+func sweepBasisRound(added *bitset.Set, basis uint32, frontier []int32, uw []uint64, parent []int32, l *syndrome.Lazy, contrib *bitset.Set) int {
+	admitted := 0
+	for _, u := range frontier {
+		tu := parent[u]
+		contributed := false
+		for w := graph.BasisWalk(u, basis); w != 0; w &= w - 1 {
+			v := graph.BasisNeighbor(u, w)
+			if uw[v>>6]&(1<<(uint(v)&63)) != 0 {
+				continue
+			}
+			if l.Test(u, v, tu) == 0 {
+				uw[v>>6] |= 1 << (uint(v) & 63)
+				parent[v] = u
+				added.Add(int(v))
+				admitted++
+				contributed = true
+			}
+		}
+		if contributed && contrib != nil {
+			contrib.Add(int(u))
+		}
+	}
+	return admitted
+}
+
 // complementRound is one dense growth round: walk the non-members of U
 // in ascending order and probe each one's frontier neighbours (members
 // of fw) in ascending order until one vouches. Membership is deferred:
 // uw is only read, and the admissions are appended to next in
 // ascending order for the caller to apply. Contributors are recorded
-// into contrib when it is non-nil. complementSweepShard is its
-// parallel twin.
+// into contrib when it is non-nil. A hypercube's implicit adjacency
+// goes to complementBasisRound. complementSweepShard is its parallel
+// twin.
 func complementRound(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, l *syndrome.Lazy, n int, next []int32, contrib *bitset.Set) ([]int32, int) {
+	if basis := graph.XORBasis(a); basis != 0 {
+		return complementBasisRound(basis, uw, fw, parent, l, n, next, contrib)
+	}
 	admitted := 0
 	for wi, w := range uw {
 		inv := ^w
@@ -335,6 +372,42 @@ func complementRound(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw
 				nbrs = sc.nbuf
 			}
 			for _, u := range nbrs {
+				if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
+					continue
+				}
+				if l.Test(u, v, parent[u]) != 0 {
+					continue
+				}
+				parent[v] = u
+				next = append(next, v)
+				admitted++
+				if contrib != nil {
+					contrib.Add(int(u))
+				}
+				break
+			}
+		}
+	}
+	return next, admitted
+}
+
+// complementBasisRound is complementRound over a hypercube's implicit
+// adjacency, walking each non-member's neighbourhood with the inlined
+// graph.BasisWalk (see sweepBasisRound).
+func complementBasisRound(basis uint32, uw, fw []uint64, parent []int32, l *syndrome.Lazy, n int, next []int32, contrib *bitset.Set) ([]int32, int) {
+	admitted := 0
+	for wi, w := range uw {
+		inv := ^w
+		if wi == len(uw)-1 {
+			if tail := n & 63; tail != 0 {
+				inv &= 1<<uint(tail) - 1
+			}
+		}
+		for inv != 0 {
+			v := int32(wi<<6 + bits.TrailingZeros64(inv))
+			inv &= inv - 1
+			for w := graph.BasisWalk(v, basis); w != 0; w &= w - 1 {
+				u := graph.BasisNeighbor(v, w)
 				if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
 					continue
 				}

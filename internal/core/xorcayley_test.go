@@ -183,20 +183,36 @@ func TestKernelsMatchReferenceWithFaultySeed(t *testing.T) {
 		delta := nw.Diagnosability()
 		k := declaredKernel(t, nw)
 		t.Run(nw.Name(), func(t *testing.T) {
-			testKernelsFaultySeed(t, g, delta, k)
+			testKernelsFaultySeed(t, g, basisAdjacency(nw), delta, k)
 		})
 	}
 	for _, gg := range genericGraphs() {
 		t.Run(gg.name, func(t *testing.T) {
-			testKernelsFaultySeed(t, gg.g, gg.delta, nil)
+			testKernelsFaultySeed(t, gg.g, nil, gg.delta, nil)
 		})
 	}
 }
 
+// basisAdjacency returns a hypercube's descriptor adjacency, whose
+// sweep and complement rounds walk graph.BasisWalk instead of the
+// table, or nil for any other network.
+func basisAdjacency(nw topology.Network) graph.Adjacencer {
+	cs, ok := nw.(topology.CayleyStructured)
+	if !ok {
+		return nil
+	}
+	ca, err := graph.NewCayleyAdjacency(cs.CayleyStructure())
+	if err != nil || graph.XORBasis(ca) == 0 {
+		return nil
+	}
+	return ca
+}
+
 // testKernelsFaultySeed runs the driver with kernel k (when non-nil)
-// and with the nil rounder of the generic pass, comparing both against
-// the reference field by field.
-func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k wordRounder) {
+// and with the nil rounder of the generic pass, over g and, when
+// non-nil, over the implicit adjacency basis of the same graph,
+// comparing every run against the reference field by field.
+func testKernelsFaultySeed(t *testing.T, g *graph.Graph, basis graph.Adjacencer, delta int, k wordRounder) {
 	for _, b := range syndrome.AllBehaviors(3) {
 		for trial := int64(0); trial < 20; trial++ {
 			// Seed 0 is always faulty, plus random companions.
@@ -209,19 +225,28 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k wordRounde
 			if k != nil {
 				arms = append(arms, k)
 			}
-			for _, ak := range arms {
-				name := kernelName(ak)
-				s := syndrome.NewLazy(F, b)
-				r := runFinalPass(NewScratch(g.N()), g, s, 0, delta, ak)
-				if !ref.U.Equal(r.U) || !slices.Equal(ref.Parent, r.Parent) {
-					t.Fatalf("%s trial %d %s: tree differs from reference", b.Name(), trial, name)
-				}
-				if !ref.Contributors.Equal(r.Contributors) ||
-					ref.Rounds != r.Rounds || ref.AllHealthy != r.AllHealthy {
-					t.Fatalf("%s trial %d %s: metadata differs", b.Name(), trial, name)
-				}
-				if ref.Lookups != r.Lookups || s.Lookups() != sRef.Lookups() {
-					t.Fatalf("%s trial %d %s: lookups %d vs reference %d", b.Name(), trial, name, r.Lookups, ref.Lookups)
+			adjs := []graph.Adjacencer{g}
+			if basis != nil {
+				adjs = append(adjs, basis)
+			}
+			for ai, a := range adjs {
+				for _, ak := range arms {
+					name := kernelName(ak)
+					if ai > 0 {
+						name += " over the descriptor"
+					}
+					s := syndrome.NewLazy(F, b)
+					r := runFinalPass(NewScratch(g.N()), a, s, 0, delta, ak)
+					if !ref.U.Equal(r.U) || !slices.Equal(ref.Parent, r.Parent) {
+						t.Fatalf("%s trial %d %s: tree differs from reference", b.Name(), trial, name)
+					}
+					if !ref.Contributors.Equal(r.Contributors) ||
+						ref.Rounds != r.Rounds || ref.AllHealthy != r.AllHealthy {
+						t.Fatalf("%s trial %d %s: metadata differs", b.Name(), trial, name)
+					}
+					if ref.Lookups != r.Lookups || s.Lookups() != sRef.Lookups() {
+						t.Fatalf("%s trial %d %s: lookups %d vs reference %d", b.Name(), trial, name, r.Lookups, ref.Lookups)
+					}
 				}
 			}
 
@@ -241,13 +266,20 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k wordRounde
 // exercise both the word-parallel and the small-round sweep paths.
 // Beside the plain kernel pass, two arms pin the contributor rebuild:
 // a kernel pass whose sweep rounds precede a word round, and a generic
-// member resumed from a prefix another behaviour recorded.
+// member resumed from a prefix another behaviour recorded. Hypercubes
+// add the kernel and generic passes over their descriptor, whose sweep
+// and complement rounds walk graph.BasisWalk.
 func TestStructureKernelsMatchReference(t *testing.T) {
+	type refArm struct {
+		name string
+		run  func(s *syndrome.Lazy) (*SetBuilderResult, int64) // result, look-ups it adopted
+	}
 	sweptThenWord, resumed := 0, 0
 	for _, nw := range structuredNetworks() {
 		g := nw.Graph()
 		delta := nw.Diagnosability()
 		k := declaredKernel(t, nw)
+		basis := basisAdjacency(nw)
 		for _, b := range syndrome.AllBehaviors(7) {
 			for _, f := range []int{1, delta, delta + 3} {
 				F := syndrome.RandomFaults(g.N(), f, rand.New(rand.NewSource(int64(g.N()*100+f))))
@@ -258,10 +290,7 @@ func TestStructureKernelsMatchReference(t *testing.T) {
 				sRef := syndrome.NewLazy(F, b)
 				ref := SetBuilder(g, sRef, seed, delta, nil)
 
-				arms := []struct {
-					name string
-					run  func(s *syndrome.Lazy) (*SetBuilderResult, int64) // result, look-ups it adopted
-				}{
+				arms := []refArm{
 					{k.Name(), func(s *syndrome.Lazy) (*SetBuilderResult, int64) {
 						return runFinalPass(NewScratch(g.N()), g, s, seed, delta, k), 0
 					}},
@@ -287,6 +316,13 @@ func TestStructureKernelsMatchReference(t *testing.T) {
 						}
 						return runFinalPass(sc, g, s, seed, delta, nil), adopted
 					}},
+				}
+				if basis != nil {
+					for _, ak := range []wordRounder{k, nil} {
+						arms = append(arms, refArm{kernelName(ak) + " over the descriptor", func(s *syndrome.Lazy) (*SetBuilderResult, int64) {
+							return runFinalPass(NewScratch(g.N()), basis, s, seed, delta, ak), 0
+						}})
+					}
 				}
 				for _, arm := range arms {
 					sArm := syndrome.NewLazy(F, b)

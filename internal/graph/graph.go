@@ -243,6 +243,22 @@ func countingSortByKey(key, src, dst, outS, outD, count []int32) {
 	}
 }
 
+// CheckInt32Bounds returns an error unless a regular graph on n nodes
+// of degree deg fits the int32 indexing every adjacency here uses: at most
+// MaxInt32 node ids and at most MaxInt32 arcs (n·deg, the CSR offset
+// range). FromAdjacency refuses exactly these graphs, and callers that
+// bind a family without building its CSR refuse the same sizes with it,
+// before allocating anything proportional to n.
+func CheckInt32Bounds(n, deg int) error {
+	if n < 0 || n > math.MaxInt32 {
+		return fmt.Errorf("graph: %d nodes do not fit int32 node ids", n)
+	}
+	if arcs := int64(n) * int64(deg); arcs > math.MaxInt32 {
+		return fmt.Errorf("graph: %d nodes of degree %d make %d arcs, beyond int32 CSR offsets", n, deg, arcs)
+	}
+	return nil
+}
+
 // FromAdjacency builds a Graph from an adjacency callback, calling it
 // once per node and never going through Builder. For every node u in
 // ascending order, appendNeighbors(dst, u) must append u's neighbours to
@@ -264,8 +280,8 @@ func countingSortByKey(key, src, dst, outS, outD, count []int32) {
 // n × deg(0) arcs beyond MaxInt32, refused before anything proportional
 // to n is allocated.
 func FromAdjacency(n int, appendNeighbors func(dst []int32, u int32) []int32) *Graph {
-	if n < 0 || n > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d nodes do not fit int32 node ids", n))
+	if err := CheckInt32Bounds(n, 0); err != nil {
+		panic(err.Error())
 	}
 	if n == 0 {
 		return &Graph{offsets: make([]int32, 1), targets: []int32{}}
@@ -276,8 +292,8 @@ func FromAdjacency(n int, appendNeighbors func(dst []int32, u int32) []int32) *G
 	distinct := slices.Clone(first)
 	slices.Sort(distinct)
 	deg0 := len(slices.Compact(distinct))
-	if arcs := int64(n) * int64(deg0); arcs > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d nodes of degree %d make %d arcs, beyond int32 CSR offsets", n, deg0, arcs))
+	if err := CheckInt32Bounds(n, deg0); err != nil {
+		panic(err.Error())
 	}
 
 	// in holds each node's listed neighbours, deduplicated, unsorted;

@@ -51,6 +51,18 @@ func CSR(a Adjacencer) *Graph {
 	return g
 }
 
+// XORBasis returns the generator basis of a single-bit XOR Cayley
+// adjacency (the hypercube family: the union of its generators), or 0
+// for every other Adjacencer. Hot paths use it as they use CSR: a
+// non-zero basis lets them walk neighbourhoods with the inlined
+// BasisWalk instead of an AppendNeighbors call per node.
+func XORBasis(a Adjacencer) uint32 {
+	if ca, ok := a.(*CayleyAdjacency); ok {
+		return ca.basis
+	}
+	return 0
+}
+
 // CayleyAdjacency is the implicit Adjacencer: neighbourhoods are
 // generated on demand from a shape-validated CayleyDescriptor and no
 // per-edge storage exists. The structure is immutable after
@@ -61,8 +73,10 @@ type CayleyAdjacency struct {
 	n    int
 	deg  int
 
-	// xor
+	// xor: masks as declared; basis is their union when every mask
+	// flips a single bit (the hypercube family), 0 otherwise
 	masks []int32
+	basis uint32
 	// additive / mixed-radix (additive is compiled to the mixed-radix
 	// form: uniform radices, ±1 unit-vector generators)
 	radices []int32
@@ -86,6 +100,11 @@ func NewCayleyAdjacency(desc CayleyDescriptor) (*CayleyAdjacency, error) {
 		ca.n = d.Order()
 		ca.deg = len(d.Masks)
 		ca.masks = append([]int32(nil), d.Masks...)
+		if !d.MultiBit() {
+			for _, m := range d.Masks {
+				ca.basis |= uint32(m)
+			}
+		}
 	case AdditiveCayley:
 		if d.K < 3 || d.Dims < 1 {
 			return nil, fmt.Errorf("graph: additive descriptor needs k ≥ 3, dims ≥ 1 (got k=%d, dims=%d)", d.K, d.Dims)
@@ -240,8 +259,18 @@ func (ca *CayleyAdjacency) MinDegree() int { return ca.deg }
 // AppendNeighbors implements Adjacencer: generates u's neighbours in
 // ascending order into buf. Safe for concurrent use — all mutable state
 // is the caller's buffer and the stack.
+//
+// Single-bit generator sets, declared in any order, take the direct
+// ascending walk (BasisWalk); multi-bit XOR masks and mixed-radix
+// generators are generated in declaration order and insertion-sorted.
 func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 	buf = buf[:0]
+	if ca.basis != 0 {
+		for w := BasisWalk(u, ca.basis); w != 0; w &= w - 1 {
+			buf = append(buf, BasisNeighbor(u, w))
+		}
+		return buf
+	}
 	if ca.masks != nil {
 		for _, m := range ca.masks {
 			buf = insertAscending(buf, u^m)
@@ -269,6 +298,33 @@ func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 		buf = insertAscending(buf, v)
 	}
 	return buf
+}
+
+// BasisWalk starts the ascending neighbour walk of u in the XOR Cayley
+// graph whose generators are the single bits of basis (Q_n: basis =
+// 2^n - 1). Clearing a set bit h gives u - 2^h, below u and ascending
+// as h descends; setting a clear bit gives u + 2^h, above u and
+// ascending with h. The walk word holds the set bits of u&basis
+// bit-reversed in its low half and the clear bits of basis in its high
+// half, so its trailing set bit is always the next neighbour in
+// ascending order:
+//
+//	for w := BasisWalk(u, basis); w != 0; w &= w - 1 {
+//		v := BasisNeighbor(u, w) // ascending, no sort, no buffer
+//	}
+//
+// Both functions inline, which is how the final pass walks hypercube
+// neighbourhoods at table speed without an interface call per node.
+func BasisWalk(u int32, basis uint32) uint64 {
+	return uint64(bits.Reverse32(uint32(u)&basis)) | uint64(^uint32(u)&basis)<<32
+}
+
+// BasisNeighbor returns the neighbour of u at w's trailing set bit: a
+// low-half position p names bit 31-p, a high-half one bit p-32, and the
+// mask (p>>5 - 1) & 31 picks between the two without a branch.
+func BasisNeighbor(u int32, w uint64) int32 {
+	p := bits.TrailingZeros64(w)
+	return u ^ int32(1)<<((p^(p>>5-1)&31)&31)
 }
 
 // insertAscending inserts v into the sorted slice s (insertion sort —

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,6 +71,60 @@ func TestCayleyAdjacencyMatchesCSR(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBasisWalkMatchesCSR pins the single-bit generator path: for Q2–Q12,
+// with the masks declared in a shuffled order, AppendNeighbors must list
+// exactly the neighbours of an independently built CSR, in the same
+// ascending order, without allocating. A basis that leaves bits out
+// (a disjoint union of subcubes) walks the same way.
+func TestBasisWalkMatchesCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	check := func(t *testing.T, bitsN int, masks []int32) {
+		ca, err := NewCayleyAdjacency(XORCayley{Bits: bitsN, Masks: masks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := FromAdjacency(1<<bitsN, func(dst []int32, u int32) []int32 {
+			for _, m := range masks {
+				dst = append(dst, u^m)
+			}
+			return dst
+		})
+		buf := make([]int32, 0, len(masks))
+		for u := int32(0); int(u) < g.N(); u++ {
+			buf = ca.AppendNeighbors(u, buf)
+			if !slices.Equal(buf, g.Neighbors(u)) {
+				t.Fatalf("node %d: walk %v, csr %v", u, buf, g.Neighbors(u))
+			}
+		}
+		u := int32(0)
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf = ca.AppendNeighbors(u, buf)
+			u = (u + 7) & int32(g.N()-1)
+		}); allocs != 0 {
+			t.Fatalf("AppendNeighbors allocates %.1f times per call", allocs)
+		}
+	}
+	for bitsN := 2; bitsN <= 12; bitsN++ {
+		masks := make([]int32, bitsN)
+		for i := range masks {
+			masks[i] = 1 << uint(i)
+		}
+		rng.Shuffle(len(masks), func(i, j int) { masks[i], masks[j] = masks[j], masks[i] })
+		t.Run(fmt.Sprintf("Q%d", bitsN), func(t *testing.T) { check(t, bitsN, masks) })
+	}
+	t.Run("partial-basis", func(t *testing.T) { check(t, 7, []int32{32, 1, 4, 64}) })
+	if XORBasis(&Graph{}) != 0 {
+		t.Fatal("XORBasis of a CSR graph must be 0")
+	}
+	fq, err := NewCayleyAdjacency(XORCayley{Bits: 5, Masks: []int32{1, 2, 4, 8, 16, 31}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if XORBasis(fq) != 0 {
+		t.Fatal("XORBasis of a multi-bit descriptor must be 0")
 	}
 }
 

@@ -1,0 +1,141 @@
+package serve
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"comparisondiag/internal/bitset"
+	"comparisondiag/internal/core"
+	"comparisondiag/internal/syndrome"
+	"comparisondiag/internal/topology"
+)
+
+// errText is an error's message, "" for nil: the two bindings must
+// fail with the same text, not merely both fail.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestServedHypercubeMatchesCSR is the binding differential: the engine
+// the server binds for q:n (descriptor-backed, no CSR) must be
+// observationally identical to core.NewEngine(topology.NewHypercube(n))
+// for n = 2..16 — same kernel, same partition, and per syndrome the same
+// fault set, whole-struct Stats, look-up count and error text (Q2–Q5
+// have no Theorem 1 partition and must refuse identically). Solo calls
+// sweep every behaviour under every FaultBound 1..δ; grouped batches run
+// every ShareCertification × ShareFinalPrefix × ResultCache combination,
+// the cached ones twice so the second batch resumes stored hypotheses.
+func TestServedHypercubeMatchesCSR(t *testing.T) {
+	behaviors := syndrome.AllBehaviors(7)
+	for n := 2; n <= 16; n++ {
+		t.Run(fmt.Sprintf("Q%d", n), func(t *testing.T) {
+			nw := topology.NewHypercube(n)
+			csr := core.NewEngine(nw)
+			desc, err := hypercubeEngine(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if desc.Graph() != nil {
+				t.Fatal("served hypercube holds a CSR")
+			}
+			if desc.KernelName() != csr.KernelName() || desc.Diagnosability() != csr.Diagnosability() {
+				t.Fatalf("kernel %s δ=%d, CSR kernel %s δ=%d",
+					desc.KernelName(), desc.Diagnosability(), csr.KernelName(), csr.Diagnosability())
+			}
+			gotParts, gotErr := desc.Parts()
+			wantParts, wantErr := csr.Parts()
+			if !reflect.DeepEqual(gotParts, wantParts) || errText(gotErr) != errText(wantErr) {
+				t.Fatalf("partitions differ: %d parts (%v) vs CSR %d parts (%v)",
+					len(gotParts), gotErr, len(wantParts), wantErr)
+			}
+			if n <= 5 && wantErr == nil {
+				t.Fatalf("Q%d unexpectedly has a partition", n)
+			}
+
+			g := nw.Graph()
+			rng := rand.New(rand.NewSource(int64(n)))
+			for bound := 1; bound <= n; bound++ {
+				hyps := []*bitset.Set{
+					syndrome.RandomFaults(g.N(), min(bound, g.N()/2), rng),
+					syndrome.ClusterFaults(g, int32(rng.Intn(g.N())), bound),
+				}
+				for _, F := range hyps {
+					for _, b := range behaviors {
+						opt := core.Options{FaultBound: bound}
+						sGot, sWant := syndrome.NewLazy(F, b), syndrome.NewLazy(F, b)
+						gotF, gotSt, gotErr := desc.DiagnoseOpts(sGot, opt)
+						wantF, wantSt, wantErr := csr.DiagnoseOpts(sWant, opt)
+						label := fmt.Sprintf("bound %d, %d faults, %s", bound, F.Count(), b.Name())
+						checkSame(t, label, gotF, gotSt, gotErr, wantF, wantSt, wantErr)
+						if sGot.Lookups() != sWant.Lookups() {
+							t.Fatalf("%s: %d look-ups, CSR %d", label, sGot.Lookups(), sWant.Lookups())
+						}
+					}
+				}
+			}
+
+			hyps := []*bitset.Set{
+				syndrome.RandomFaults(g.N(), min(n, g.N()/2), rng),
+				syndrome.RandomFaults(g.N(), n/2, rng),
+				syndrome.ClusterFaults(g, int32(g.N()-1), n),
+			}
+			for _, cert := range []bool{false, true} {
+				for _, final := range []bool{false, true} {
+					for _, cached := range []bool{false, true} {
+						bopt := core.BatchOptions{Workers: 2, ShareCertification: cert, ShareFinalPrefix: final}
+						boptCSR := bopt
+						passes := 1
+						if cached {
+							// One cache per engine, or the second engine would
+							// answer from the first one's work.
+							bopt.Options.ResultCache = core.NewResultCache(64)
+							boptCSR.Options.ResultCache = core.NewResultCache(64)
+							passes = 2
+						}
+						for pass := 0; pass < passes; pass++ {
+							var sGot, sWant []syndrome.Syndrome
+							for _, F := range hyps {
+								for _, b := range behaviors {
+									sGot = append(sGot, syndrome.NewLazy(F, b))
+									sWant = append(sWant, syndrome.NewLazy(F, b))
+								}
+							}
+							got := desc.DiagnoseBatch(sGot, bopt)
+							want := csr.DiagnoseBatch(sWant, boptCSR)
+							for i := range want {
+								label := fmt.Sprintf("cert=%v final=%v cache=%v pass %d member %d", cert, final, cached, pass, i)
+								checkSame(t, label, got[i].Faults, &got[i].Stats, got[i].Err, want[i].Faults, &want[i].Stats, want[i].Err)
+								if sGot[i].Lookups() != sWant[i].Lookups() {
+									t.Fatalf("%s: %d look-ups, CSR %d", label, sGot[i].Lookups(), sWant[i].Lookups())
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkSame fails unless a diagnosis matches its CSR reference: same
+// error text, and on success the same fault set and whole-struct Stats.
+func checkSame(t *testing.T, label string, gotF *bitset.Set, gotSt *core.Stats, gotErr error, wantF *bitset.Set, wantSt *core.Stats, wantErr error) {
+	t.Helper()
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%s: error %q, CSR %q", label, errText(gotErr), errText(wantErr))
+	}
+	if wantErr != nil {
+		return
+	}
+	if !gotF.Equal(wantF) {
+		t.Fatalf("%s: fault set %v, CSR %v", label, gotF.Members(), wantF.Members())
+	}
+	if *gotSt != *wantSt {
+		t.Fatalf("%s: stats %+v, CSR %+v", label, *gotSt, *wantSt)
+	}
+}

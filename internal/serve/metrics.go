@@ -87,9 +87,15 @@ type EngineSnapshot struct {
 	Kernel   string
 	Delta    int
 	Degraded bool
-	Cache    core.CacheStats
-	HasCache bool
-	Runtime  campaign.RuntimeStats
+	// Binding is "descriptor" for engines bound from a Cayley
+	// descriptor (every hypercube) and "csr" for engines over a
+	// materialised graph; AdjacencyBytes estimates what that adjacency
+	// keeps resident.
+	Binding        string
+	AdjacencyBytes int64
+	Cache          core.CacheStats
+	HasCache       bool
+	Runtime        campaign.RuntimeStats
 }
 
 // snapshotCounters fills the scalar half of a Snapshot.
@@ -153,6 +159,10 @@ func writePrometheus(w io.Writer, s Snapshot) {
 		labelled("diagnosed_engine_delta", "Fault bound the engine serves.", "gauge")
 		for _, e := range s.Engines {
 			fmt.Fprintf(w, "diagnosed_engine_delta{engine=%q,kernel=%q} %d\n", e.Key, e.Kernel, e.Delta)
+		}
+		labelled("diagnosed_engine_adjacency_bytes", "Estimated resident bytes of the engine's adjacency (CSR arrays or Cayley descriptor).", "gauge")
+		for _, e := range s.Engines {
+			fmt.Fprintf(w, "diagnosed_engine_adjacency_bytes{engine=%q,binding=%q} %d\n", e.Key, e.Binding, e.AdjacencyBytes)
 		}
 		labelled("diagnosed_engine_degraded", "1 when the engine serves a churn-degraded binding.", "gauge")
 		for _, e := range s.Engines {

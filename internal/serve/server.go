@@ -5,7 +5,8 @@
 // machinery was built for.
 //
 // The request path is: an engine registry keyed by topology spec
-// (lazy bind, CSR or implicit Cayley, bounded LRU of bound engines) →
+// (lazy bind — hypercubes from their XOR descriptor, every other family
+// through its CSR — bounded LRU of bound engines) →
 // a per-engine request coalescer (concurrent /v1/diagnose requests
 // within a short window become one Engine.DiagnoseBatch call, grouped
 // by fault hypothesis) → the engine's persistent worker pool. Answers
@@ -134,7 +135,8 @@ func (s *Server) Close() {
 
 // Preload binds a topology spec ahead of traffic (cmd/diagnosed
 // -preload): the bind cost is paid at startup instead of on the first
-// request. The spec may carry the "implicit:" prefix.
+// request. The spec may carry the "implicit:" prefix, which a
+// hypercube spec ignores and any other spec is refused for.
 func (s *Server) Preload(spec string) error {
 	e, err := s.reg.get(normalizeKey(spec))
 	if err != nil {
@@ -157,6 +159,7 @@ func (s *Server) Snapshot() Snapshot {
 			Degraded: e.eng.Degraded(),
 			Runtime:  e.rt.Stats(),
 		}
+		es.Binding, es.AdjacencyBytes = adjacencyFootprint(e.eng)
 		if e.cache != nil {
 			es.Cache = e.cache.Stats()
 			es.HasCache = true
@@ -166,20 +169,63 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
+// adjacencyFootprint names how an engine holds its adjacency —
+// "csr" for a materialised graph, "descriptor" for a generator — and
+// estimates its resident bytes (graph.CSRFootprintBytes or
+// CayleyAdjacency.FootprintBytes).
+func adjacencyFootprint(eng *core.Engine) (string, int64) {
+	if ca, ok := eng.Adjacency().(*graph.CayleyAdjacency); ok {
+		return "descriptor", ca.FootprintBytes()
+	}
+	g := eng.Graph()
+	return "csr", graph.CSRFootprintBytes(g.N(), g.M())
+}
+
 // normalizeKey canonicalises a spec so "Q:14" and " q:14 " share one
-// engine. The "implicit:" prefix selects descriptor-backed binding.
+// engine. Every hypercube spec ("q:<n>", "hypercube:<n>", with or
+// without the "implicit:" prefix) folds to "q:<n>": hypercubes are
+// always descriptor-bound, so there is one entry per hypercube. The
+// prefix stays on any other spec, whose bind then refuses it.
 func normalizeKey(spec string) string {
-	return strings.ToLower(strings.ReplaceAll(strings.TrimSpace(spec), " ", ""))
+	key := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(spec), " ", ""))
+	if n, ok := hypercubeDim(strings.TrimPrefix(key, "implicit:")); ok {
+		return "q:" + strconv.Itoa(n)
+	}
+	return key
+}
+
+// registryKey is the registry key of a request's topology and
+// Implicit flag.
+func registryKey(topology string, implicit bool) string {
+	if implicit {
+		topology = "implicit:" + topology
+	}
+	return normalizeKey(topology)
+}
+
+// hypercubeDim parses a hypercube spec ("q:<n>" or "hypercube:<n>",
+// lower case, no spaces) into its dimension.
+func hypercubeDim(spec string) (int, bool) {
+	name, arg, ok := strings.Cut(spec, ":")
+	if !ok || (name != "q" && name != "hypercube") {
+		return 0, false
+	}
+	n, err := strconv.Atoi(arg)
+	return n, err == nil
 }
 
 // buildEntry binds the engine for a registry key and assembles its
-// serving apparatus (pool, cache, coalescer).
+// serving apparatus (pool, cache, coalescer). Hypercubes bind from
+// their XOR descriptor (hypercubeEngine); every other family builds
+// its CSR through topology.Parse.
 func (s *Server) buildEntry(key string) (*entry, error) {
 	spec, implicit := strings.CutPrefix(key, "implicit:")
 	var eng *core.Engine
 	var err error
-	if implicit {
-		eng, err = implicitEngine(spec)
+	if n, ok := hypercubeDim(spec); ok {
+		eng, err = hypercubeEngine(n)
+	} else if implicit {
+		err = fmt.Errorf("serve: implicit mode supports hypercube specs (q:<n>), got %q", spec)
 	} else {
 		var nw topology.Network
 		nw, err = topology.Parse(spec)
@@ -205,20 +251,22 @@ func (s *Server) buildEntry(key string) (*entry, error) {
 	return e, nil
 }
 
-// implicitEngine binds a descriptor-backed engine for the families
-// whose Cayley structure is derivable from the spec alone — currently
-// the hypercubes ("q:<n>", δ = n): the XOR descriptor is written down
-// directly, so no CSR is ever built and million-node graphs bind in
-// microseconds (see docs/scale.md). Other families must bind in the
-// default CSR mode.
-func implicitEngine(spec string) (*core.Engine, error) {
-	name, arg, ok := strings.Cut(spec, ":")
-	if !ok || (name != "q" && name != "hypercube") {
-		return nil, fmt.Errorf("serve: implicit mode supports hypercube specs (q:<n>), got %q", spec)
+// hypercubeEngine binds Q_n (δ = n) straight from its XOR descriptor:
+// neighbours are generated in ascending order by graph.BasisWalk, so no
+// CSR is ever built, Q14 binds in tens of microseconds, and answers,
+// Stats and look-up counts are bit-identical to
+// core.NewEngine(topology.NewHypercube(n)) — same partition, same
+// kernel, same error text (see docs/service.md). Sizes the CSR path
+// cannot index (n·2^n arcs beyond MaxInt32, n ≥ 27) are refused with
+// graph.CheckInt32Bounds before anything proportional to 2^n is
+// allocated.
+func hypercubeEngine(n int) (*core.Engine, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("serve: hypercube needs n ≥ 2, got %d", n)
 	}
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 2 {
-		return nil, fmt.Errorf("serve: bad implicit hypercube dimension %q", arg)
+	// 2^62 stands for every order past it: all are refused alike.
+	if err := graph.CheckInt32Bounds(1<<min(n, 62), n); err != nil {
+		return nil, fmt.Errorf("serve: q:%d: %w", n, err)
 	}
 	masks := make([]int32, n)
 	for i := range masks {
@@ -231,7 +279,9 @@ func implicitEngine(spec string) (*core.Engine, error) {
 type DiagnoseRequest struct {
 	// Topology is the spec to diagnose against ("q:14", "star:6", ...).
 	Topology string `json:"topology"`
-	// Implicit selects descriptor-backed binding (hypercubes only).
+	// Implicit asks for descriptor-backed binding. Hypercubes are always
+	// descriptor-bound, so it changes nothing for them; any other family
+	// is refused with 400.
 	Implicit bool `json:"implicit,omitempty"`
 	// Faults is the fault hypothesis: node ids presumed faulty.
 	Faults []int `json:"faults"`
@@ -330,11 +380,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bound must be ≥ 0")
 		return
 	}
-	key := normalizeKey(req.Topology)
-	if req.Implicit {
-		key = "implicit:" + key
-	}
-	ent, err := s.reg.get(key)
+	ent, err := s.reg.get(registryKey(req.Topology, req.Implicit))
 	if err != nil {
 		s.met.errors.Add(1)
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -480,11 +526,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "at most %d sweep points per job", maxCampaignPoints)
 		return
 	}
-	key := normalizeKey(req.Topology)
-	if req.Implicit {
-		key = "implicit:" + key
-	}
-	ent, err := s.reg.get(key)
+	ent, err := s.reg.get(registryKey(req.Topology, req.Implicit))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/campaign"
 	"comparisondiag/internal/core"
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -399,11 +401,18 @@ func TestRegistryEviction(t *testing.T) {
 
 // TestCampaignStream pins the campaign endpoint against the in-process
 // reference: the streamed NDJSON points must be bit-identical to a
-// direct campaign.Sweep with the same config (the per-trial seed
-// formula is position-independent, so per-point serving can't move
-// outcomes).
+// direct campaign.Sweep over the CSR-bound network with the same config
+// (the per-trial seed formula is position-independent, so per-point
+// serving can't move outcomes). q:4 and q:5 have no Theorem 1
+// partition, so their served descriptor engines must campaign the
+// verification fallback exactly as the CSR engine does.
 func TestCampaignStream(t *testing.T) {
-	const spec = "q:8"
+	for _, spec := range []string{"q:8", "q:5", "q:4"} {
+		t.Run(spec, func(t *testing.T) { testCampaignStream(t, spec) })
+	}
+}
+
+func testCampaignStream(t *testing.T, spec string) {
 	srv := New(Config{NoCoalesce: true, CacheCap: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -447,6 +456,9 @@ func TestCampaignStream(t *testing.T) {
 			t.Errorf("point %d: got %+v, want %+v", i, g, p)
 		}
 	}
+	if want[1].Exact == 0 {
+		t.Fatalf("reference sweep exact at no single fault: %+v", want[1])
+	}
 	if snap := srv.Snapshot(); snap.Campaigns != 1 || snap.CampaignPoints != int64(len(want)) {
 		t.Errorf("campaign counters = %d jobs / %d points, want 1 / %d",
 			snap.Campaigns, snap.CampaignPoints, len(want))
@@ -455,7 +467,8 @@ func TestCampaignStream(t *testing.T) {
 
 // TestImplicitServing pins descriptor-backed binding: an "implicit"
 // request binds a Cayley engine (no CSR) and its response matches the
-// solo implicit reference bit for bit.
+// solo descriptor-bound reference bit for bit. A plain request for the
+// same hypercube, and its "hypercube:" spelling, share that one entry.
 func TestImplicitServing(t *testing.T) {
 	srv := New(Config{NoCoalesce: true})
 	defer srv.Close()
@@ -473,7 +486,7 @@ func TestImplicitServing(t *testing.T) {
 		t.Fatalf("status %d (%s)", status, dr.Error)
 	}
 
-	eng, err := implicitEngine("q:10")
+	eng, err := hypercubeEngine(10)
 	if err != nil {
 		t.Fatalf("implicit reference: %v", err)
 	}
@@ -483,15 +496,26 @@ func TestImplicitServing(t *testing.T) {
 	}
 	checkBitIdentical(t, "implicit", dr, got, stats)
 	keys := srv.residentKeys()
-	if len(keys) != 1 || keys[0] != "implicit:q:10" {
-		t.Fatalf("resident keys = %v, want [implicit:q:10]", keys)
+	if len(keys) != 1 || keys[0] != "q:10" {
+		t.Fatalf("resident keys = %v, want [q:10]", keys)
 	}
-	// CSR and implicit bindings of one spec are distinct entries.
-	if status, _ := postDiagnose(t, ts.URL, DiagnoseRequest{Topology: "q:10", Faults: []int{1}}); status != http.StatusOK {
-		t.Fatalf("CSR sibling bind failed: %d", status)
+	// The plain and implicit requests of one hypercube share one
+	// descriptor-bound entry.
+	for _, spec := range []string{"q:10", "hypercube:10", "implicit:Q:10"} {
+		if status, dr := postDiagnose(t, ts.URL, DiagnoseRequest{Topology: spec, Faults: []int{1}}); status != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", spec, status, dr.Error)
+		}
 	}
-	if keys = srv.residentKeys(); len(keys) != 2 {
-		t.Fatalf("resident keys = %v, want two entries", keys)
+	if keys = srv.residentKeys(); len(keys) != 1 || keys[0] != "q:10" {
+		t.Fatalf("resident keys = %v, want the one entry [q:10]", keys)
+	}
+	ent, err := srv.reg.get("q:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ent.release()
+	if g := ent.eng.Graph(); g != nil {
+		t.Fatalf("served q:10 holds a %d-node CSR; want the descriptor binding (Graph() == nil)", g.N())
 	}
 }
 
@@ -523,6 +547,9 @@ func TestDiagnoseValidation(t *testing.T) {
 		{"bad topology", `{"topology":"nonsense:9"}`, http.StatusBadRequest},
 		{"too many arcs for int32", `{"topology":"q:27","faults":[1]}`, http.StatusBadRequest},
 		{"too many nodes for int32", `{"topology":"q:40","faults":[1]}`, http.StatusBadRequest},
+		{"implicit, too many arcs for int32", `{"topology":"q:27","implicit":true,"faults":[1]}`, http.StatusBadRequest},
+		{"implicit prefix, too many arcs for int32", `{"topology":"implicit:q:30","faults":[1]}`, http.StatusBadRequest},
+		{"hypercube below Q2", `{"topology":"q:1","faults":[1]}`, http.StatusBadRequest},
 		{"bad behavior", `{"topology":"q:6","behavior":"liar"}`, http.StatusBadRequest},
 		{"fault out of range", `{"topology":"q:6","faults":[64]}`, http.StatusBadRequest},
 		{"negative fault", `{"topology":"q:6","faults":[-1]}`, http.StatusBadRequest},
@@ -621,10 +648,81 @@ func TestMetricsEndpoint(t *testing.T) {
 		"diagnosed_cache_hypothesis_bytes{engine=\"q:6\"}",
 		"diagnosed_runtime_worker_occupancy{engine=\"q:6\"}",
 		"diagnosed_engine_delta{engine=\"q:6\"",
+		"diagnosed_engine_adjacency_bytes{engine=\"q:6\",binding=\"descriptor\"}",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing %q", family)
 		}
+	}
+}
+
+// TestEngineBindingSnapshot pins the binding report: hypercubes are
+// descriptor-bound with the descriptor's footprint, every other family
+// CSR-bound with its arrays' footprint, and /metrics labels both.
+func TestEngineBindingSnapshot(t *testing.T) {
+	srv := New(Config{NoCoalesce: true})
+	defer srv.Close()
+	for _, spec := range []string{"q:8", "star:5"} {
+		if err := srv.Preload(spec); err != nil {
+			t.Fatalf("preload %s: %v", spec, err)
+		}
+	}
+	nw, err := topology.Parse("star:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	csrBytes := graph.CSRFootprintBytes(nw.Graph().N(), nw.Graph().M())
+	eng, err := hypercubeEngine(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	descBytes := eng.Adjacency().(*graph.CayleyAdjacency).FootprintBytes()
+	want := map[string]EngineSnapshot{
+		"q:8":    {Binding: "descriptor", AdjacencyBytes: descBytes},
+		"star:5": {Binding: "csr", AdjacencyBytes: csrBytes},
+	}
+	snap := srv.Snapshot()
+	if len(snap.Engines) != len(want) {
+		t.Fatalf("%d engines resident, want %d", len(snap.Engines), len(want))
+	}
+	for _, es := range snap.Engines {
+		w := want[es.Key]
+		if es.Binding != w.Binding || es.AdjacencyBytes != w.AdjacencyBytes {
+			t.Errorf("%s: binding %q, %d bytes; want %q, %d bytes", es.Key, es.Binding, es.AdjacencyBytes, w.Binding, w.AdjacencyBytes)
+		}
+	}
+	var buf bytes.Buffer
+	writePrometheus(&buf, snap)
+	for _, line := range []string{
+		fmt.Sprintf("diagnosed_engine_adjacency_bytes{engine=\"q:8\",binding=\"descriptor\"} %d\n", descBytes),
+		fmt.Sprintf("diagnosed_engine_adjacency_bytes{engine=\"star:5\",binding=\"csr\"} %d\n", csrBytes),
+	} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+}
+
+// TestOversizedHypercubeRefusedSmall pins the size refusal: every
+// hypercube spec whose arcs overflow int32 — plain, implicit, or past
+// the node-id range — is refused before anything proportional to 2^n
+// is allocated.
+func TestOversizedHypercubeRefusedSmall(t *testing.T) {
+	srv := New(Config{NoCoalesce: true})
+	defer srv.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, spec := range []string{"q:27", "implicit:q:27", "hypercube:28", "implicit:q:30", "q:40", "q:1000"} {
+		if err := srv.Preload(spec); err == nil {
+			t.Errorf("%s: bound, want a refusal", spec)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusals allocated %d bytes; want well under 1 MiB", grew)
+	}
+	if keys := srv.residentKeys(); len(keys) != 0 {
+		t.Errorf("resident keys = %v after refusals", keys)
 	}
 }
 
