@@ -9,8 +9,6 @@
 //	diagnose -net nkstar:6,2 -faults 3          # verification fallback
 //	diagnose -net q:14 -trials 64 -workers 4    # batch via the runtime
 //	diagnose -net q:14 -trials 64 -cache 256    # + result cache stats
-//	diagnose -net q:14 -faults 8 -final-workers 4   # parallel final pass
-//	diagnose -net q:14 -trials 64 -shards 2 -workers 2  # sharded runtime
 //	diagnose -net q:10 -flap 3                  # 3 remove-restore cycles
 //	diagnose -net q:10 -churn-nodes 5,17        # remove exactly those nodes
 //	diagnose -net q:10 -flap 3 -churn-nodes 5,17    # cycle an explicit set
@@ -65,12 +63,9 @@ func main() {
 	cacheCap := flag.Int("cache", 0, "with -trials > 1: result-cache capacity (0 = off); repeated syndromes replay without diagnosis")
 	shareCert := flag.Bool("share-cert", false, "with -trials > 1: share part certification across syndromes of one fault hypothesis")
 	shareFinal := flag.Bool("share-final", false, "with -trials > 1: share the behaviour-independent final-pass prefix across syndromes of one fault hypothesis")
-	cacheAdmission := flag.Bool("cache-admission", false, "with -cache: admit a result only on its second sighting (a count-min frequency sketch at threshold 2; scan-resistant admission)")
 	churn := flag.Int("churn", 0, "remove this many random nodes and rebind the engine before diagnosing (degraded mode; routes through the engine even for one trial; contradicts -churn-nodes and -flap)")
 	churnNodes := flag.String("churn-nodes", "", "comma-separated node ids to remove (one-shot explicit churn), or the set each -flap cycle removes; contradicts -churn")
 	flap := flag.Int("flap", 0, "run this many remove-restore cycles before serving: each cycle removes nodes (the -churn-nodes list, default 4 random picks), rebinds, restores them and rebinds again, reporting both rebinds; contradicts -churn")
-	finalWorkers := flag.Int("final-workers", 0, "parallel final Set_Builder pass workers on large graphs (0 or 1 = sequential; -1 = GOMAXPROCS); the effective fan-out is reported")
-	shards := flag.Int("shards", 1, "with -trials > 1: engine shards of the runtime, each with its own scratch pool and -workers workers")
 	flag.Parse()
 
 	// Reject nonsense before any work: a zero or negative trial count, a
@@ -114,26 +109,6 @@ func main() {
 			}
 			churnList = append(churnList, int32(id))
 		}
-	}
-	if *finalWorkers < -1 {
-		fmt.Fprintf(os.Stderr, "usage: -final-workers must be >= 0 or -1 for GOMAXPROCS, got %d\n", *finalWorkers)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "usage: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > 1 && *trials <= 1 {
-		fmt.Fprintf(os.Stderr, "usage: -shards > 1 needs -trials > 1 (a sharded runtime serves batches)\n")
-		os.Exit(2)
-	}
-	if *shards > 1 && (*churn > 0 || len(churnList) > 0) {
-		fmt.Fprintf(os.Stderr, "usage: -shards > 1 cannot be combined with churn (churn rebinds one engine)\n")
-		os.Exit(2)
-	}
-	if *shards > 1 && *flap > 0 {
-		fmt.Fprintf(os.Stderr, "usage: -shards > 1 cannot be combined with -flap (flap cycles rebind one engine)\n")
-		os.Exit(2)
 	}
 	switch strings.ToLower(*pattern) {
 	case "random", "cluster", "neighborhood":
@@ -190,24 +165,21 @@ func main() {
 		nw.Name(), g.N(), g.M(), g.MaxDegree(), nw.Connectivity(), delta)
 
 	if *trials > 1 || *churn > 0 || *flap > 0 || len(churnList) > 0 {
-		opt := core.Options{FaultBound: *bound, FinalWorkers: *finalWorkers}
+		opt := core.Options{FaultBound: *bound}
 		if *paper {
 			opt.Strategy = core.StrategyPaper
 		}
 		if *cacheCap > 0 {
 			opt.ResultCache = core.NewResultCache(*cacheCap)
-			if *cacheAdmission {
-				opt.ResultCache = core.NewResultCacheWithSketch(*cacheCap, 2)
-			}
 		}
-		runBatch(nw, behavior, makeFaults, *trials, *workers, *shards, *churn, *flap, churnList, *seed, nFaults, opt, *shareCert, *shareFinal)
+		runBatch(nw, behavior, makeFaults, *trials, *workers, *churn, *flap, churnList, *seed, nFaults, opt, *shareCert, *shareFinal)
 		return
 	}
 
 	F := makeFaults(g, nFaults, 0)
 	fmt.Printf("injected    %d faults (%s, %s testers): %v\n", F.Count(), *pattern, behavior.Name(), F)
 
-	opt := core.Options{Workers: *workers, FaultBound: *bound, FinalWorkers: *finalWorkers}
+	opt := core.Options{Workers: *workers, FaultBound: *bound}
 	if *paper {
 		opt.Strategy = core.StrategyPaper
 	}
@@ -235,9 +207,6 @@ func main() {
 			stats.PartsScanned, stats.HealthyCount, stats.Rounds)
 		fmt.Printf("lookups     cert=%d final=%d total=%d (full table would be %d)\n",
 			stats.CertLookups, stats.FinalLookups, stats.TotalLookups, syndrome.TableSize(g))
-		if stats.FinalWorkersUsed > 0 {
-			fmt.Printf("final pass  %d workers effective (requested %d)\n", stats.FinalWorkersUsed, *finalWorkers)
-		}
 	}
 
 	if got.Equal(F) {
@@ -266,19 +235,14 @@ func churnModeError(churn, flap int, churnNodes string) error {
 	return nil
 }
 
-// runBatch binds an Engine (or, with shards > 1, one engine per shard)
-// and a persistent campaign.Runtime to the network, optionally churns
+// runBatch binds an Engine and a persistent campaign.Runtime to the network, optionally churns
 // the engine (remove nodes + incremental rebind) or flaps it
 // (remove-restore cycles, both rebinds reported) first, diagnoses
 // `trials` independent syndromes through the runtime's worker pool and
 // reports aggregate throughput, cache effectiveness, degraded-mode
 // status and the worker-pool trial distribution.
-func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*graph.Graph, int, int) *bitset.Set, trials, workers, shards, churn, flap int, churnList []int32, seed int64, nFaults int, opt core.Options, shareCert, shareFinal bool) {
-	engines := make([]*core.Engine, shards)
-	for i := range engines {
-		engines[i] = core.NewEngine(nw)
-	}
-	eng := engines[0]
+func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*graph.Graph, int, int) *bitset.Set, trials, workers, churn, flap int, churnList []int32, seed int64, nFaults int, opt core.Options, shareCert, shareFinal bool) {
+	eng := core.NewEngine(nw)
 	if err := eng.PartsErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "batch mode needs a Theorem 1 partition:", err)
 		os.Exit(1)
@@ -362,18 +326,7 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 		}
 		fmt.Printf("churn       %s\n", rep)
 	}
-	var rt *campaign.Runtime
-	if shards > 1 {
-		// Clamp the per-shard request like NewRuntime clamps a flat one,
-		// but keep at least one worker per shard.
-		per := core.ClampWorkers(workers)
-		if per < 1 {
-			per = 1
-		}
-		rt = campaign.NewShardedRuntime(engines, per)
-	} else {
-		rt = campaign.NewRuntime(eng, workers)
-	}
+	rt := campaign.NewRuntime(eng, workers)
 	defer rt.Close()
 	g := eng.Graph()
 	delta := eng.Diagnosability()
@@ -387,8 +340,8 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 		faults[i] = makeFaults(g, nFaults, i)
 		syns[i] = syndrome.NewLazy(faults[i], behavior)
 	}
-	fmt.Printf("batch       %d syndromes, %d faults each (%s testers), %d workers over %d shard(s), kernel=%s\n",
-		trials, faults[0].Count(), behavior.Name(), rt.Workers(), len(rt.Engines()), eng.KernelName())
+	fmt.Printf("batch       %d syndromes, %d faults each (%s testers), %d workers, kernel=%s\n",
+		trials, faults[0].Count(), behavior.Name(), rt.Workers(), eng.KernelName())
 
 	start := time.Now()
 	results := rt.DiagnoseBatch(syns, core.BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal, Options: opt})
@@ -396,7 +349,6 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 
 	exact, failed := 0, 0
 	var lookups, sharedPrefix int64
-	fwUsed := 0
 	for i, r := range results {
 		switch {
 		case r.Err != nil:
@@ -409,9 +361,6 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 			exact++
 			lookups += r.Stats.TotalLookups
 			sharedPrefix += r.Stats.SharedFinalLookups
-			if r.Stats.FinalWorkersUsed > fwUsed {
-				fwUsed = r.Stats.FinalWorkersUsed
-			}
 		}
 	}
 	perDiag := elapsed / time.Duration(trials)
@@ -420,16 +369,13 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 	if exact > 0 {
 		fmt.Printf("lookups     avg %d per diagnosis\n", lookups/int64(exact))
 	}
-	if fwUsed > 0 {
-		fmt.Printf("final pass  %d workers effective (requested %d)\n", fwUsed, opt.FinalWorkers)
-	}
 	if sharedPrefix > 0 {
 		fmt.Printf("shared      %d final-prefix look-ups adopted from group representatives\n", sharedPrefix)
 	}
 	if opt.ResultCache != nil {
 		cs := opt.ResultCache.Stats()
-		fmt.Printf("cache       %d/%d hits (%.1f%%), %d entries (cap %d), %d evictions, %d admission bypasses\n",
-			cs.Hits, cs.Hits+cs.Misses, 100*cs.HitRate(), cs.Entries, cs.Capacity, cs.Evictions, cs.Bypassed)
+		fmt.Printf("cache       %d/%d hits (%.1f%%), %d entries (cap %d), %d evictions\n",
+			cs.Hits, cs.Hits+cs.Misses, 100*cs.HitRate(), cs.Entries, cs.Capacity, cs.Evictions)
 	}
 	if eng.Degraded() {
 		fmt.Printf("degraded    engine serves the surviving component under δ′=%d; results are stamped Stats.Degraded\n",

@@ -294,19 +294,11 @@ var (
 	// SetBuilderInto is SetBuilder against a reusable Scratch: zero
 	// steady-state allocations; the result is a view into the scratch.
 	SetBuilderInto = core.SetBuilderInto
-	// SetBuilderParallel splits the growth rounds across workers for
-	// very large graphs — CSR or implicit adjacency alike; same tree,
-	// possibly more look-ups.
-	SetBuilderParallel = core.SetBuilderParallel
 	// NewScratch allocates hot-path buffers for graphs on n nodes.
 	NewScratch = core.NewScratch
 	// NewResultCache builds a bounded engine result cache (see
 	// docs/runtime.md).
 	NewResultCache = core.NewResultCache
-	// NewResultCacheWithSketch is NewResultCache with count-min-sketch
-	// admission: a key is admitted after an estimated threshold
-	// sightings, with periodic counter aging (see docs/churn.md).
-	NewResultCacheWithSketch = core.NewResultCacheWithSketch
 	// ClampWorkers normalises a worker count against GOMAXPROCS.
 	ClampWorkers = core.ClampWorkers
 	// CertifyPart is the scan certificate for a partition cell.
@@ -385,11 +377,6 @@ var CampaignSweep = campaign.Sweep
 // NewCampaignRuntime starts a persistent worker pool bound to an
 // engine; share it across sweeps and batches, Close when done.
 var NewCampaignRuntime = campaign.NewRuntime
-
-// NewShardedCampaignRuntime starts one worker group per engine
-// snapshot, so Q20-scale sweeps spread over several scratch pools and
-// binding snapshots; outcomes stay bit-identical across shard counts.
-var NewShardedCampaignRuntime = campaign.NewShardedRuntime
 
 // CampaignSweepRuntime is CampaignSweep on a caller-owned runtime.
 var CampaignSweepRuntime = campaign.SweepRuntime

@@ -108,15 +108,11 @@ func Sweep(nw topology.Network, cfg Config) []Point {
 	return SweepRuntime(rt, cfg)
 }
 
-// SweepRuntime is Sweep against a caller-owned Runtime (and its bound
-// engine — or engines, under NewShardedRuntime). Trials are dealt to
-// the pool in chunks by trial index and every trial reseeds its
-// worker's PRNG from (Seed, fault count, index), so the points are
-// bit-identical to a sequential loop — worker count, scheduling and
-// shard count cannot change an outcome (sharded engines serve the same
-// network by the NewShardedRuntime contract). Each trial diagnoses
-// through its worker's pinned engine, so a sharded runtime spreads the
-// sweep across engine snapshots and scratch pools. Implicit
+// SweepRuntime is Sweep against a caller-owned Runtime and its bound
+// engine. Trials are dealt to the pool in chunks by trial index and
+// every trial reseeds its worker's PRNG from (Seed, fault count,
+// index), so the points are bit-identical to a sequential loop —
+// worker count and scheduling cannot change an outcome. Implicit
 // (descriptor-backed) engines are served like CSR ones; one with no
 // usable partition gets its CSR built once, for the verification
 // fallback to scan. Config.Workers and Config.OnEngine are ignored
@@ -160,7 +156,7 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 				return
 			}
 			opt := core.Options{Scratch: w.Scratch, ResultCache: cfg.Cache}
-			got, _, err := w.Engine.DiagnoseOpts(s, opt)
+			got, _, err := eng.DiagnoseOpts(s, opt)
 			results[i] = classify(got != nil && got.Equal(F), err)
 		})
 		for _, o := range results {

@@ -30,15 +30,8 @@ import (
 // A Runtime also implements core.BatchPool, so it can be plugged into
 // Engine.DiagnoseBatch (see DiagnoseBatch below) and batch-aware
 // certification runs on persistent workers too.
-//
-// A sharded runtime (NewShardedRuntime) spreads its worker groups over
-// several engines instead of one; workers then carry their pinned
-// engine in Worker.Engine, and trial functions that diagnose through
-// it scale past the point where one engine's scratch pool and binding
-// snapshot become the contended hot line.
 type Runtime struct {
-	engines []*core.Engine
-	perEng  int // contiguous workers pinned per engine
+	eng     *core.Engine
 	workers int
 	jobs    chan *runtimeJob
 
@@ -64,13 +57,8 @@ type runtimeJob struct {
 type Worker struct {
 	// ID is the worker's index in [0, Workers()).
 	ID int
-	// Engine is the engine this worker is pinned to: the runtime's only
-	// engine, or its shard's engine under NewShardedRuntime. Trial
-	// functions should diagnose through it (not through
-	// Runtime.Engine()) so sharding actually spreads the load.
-	Engine *core.Engine
-	// Scratch is the worker's dedicated engine scratch (drawn from
-	// Engine's pool): pass it via core.Options.Scratch and the
+	// Scratch is the worker's dedicated engine scratch (drawn from the
+	// runtime engine's pool): pass it via core.Options.Scratch and the
 	// steady-state trial loop performs no heap allocation beyond the
 	// trial's own inputs.
 	Scratch *core.Scratch
@@ -89,41 +77,8 @@ func NewRuntime(eng *core.Engine, workers int) *Runtime {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = core.ClampWorkers(workers)
-	return newRuntime([]*core.Engine{eng}, workers)
-}
-
-// NewShardedRuntime starts one worker group per engine:
-// workersPerEngine contiguous workers pinned to each engine, so every
-// group draws scratches from its own pool and reads its own binding
-// snapshot — the sharding that lets Q20-scale sweeps use all cores
-// instead of contending on one engine. workersPerEngine ≤ 0 divides
-// GOMAXPROCS evenly across the shards (at least 1 each); explicit
-// requests are honoured as given, since shards may deliberately
-// oversubscribe (e.g. one engine per NUMA node with its local threads).
-//
-// Determinism: the Runtime contract is unchanged — trial functions
-// derive everything from the trial index — so per-trial-reseeded work
-// (Sweep, SweepRuntime) produces bit-identical outcomes for any shard
-// count, provided every engine is bound to the same network. Engines
-// serving different networks are the caller's own arrangement and give
-// worker-scheduling-dependent results.
-func NewShardedRuntime(engines []*core.Engine, workersPerEngine int) *Runtime {
-	if len(engines) == 0 {
-		panic("campaign: NewShardedRuntime needs at least one engine")
-	}
-	if workersPerEngine <= 0 {
-		workersPerEngine = runtime.GOMAXPROCS(0) / len(engines)
-		if workersPerEngine < 1 {
-			workersPerEngine = 1
-		}
-	}
-	return newRuntime(engines, len(engines)*workersPerEngine)
-}
-
-func newRuntime(engines []*core.Engine, workers int) *Runtime {
 	rt := &Runtime{
-		engines: engines,
-		perEng:  (workers + len(engines) - 1) / len(engines),
+		eng:     eng,
 		workers: workers,
 		jobs:    make(chan *runtimeJob),
 		trials:  make([]atomic.Int64, workers),
@@ -135,13 +90,8 @@ func newRuntime(engines []*core.Engine, workers int) *Runtime {
 	return rt
 }
 
-// Engine returns the runtime's primary engine — its only engine, or
-// shard 0's under NewShardedRuntime.
-func (rt *Runtime) Engine() *core.Engine { return rt.engines[0] }
-
-// Engines returns the engines the runtime serves, one per shard, in
-// worker-group order. The slice is the runtime's own — read only.
-func (rt *Runtime) Engines() []*core.Engine { return rt.engines }
+// Engine returns the engine the runtime serves.
+func (rt *Runtime) Engine() *core.Engine { return rt.eng }
 
 // Workers returns the pool size.
 func (rt *Runtime) Workers() int { return rt.workers }
@@ -150,9 +100,8 @@ func (rt *Runtime) Workers() int { return rt.workers }
 // then serve chunked jobs until Close.
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
-	eng := rt.engines[id/rt.perEng]
-	w := &Worker{ID: id, Engine: eng, Scratch: eng.AcquireScratch(), RNG: rand.New(rand.NewSource(0))}
-	defer eng.ReleaseScratch(w.Scratch)
+	w := &Worker{ID: id, Scratch: rt.eng.AcquireScratch(), RNG: rand.New(rand.NewSource(0))}
+	defer rt.eng.ReleaseScratch(w.Scratch)
 	for jb := range rt.jobs {
 		served := int64(0)
 		for {
@@ -208,17 +157,13 @@ func (rt *Runtime) RunScratch(n int, fn func(sc *core.Scratch, i int)) {
 	rt.Run(n, func(w *Worker, i int) { fn(w.Scratch, i) })
 }
 
-// DiagnoseBatch runs the primary engine's batch diagnosis on the
-// runtime's pool: identical semantics to Engine.DiagnoseBatch
-// (results[i] matches syndromes[i], per-syndrome outcomes bit-identical
-// to sequential calls), with opt.Pool and opt.Workers superseded by the
-// runtime. On a sharded runtime the batch phases run against the
-// primary engine while workers keep their own pinned scratches — all
-// shards of a sharded runtime must therefore serve the same network
-// (the NewShardedRuntime contract).
+// DiagnoseBatch runs the engine's batch diagnosis on the runtime's
+// pool: identical semantics to Engine.DiagnoseBatch (results[i] matches
+// syndromes[i], per-syndrome outcomes bit-identical to sequential
+// calls), with opt.Pool and opt.Workers superseded by the runtime.
 func (rt *Runtime) DiagnoseBatch(syndromes []syndrome.Syndrome, opt core.BatchOptions) []core.BatchResult {
 	opt.Pool = rt
-	return rt.Engine().DiagnoseBatch(syndromes, opt)
+	return rt.eng.DiagnoseBatch(syndromes, opt)
 }
 
 // Close drains the pool: workers finish their current job, release
@@ -235,9 +180,6 @@ func (rt *Runtime) Close() {
 type RuntimeStats struct {
 	// Workers is the pool size.
 	Workers int
-	// Shards is the number of engines the workers are spread over
-	// (1 for a plain NewRuntime pool).
-	Shards int
 	// Jobs is the number of completed Run calls.
 	Jobs int64
 	// Trials[w] counts the trials worker w has executed — the dealt
@@ -274,7 +216,7 @@ func (s RuntimeStats) TotalTrials() int64 {
 // when the job completes, so a concurrent snapshot may lag an in-flight
 // Run.
 func (rt *Runtime) Stats() RuntimeStats {
-	s := RuntimeStats{Workers: rt.workers, Shards: len(rt.engines), Jobs: rt.jobCnt.Load(), Trials: make([]int64, rt.workers)}
+	s := RuntimeStats{Workers: rt.workers, Jobs: rt.jobCnt.Load(), Trials: make([]int64, rt.workers)}
 	for w := range rt.trials {
 		s.Trials[w] = rt.trials[w].Load()
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
@@ -200,61 +199,6 @@ func (k *additiveKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy
 					v := base + int32(bits.TrailingZeros64(w))
 					u := v - int32(t)
 					if l.Test(u, v, parent[u]) == 0 {
-						uw[v>>6] |= 1 << (uint32(v) & 63)
-						parent[v] = u
-						admitted++
-					}
-				}
-			}
-		}
-	}
-	return admitted
-}
-
-// roundRange implements rangedRounder: the schedule restricted to the
-// candidate words [lo, hi). Each step's live-word list is ascending,
-// so the owned slice is found by binary search; candidate suppression
-// stays in the candidate's own uw word, giving the
-// bit-identical-result-and-look-ups argument of the XOR kernel (see
-// rangedRounder). The bodies mirror round's, kept
-// separate (on a concrete *syndrome.Shard) so the sequential path
-// stays devirtualised on *syndrome.Lazy.
-func (k *additiveKernel) roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int {
-	admitted := 0
-	words := len(fw)
-	for si := range k.steps {
-		st := &k.steps[si]
-		t := st.shift
-		i, _ := slices.BinarySearch(st.words, int32(lo))
-		j, _ := slices.BinarySearch(st.words, int32(hi))
-		qoff := (-t) >> 6 // floor division: int shifts are arithmetic
-		r := uint((-t) & 63)
-		for _, wi32 := range st.words[i:j] {
-			wi := int(wi32)
-			cw := st.cond[wi] &^ uw[wi]
-			if cw == 0 {
-				continue
-			}
-			q := wi + qoff
-			var w uint64
-			if r == 0 {
-				if uint(q) < uint(words) {
-					w = fw[q]
-				}
-			} else {
-				if uint(q) < uint(words) {
-					w = fw[q] >> r
-				}
-				if uint(q+1) < uint(words) {
-					w |= fw[q+1] << (64 - r)
-				}
-			}
-			if w &= cw; w != 0 {
-				base := int32(wi) << 6
-				for ; w != 0; w &= w - 1 {
-					v := base + int32(bits.TrailingZeros64(w))
-					u := v - int32(t)
-					if sh.Test(u, v, parent[u]) == 0 {
 						uw[v>>6] |= 1 << (uint32(v) & 63)
 						parent[v] = u
 						admitted++

@@ -31,7 +31,7 @@ import (
 // counts are deterministic for the sequential configuration, so for a
 // fixed engine and Options the replayed Stats are exactly what a fresh
 // call would report; configurations whose counts are scheduling-
-// dependent (Workers or FinalWorkers above 1) replay the first run's
+// dependent (Workers above 1) replay the first run's
 // counts. The syndrome's own Lookups counter does not advance on a hit
 // — short-circuiting those consultations is the cache's entire point.
 //
@@ -45,8 +45,7 @@ import (
 // residency rather than once per batch. Hypothesis entries share the
 // LRU list and Capacity with result entries, keep their key as a
 // member list, and additionally sit under a byte ceiling derived from
-// the bound graph (hypothesisByteCeiling); the admission sketch gates
-// result entries only.
+// the bound graph (hypothesisByteCeiling).
 type ResultCache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -55,98 +54,12 @@ type ResultCache struct {
 	hits      int64
 	misses    int64
 	evictions int64
-	bypassed  int64
 
 	// The hypothesis tier: resident hypothesis entries, their retained
 	// bytes (charged against hypothesisByteCeiling) and memo hits.
 	hypEntries int
 	hypBytes   int64
 	hypHits    int64
-
-	// sketch gates admission on a frequency threshold: a count-min
-	// sketch over hypothesis keys estimates how often each has
-	// completed, and an insert is admitted only once the estimate
-	// reaches sketchThreshold sightings, so one-shot hypotheses never
-	// displace entries that are actually re-queried. Collisions can at
-	// worst admit early (count-min never under-estimates its own
-	// increments), never corrupt a result.
-	sketch          *cmSketch
-	sketchThreshold int
-}
-
-// cmSketch is a small count-min sketch with saturating byte counters:
-// cmRows rows of one power-of-two-wide counter array, indexed by
-// independent mixes of the entry hash. Periodic halving (every
-// width*cmAgeFactor increments) ages historic frequencies out, so a
-// hypothesis that stopped recurring eventually has to earn admission
-// again. Guarded by the cache mutex.
-type cmSketch struct {
-	counters [cmRows][]uint8
-	mask     uint64
-	adds     int
-	resets   int64
-}
-
-const (
-	cmRows      = 4
-	cmAgeFactor = 16
-)
-
-// newCMSketch sizes the sketch for a cache of the given capacity: 8
-// counters per row per cache slot (floor 256) keeps the collision rate
-// negligible for the admission use case at a few KiB per row.
-func newCMSketch(capacity int) *cmSketch {
-	width := 256
-	for width < 8*capacity {
-		width *= 2
-	}
-	s := &cmSketch{mask: uint64(width - 1)}
-	for r := range s.counters {
-		s.counters[r] = make([]uint8, width)
-	}
-	return s
-}
-
-// addEstimate records one sighting of hash h and returns the count-min
-// estimate including it, halving every counter first when the aging
-// window is up.
-func (s *cmSketch) addEstimate(h uint64) int {
-	if s.adds >= len(s.counters[0])*cmAgeFactor {
-		for r := range s.counters {
-			for i := range s.counters[r] {
-				s.counters[r][i] /= 2
-			}
-		}
-		s.adds = 0
-		s.resets++
-	}
-	s.adds++
-	est := int(^uint(0) >> 1)
-	x := h
-	for r := range s.counters {
-		// Distinct odd-multiplier mixes give the rows independent views
-		// of the same key (splitmix-style finalisation).
-		x = (x ^ (x >> 31)) * 0x9e3779b97f4a7c15
-		i := x & s.mask
-		if c := s.counters[r][i]; c < 255 {
-			s.counters[r][i] = c + 1
-		}
-		if v := int(s.counters[r][i]); v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// clear zeroes the sketch (on Rebind: frequencies in old-id space say
-// nothing about the new world).
-func (s *cmSketch) clear() {
-	for r := range s.counters {
-		for i := range s.counters[r] {
-			s.counters[r][i] = 0
-		}
-	}
-	s.adds = 0
 }
 
 // cacheEntry is one memoised diagnosis, or — when hyp is set — one
@@ -219,40 +132,10 @@ func NewResultCache(capacity int) *ResultCache {
 	}
 }
 
-// NewResultCacheWithSketch returns a cache whose admission is gated by
-// a count-min frequency sketch over hypothesis keys: a completed
-// diagnosis is admitted only once its key has been sighted at least
-// threshold times (the current completion included). Threshold 2 is
-// admit-on-second-sight — the first sighting is declined, so workloads
-// dominated by one-shot hypotheses stop churning the LRU list with
-// entries that will never be hit again — and higher thresholds reserve
-// the LRU for genuinely hot hypotheses. Lookups are unaffected: an
-// admitted entry serves hits exactly as under the default policy.
-// Declined inserts count in CacheStats.Bypassed; the sketch ages by
-// periodic halving (CacheStats.SketchResets) so cooled-off keys have to
-// earn admission again. threshold ≤ 1 admits everything, like
-// NewResultCache.
-func NewResultCacheWithSketch(capacity, threshold int) *ResultCache {
-	c := NewResultCache(capacity)
-	if threshold > 1 {
-		c.sketch = newCMSketch(c.capacity)
-		c.sketchThreshold = threshold
-	}
-	return c
-}
-
 // CacheStats is a point-in-time observability snapshot of a
 // ResultCache.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-	// Bypassed counts completed diagnoses the frequency sketch declined
-	// to cache (below-threshold sightings); always 0 under the default
-	// admit-everything policy.
-	Bypassed int64
-	// SketchResets counts aging halvings of the frequency sketch
-	// (NewResultCacheWithSketch only); a growing value means the
-	// admission gate is live and recurrence is being re-earned.
-	SketchResets int64
 	// Entries counts resident diagnosis results; Capacity bounds them
 	// together with the hypothesis entries.
 	Entries, Capacity int
@@ -281,18 +164,13 @@ func (s CacheStats) HitRate() float64 {
 func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{
+	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Bypassed: c.bypassed,
-		Entries:  c.ll.Len() - c.hypEntries, Capacity: c.capacity,
+		Entries: c.ll.Len() - c.hypEntries, Capacity: c.capacity,
 		HypothesisHits:    c.hypHits,
 		HypothesisEntries: c.hypEntries,
 		HypothesisBytes:   c.hypBytes,
 	}
-	if c.sketch != nil {
-		st.SketchResets = c.sketch.resets
-	}
-	return st
 }
 
 // cacheable reports whether the syndrome can act as a cache key: its
@@ -463,9 +341,7 @@ func (c *ResultCache) lookup(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // insert memoises one diagnosis outcome, cloning the key and result so
 // the entry shares no storage with the caller. A concurrent duplicate
 // (two callers missing on the same key and both diagnosing) keeps the
-// first entry; the outcomes are identical by construction. Under the
-// frequency sketch a below-threshold sighting only records the key and
-// bypasses the insert.
+// first entry; the outcomes are identical by construction.
 func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch uint64, faults *bitset.Set, stats *Stats, err error) {
 	b := lz.Behavior()
 	h := cacheHash(lz.Faults(), b, delta, strat)
@@ -486,12 +362,6 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sketch != nil {
-		if c.sketch.addEstimate(h) < c.sketchThreshold {
-			c.bypassed++
-			return
-		}
-	}
 	for _, el := range c.byHash[h] {
 		old := el.Value.(*cacheEntry)
 		if old.delta == delta && old.strategy == strat && old.epoch == epoch && old.behavior == b && old.faults.Equal(e.faults) {
@@ -521,8 +391,8 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // cost profile (look-up counts, parts scanned) from before the churn,
 // with Delta/Degraded/EffectiveDelta rewritten to the new binding —
 // degraded reports the rebound engine's stamp, so a full recovery
-// clears the fields exactly as live diagnoses would. LRU order and the
-// frequency sketch are reset wholesale.
+// clears the fields exactly as live diagnoses would. LRU order is reset
+// wholesale.
 func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epoch uint64, degraded bool) (flushed, kept int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -530,9 +400,6 @@ func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epo
 	c.ll = list.New()
 	c.byHash = make(map[uint64][]*list.Element)
 	c.hypEntries, c.hypBytes = 0, 0
-	if c.sketch != nil {
-		c.sketch.clear()
-	}
 	for el := oldLL.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		ne, ok := remapEntry(e, oldToNew, newN, oldDelta, newDelta, epoch, degraded)

@@ -46,19 +46,6 @@ type Options struct {
 	// use (see Scratch). When nil, Diagnose draws a scratch from an
 	// internal pool and returns caller-owned copies.
 	Scratch *Scratch
-	// FinalWorkers > 1 splits the final Set_Builder growth rounds across
-	// that many workers on large graphs (≥ 4096 nodes; smaller graphs
-	// stay sequential), for CSR and implicit adjacencies alike. The
-	// fault set, tree and round count are always identical to the
-	// sequential pass. On an engine with a bound word kernel the rounds
-	// split at word granularity and even the look-up count stays
-	// bit-identical (see rangedRounder); on the generic barrier pass
-	// frontier workers cannot observe same-round admissions, so the
-	// look-up count may exceed the sequential pass (see
-	// SetBuilderParallel). 0 or 1 keeps the sequential pass; negative
-	// means GOMAXPROCS. Stats.FinalWorkersUsed reports the fan-out that
-	// actually engaged.
-	FinalWorkers int
 	// GenericFinal suppresses the engine's structure-specialised final
 	// kernel, forcing the generic pass (runFinalPass without a
 	// rounder). Results and look-up counts are identical either way;
@@ -138,16 +125,6 @@ type Stats struct {
 	// FinalLookups of the same syndrome.
 	SharedFinalRounds  int
 	SharedFinalLookups int64
-
-	// FinalWorkersUsed reports the fan-out the final pass actually ran
-	// with when Options.FinalWorkers requested parallelism (a request
-	// above 1, or negative for GOMAXPROCS): the worker count that
-	// engaged, or 1 when the request could not engage — a graph below
-	// the parallel size gate, or a single available hardware thread —
-	// and the pass silently took the sequential path. It stays 0
-	// whenever FinalWorkers is 0 or 1, so whole-struct Stats comparisons
-	// against the sequential reference path remain valid.
-	FinalWorkersUsed int
 
 	// Degraded marks a diagnosis served by a churn-degraded engine
 	// (one that went through Engine.Rebind or was created by
@@ -281,41 +258,9 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 	stats.Seed = seed
 
 	beforeFinal := s.Lookups()
-	finalWorkers := ClampWorkers(opt.FinalWorkers)
-	parallel := finalWorkers > 1 && a.N() >= parallelFinalMinNodes
-	if opt.FinalWorkers > 1 || opt.FinalWorkers < 0 {
-		// Parallelism was requested: stamp the fan-out that actually
-		// engaged, so a silently-sequential pass (small graph, single
-		// hardware thread) is visible instead of indistinguishable from
-		// a parallel one (cmd/diagnose prints this).
-		stats.FinalWorkersUsed = 1
-		if parallel {
-			stats.FinalWorkersUsed = finalWorkers
-		}
-	}
 	var final *SetBuilderResult
 	var resumed *finalPrefix
-	if parallel {
-		// Parallel final passes never record or resume a shared-prefix
-		// checkpoint (see BatchOptions.ShareFinalPrefix): grouped members
-		// run in full.
-		if opt.fastFinal && opt.kernel != nil {
-			if lz, ok := s.(*syndrome.Lazy); ok {
-				// Bound word kernel: rounds split at word granularity, so
-				// the tree AND the look-up count stay bit-identical to the
-				// sequential kernel (see rangedRounder).
-				sc.finalWorkers = finalWorkers
-				final = runFinalPass(sc, a, lz, seed, delta, opt.kernel)
-				sc.finalWorkers = 0
-			}
-		}
-		if final == nil {
-			// Generic barrier pass (CSR or implicit adjacency): identical
-			// tree, look-ups may grow — workers cannot observe same-round
-			// admissions (see SetBuilderParallel).
-			final = setBuilderParallelInto(sc, a, s, seed, delta, nil, finalWorkers)
-		}
-	} else if opt.fastFinal {
+	if opt.fastFinal {
 		if lz, ok := s.(*syndrome.Lazy); ok {
 			// Checkpoint plumbing rides on the scratch so the driver
 			// sees it without widening its signature. Resume engages

@@ -215,12 +215,9 @@ func NewGraphEngine(g *graph.Graph, delta int, parts []topology.Part) *Engine {
 // construction still succeeds and every Diagnose reports it.
 //
 // Implicit engines serve Diagnose/DiagnoseOpts/DiagnoseBatch in full
-// (including FaultBound tightening, sharing, result caches, and
-// Options.FinalWorkers fan-out — a bound word kernel splits its rounds
-// at word granularity and keeps even the look-up count bit-identical;
-// see rangedRounder). They do not support Rebind/Survivor (churn
-// removal is defined against a CSR) or BindCayley (the structure is
-// the binding), and Graph() returns nil.
+// (including FaultBound tightening, sharing and result caches). They do
+// not support Rebind/Survivor (churn removal is defined against a CSR)
+// or BindCayley (the structure is the binding), and Graph() returns nil.
 func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 	ca, err := graph.NewCayleyAdjacency(desc)
 	if err != nil {
@@ -556,8 +553,6 @@ type BatchOptions struct {
 	// adopted prefix recorded in Stats.SharedFinalRounds /
 	// SharedFinalLookups. Grouping guards match ShareCertification;
 	// the flags compose but are independent — either may be set alone.
-	// FinalWorkers > 1 final passes (on graphs large enough to engage
-	// the parallel pass) record no checkpoint and members run in full.
 	//
 	// With Options.ResultCache set, both kinds of shared state outlive
 	// the batch: each hypothesis's scan verdict and checkpoint are

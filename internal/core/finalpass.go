@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/graph"
@@ -30,7 +29,7 @@ import (
 //
 //   - word-parallel rounds: with a structure kernel k bound, a large
 //     sorted frontier grows by k.round, 64 candidates per handful of
-//     ALU ops. A nil k is the generic pass: no word rounds, no fan-out.
+//     ALU ops. A nil k is the generic pass: no word rounds.
 //
 // Why the look-up count is identical: in the reference loop, a
 // non-member v is tested by its frontier neighbours in ascending node
@@ -136,28 +135,6 @@ func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, d
 	if k != nil {
 		threshold = k.sweepThreshold()
 	}
-	// Parallel fan-out (Options.FinalWorkers, via sc.finalWorkers):
-	// word-granular rounds split their candidate words across workers,
-	// which keeps results AND look-up counts bit-identical to the
-	// sequential kernel (see rangedRounder; the dense sweep defers
-	// membership updates, so its candidate words are independent too).
-	// Each worker counts look-ups on its own syndrome shard, merged
-	// before the final count. diagnoseInto never combines this with a
-	// shared-prefix record/resume (parallel members run in full).
-	workers := sc.finalWorkers
-	rk, ranged := k.(rangedRounder)
-	if !ranged || workers < 2 {
-		workers = 1
-	}
-	var shards []*syndrome.Shard
-	var wadm []int
-	if workers > 1 {
-		shards = make([]*syndrome.Shard, workers)
-		for i := range shards {
-			shards[i] = l.Shard()
-		}
-		wadm = make([]int, workers)
-	}
 	for len(frontier) > 0 {
 		if rec := sc.prefixRec; rec != nil && sc.frontierHazardous(frontier) {
 			// End of the behaviour-independent prefix: the next round
@@ -176,11 +153,7 @@ func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, d
 			for _, u := range frontier {
 				fw[u>>6] |= 1 << (uint(u) & 63)
 			}
-			if workers > 1 && len(frontier) >= parallelFrontierMin {
-				admitted = parallelKernelRound(rk, fw, uw, parent, shards, wadm, workers)
-			} else {
-				admitted = k.round(fw, uw, parent, l)
-			}
+			admitted = k.round(fw, uw, parent, l)
 			for _, u := range frontier {
 				fw[u>>6] &^= 1 << (uint(u) & 63)
 			}
@@ -204,11 +177,7 @@ func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, d
 			for _, u := range frontier {
 				fw[u>>6] |= 1 << (uint(u) & 63)
 			}
-			if workers > 1 && n-uCount >= parallelFrontierMin {
-				next, admitted = parallelComplementSweep(sc, a, offs, tgts, uw, fw, parent, shards, wadm, n, workers, next[:0])
-			} else {
-				next, admitted = complementRound(sc, a, offs, tgts, uw, fw, parent, l, n, next[:0], contrib)
-			}
+			next, admitted = complementRound(sc, a, offs, tgts, uw, fw, parent, l, n, next[:0], contrib)
 			for _, u := range frontier {
 				fw[u>>6] &^= 1 << (uint(u) & 63)
 			}
@@ -255,9 +224,6 @@ func runFinalPass(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, d
 	// count decides it — identical to the per-round checks of the
 	// reference pass.
 	res.AllHealthy = res.Contributors.Count() > delta
-	for _, sh := range shards {
-		sh.Close()
-	}
 	res.Lookups = l.Lookups() - start
 	if rec := sc.prefixRec; rec != nil {
 		// Clean to termination (e.g. the empty hypothesis): the whole
@@ -347,8 +313,7 @@ func sweepBasisRound(added *bitset.Set, basis uint32, frontier []int32, uw []uin
 // uw is only read, and the admissions are appended to next in
 // ascending order for the caller to apply. Contributors are recorded
 // into contrib when it is non-nil. A hypercube's implicit adjacency
-// goes to complementBasisRound. complementSweepShard is its parallel
-// twin.
+// goes to complementBasisRound.
 func complementRound(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, l *syndrome.Lazy, n int, next []int32, contrib *bitset.Set) ([]int32, int) {
 	if basis := graph.XORBasis(a); basis != 0 {
 		return complementBasisRound(basis, uw, fw, parent, l, n, next, contrib)
@@ -425,116 +390,4 @@ func complementBasisRound(basis uint32, uw, fw []uint64, parent []int32, l *synd
 		}
 	}
 	return next, admitted
-}
-
-// parallelKernelRound fans one word-parallel kernel round out across
-// contiguous candidate-word ranges, fixed for the whole round: an
-// admission in one step must suppress the same candidate in every
-// later step, so word ownership cannot move mid-round. Results and
-// look-ups are bit-identical to the sequential round (rangedRounder).
-// It lives outside runFinalPass so the goroutine closures cannot
-// force the driver's hot-loop locals onto the heap on sequential
-// calls.
-func parallelKernelRound(rk rangedRounder, fw, uw []uint64, parent []int32, shards []*syndrome.Shard, wadm []int, workers int) int {
-	words := len(uw)
-	chunk := (words + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		wadm[w] = 0
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wadm[w] = rk.roundRange(fw, uw, parent, shards[w], lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	admitted := 0
-	for _, c := range wadm {
-		admitted += c
-	}
-	return admitted
-}
-
-// parallelComplementSweep fans one dense complement-walk round out
-// across candidate-word ranges. Membership is deferred until after the
-// walk even in the sequential sweep, so candidate words are independent
-// and the split keeps the test prefixes — and thus the look-up count —
-// bit-identical. Worker ranges ascend, so concatenating their next
-// buffers in worker order reproduces the sorted frontier.
-func parallelComplementSweep(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, shards []*syndrome.Shard, wadm []int, n, workers int, next []int32) ([]int32, int) {
-	words := len(uw)
-	chunk := (words + workers - 1) / workers
-	pnext, pnbuf := sc.workerBufs(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		wadm[w] = 0
-		pnext[w] = pnext[w][:0]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pnext[w], pnbuf[w], wadm[w] = complementSweepShard(
-				a, offs, tgts, uw, fw, parent, shards[w], n, lo, hi, pnext[w], pnbuf[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	admitted := 0
-	for w := 0; w < workers; w++ {
-		admitted += wadm[w]
-		next = append(next, pnext[w]...)
-	}
-	return next, admitted
-}
-
-// complementSweepShard is one worker's slice of a parallel dense sweep
-// round: walk the non-members whose ids fall in words [lo, hi) of uw
-// and probe each one's frontier neighbours in ascending order until one
-// vouches. It mirrors complementRound — kept separate (with a concrete
-// *syndrome.Shard) so the sequential path stays devirtualised on
-// *syndrome.Lazy. Membership stays deferred:
-// uw is read-only here, next collects admissions in ascending order.
-func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, sh *syndrome.Shard, n, lo, hi int, next, nbuf []int32) ([]int32, []int32, int) {
-	admitted := 0
-	csrOK := offs != nil
-	for wi := lo; wi < hi; wi++ {
-		inv := ^uw[wi]
-		if wi == len(uw)-1 {
-			if tail := n & 63; tail != 0 {
-				inv &= 1<<uint(tail) - 1
-			}
-		}
-		for inv != 0 {
-			v := int32(wi<<6 + bits.TrailingZeros64(inv))
-			inv &= inv - 1
-			var nbrs []int32
-			if csrOK {
-				nbrs = tgts[offs[v]:offs[v+1]]
-			} else {
-				nbuf = a.AppendNeighbors(v, nbuf)
-				nbrs = nbuf
-			}
-			for _, u := range nbrs {
-				if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
-					continue
-				}
-				if sh.Test(u, v, parent[u]) != 0 {
-					continue
-				}
-				parent[v] = u
-				next = append(next, v)
-				admitted++
-				break
-			}
-		}
-	}
-	return next, nbuf, admitted
 }

@@ -256,59 +256,3 @@ func TestImplicitQ18Smoke(t *testing.T) {
 		t.Fatalf("warm implicit diagnose allocated %.0f times per run", allocs)
 	}
 }
-
-// TestImplicitQ18ParallelSmoke is the CI parallel scale leg: the same
-// quarter-million-node implicit engine serving a FinalWorkers fan-out.
-// The word kernels split rounds at word granularity, so the parallel
-// diagnosis must match the sequential one bit for bit — fault set and
-// look-up count both. Skipped under -short.
-func TestImplicitQ18ParallelSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quarter-million-node smoke leg")
-	}
-	setGOMAXPROCS(t, 4)
-	const bitsN = 18
-	masks := make([]int32, bitsN)
-	for i := range masks {
-		masks[i] = 1 << uint(i)
-	}
-	desc := graph.XORCayley{Bits: bitsN, Masks: masks}
-	eng, err := NewCayleyEngine(desc, bitsN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 1 << bitsN
-
-	ca, err := graph.NewCayleyAdjacency(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	centre := int32(n - 1)
-	F := bitset.New(n)
-	F.Add(int(centre))
-	var buf []int32
-	buf = ca.AppendNeighbors(centre, buf)
-	for _, v := range buf[:bitsN-1] {
-		F.Add(int(v))
-	}
-
-	seqSet, seqStats, err := eng.DiagnoseOpts(syndrome.NewLazy(F, syndrome.Mimic{}), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSet, parStats, err := eng.DiagnoseOpts(syndrome.NewLazy(F, syndrome.Mimic{}), Options{FinalWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parSet.Equal(seqSet) || !parSet.Equal(F) {
-		t.Fatal("Q18 parallel diagnose diverged from the sequential fault set")
-	}
-	if parStats.FinalWorkersUsed != 4 {
-		t.Fatalf("Q18 parallel FinalWorkersUsed = %d, want 4", parStats.FinalWorkersUsed)
-	}
-	norm := *parStats
-	norm.FinalWorkersUsed = seqStats.FinalWorkersUsed
-	if norm != *seqStats {
-		t.Fatalf("Q18 parallel Stats diverged from sequential:\nseq %+v\npar %+v", *seqStats, *parStats)
-	}
-}

@@ -37,24 +37,6 @@ type wordRounder interface {
 	sweepThreshold() int
 }
 
-// rangedRounder is the multi-worker half of a wordRounder: one growth
-// round restricted to the candidate words [lo, hi). Splitting a round
-// at word granularity keeps even the look-up count bit-identical to
-// the sequential kernel: every candidate v lives in exactly one word,
-// so exactly one worker tests it; the frontier bitset fw and the
-// parents of frontier testers are frozen for the round; and a
-// same-round admission only ever suppresses later tests of the
-// admitted node itself (its own uw word), which its owning worker
-// observes exactly as the sequential round would. Word ownership is a
-// fixed contiguous range for the whole round — an admission in one
-// step must suppress the same candidate in every later step — and uw
-// reads and writes stay inside the owned range, so workers share no
-// mutable words (see runFinalPass).
-type rangedRounder interface {
-	wordRounder
-	roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int
-}
-
 // sweepThresholdFor converts a kernel's fixed round cost (word visits
 // weighted by per-word permute work) into the frontier size above which
 // the word-parallel path wins. The sweep spends ~|frontier|·deg probes

@@ -251,29 +251,6 @@ func TestRebindCacheFlushAndRemap(t *testing.T) {
 	}
 }
 
-// TestCacheAdmitOnSecondSight pins admit-on-second-sight, the sketch
-// at threshold 2: first sighting bypasses, second sighting admits,
-// third is a hit.
-func TestCacheAdmitOnSecondSight(t *testing.T) {
-	eng := NewEngine(topology.NewHypercube(7))
-	cache := NewResultCacheWithSketch(32, 2)
-	F := syndrome.RandomFaults(eng.Graph().N(), 3, rand.New(rand.NewSource(1)))
-	opt := Options{ResultCache: cache}
-	for i := 0; i < 3; i++ {
-		if _, _, err := eng.DiagnoseOpts(syndrome.NewLazy(F, syndrome.Mimic{}), opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := cache.Stats()
-	if cs.Bypassed != 1 || cs.Entries != 1 || cs.Hits != 1 || cs.Misses != 2 {
-		t.Fatalf("admission counters %+v, want bypassed=1 entries=1 hits=1 misses=2", cs)
-	}
-	// Default policy stays bypass-free.
-	if ds := NewResultCache(8).Stats(); ds.Bypassed != 0 {
-		t.Fatalf("default cache reports bypasses: %+v", ds)
-	}
-}
-
 // TestDiagnoseDuringRebindRace hammers concurrent Diagnose and
 // DiagnoseBatch calls against successive Rebinds; correctness of each
 // individual answer is checked elsewhere — this test exists for the

@@ -484,62 +484,6 @@ func TestRecoveredWarmDiagnoseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCacheSketchAdmission checks the count-min admission gate: below
-// the threshold inserts are bypassed, at it they are admitted, and the
-// bypass census lands in CacheStats.
-func TestCacheSketchAdmission(t *testing.T) {
-	nw := topology.NewHypercube(6)
-	eng := NewEngine(nw)
-	cache := NewResultCacheWithSketch(32, 3)
-	rng := rand.New(rand.NewSource(9))
-	F := syndrome.RandomFaults(eng.Graph().N(), 2, rng)
-	opt := Options{ResultCache: cache}
-	for i := 1; i <= 4; i++ {
-		if _, _, err := eng.DiagnoseOpts(syndrome.NewLazy(F.Clone(), syndrome.Mimic{}), opt); err != nil {
-			t.Fatal(err)
-		}
-		st := cache.Stats()
-		switch {
-		case i < 3:
-			if st.Entries != 0 || st.Bypassed != int64(i) {
-				t.Fatalf("sighting %d: entries=%d bypassed=%d, want 0/%d", i, st.Entries, st.Bypassed, i)
-			}
-		case i == 3:
-			if st.Entries != 1 || st.Bypassed != 2 {
-				t.Fatalf("sighting 3: entries=%d bypassed=%d, want 1/2", st.Entries, st.Bypassed)
-			}
-		default:
-			if st.Hits != 1 {
-				t.Fatalf("sighting 4: hits=%d, want 1 (admitted entry must serve)", st.Hits)
-			}
-		}
-	}
-	// threshold ≤ 1 must behave like the default policy.
-	plain := NewResultCacheWithSketch(32, 1)
-	if _, _, err := eng.DiagnoseOpts(syndrome.NewLazy(F.Clone(), syndrome.Mimic{}), Options{ResultCache: plain}); err != nil {
-		t.Fatal(err)
-	}
-	if st := plain.Stats(); st.Entries != 1 || st.Bypassed != 0 {
-		t.Fatalf("threshold 1: entries=%d bypassed=%d, want 1/0", st.Entries, st.Bypassed)
-	}
-}
-
-// TestCacheSketchAging drives enough distinct insertions through a tiny
-// sketch to force at least one halving reset.
-func TestCacheSketchAging(t *testing.T) {
-	c := NewResultCacheWithSketch(1, 2)
-	width := len(c.sketch.counters[0])
-	for i := 0; i < width*cmAgeFactor+8; i++ {
-		c.sketch.addEstimate(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	if c.sketch.resets == 0 {
-		t.Fatal("sketch never aged")
-	}
-	if st := c.Stats(); st.SketchResets == 0 {
-		t.Fatal("SketchResets not surfaced in CacheStats")
-	}
-}
-
 // TestGrowthRebindLiftsUnservable drives an engine into
 // ErrNoSurvivingPartition with one heavy removal and checks a full
 // restore lifts it all the way back to δ.

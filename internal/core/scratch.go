@@ -54,18 +54,6 @@ type Scratch struct {
 	// hazard is the recorder's F ∪ N(F) mask (see beginPrefix), kept
 	// here so a stored checkpoint carries no recording-only state.
 	hazard []uint64
-
-	// finalWorkers asks the next word-kernel final pass to split its
-	// rounds across this many goroutines (runFinalPass). Like the
-	// prefix fields it is per-call plumbing, set and cleared around the
-	// pass by diagnoseInto.
-	finalWorkers int
-
-	// pnext / pnbuf are the per-worker next-frontier and
-	// neighbour-generation buffers of parallel word-kernel rounds,
-	// grown on demand and reused across rounds and calls.
-	pnext [][]int32
-	pnbuf [][]int32
 }
 
 // NewScratch returns a Scratch for graphs on n nodes. The mask and
@@ -132,18 +120,6 @@ func (sc *Scratch) resetTree() {
 	if sc.fset != nil {
 		sc.fset.Clear()
 	}
-}
-
-// workerBufs returns the per-worker next-frontier and neighbour
-// buffers, grown to hold at least workers entries each.
-func (sc *Scratch) workerBufs(workers int) (pnext, pnbuf [][]int32) {
-	for len(sc.pnext) < workers {
-		sc.pnext = append(sc.pnext, nil)
-	}
-	for len(sc.pnbuf) < workers {
-		sc.pnbuf = append(sc.pnbuf, nil)
-	}
-	return sc.pnext, sc.pnbuf
 }
 
 // fsetBuf returns the reusable (empty) frontier-membership set.

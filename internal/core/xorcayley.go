@@ -272,72 +272,3 @@ func (k *xorKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy) int
 	}
 	return admitted
 }
-
-// roundRange implements rangedRounder: the compiled schedule restricted
-// to the candidate words [lo, hi). Candidate suppression (the uw mask
-// in each step) lives in the candidate's own word, so a worker that
-// owns a word for the whole round observes exactly the admissions the
-// sequential schedule would — results and look-ups are bit-identical.
-// The per-word body mirrors round's; it is kept separate (on a concrete
-// *syndrome.Shard) so the sequential path stays devirtualised on
-// *syndrome.Lazy.
-func (k *xorKernel) roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int {
-	admitted := 0
-	last := uint32(len(uw) - 1) // len(uw) is a power of two
-	for si := range k.steps {
-		st := &k.steps[si]
-		if st.wiMask == 0 {
-			// Unconditioned step: every word qualifies — walk the owned
-			// range directly instead of enumerating submasks.
-			for wi := uint32(lo); wi < uint32(hi); wi++ {
-				admitted += st.testWord(wi, fw, uw, parent, sh)
-			}
-			continue
-		}
-		free := last &^ st.wiMask
-		s := uint32(0)
-		for {
-			wi := st.wiVal | s
-			if wi >= uint32(lo) && wi < uint32(hi) {
-				admitted += st.testWord(wi, fw, uw, parent, sh)
-			}
-			s = (s - free) & free
-			if s == 0 {
-				break
-			}
-		}
-	}
-	return admitted
-}
-
-// testWord runs one schedule step against one candidate word: permute
-// the frontier word into candidate positions, mask to live candidates,
-// and test the survivors across the step's generator.
-func (st *xorStep) testWord(wi uint32, fw, uw []uint64, parent []int32, sh *syndrome.Shard) int {
-	w := fw[wi^st.wordXor]
-	if w == 0 {
-		return 0
-	}
-	for r := st.low; r != 0; r &= r - 1 {
-		d := uint(bits.TrailingZeros32(r))
-		lo := deltaSwapMasks[d]
-		shft := uint(1) << d
-		w = (w&lo)<<shft | (w>>shft)&lo
-	}
-	if w &= st.pat &^ uw[wi]; w == 0 {
-		return 0
-	}
-	admitted := 0
-	m := st.mask
-	base := int32(wi) << 6
-	for ; w != 0; w &= w - 1 {
-		v := base + int32(bits.TrailingZeros64(w))
-		u := v ^ m
-		if sh.Test(u, v, parent[u]) == 0 {
-			uw[v>>6] |= 1 << (uint32(v) & 63)
-			parent[v] = u
-			admitted++
-		}
-	}
-	return admitted
-}

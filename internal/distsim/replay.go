@@ -60,28 +60,23 @@ type ReplayResult struct {
 	Err error
 }
 
-// Replay runs one collection wave per syndrome — every node performs
-// its complete test set and the results convergecast to node 0 — and
-// then diagnoses all collected syndromes centrally through the
+// ReplayBatch runs one collection wave per syndrome — every node
+// performs its complete test set and the results convergecast to node
+// 0 — and then diagnoses all collected syndromes centrally through the
 // persistent runtime in one batch. cache, when non-nil, short-circuits
 // syndromes whose hypothesis and behaviour were already served (their
 // waves still pay the full network ledger: the centre cannot know a
-// syndrome repeats until it has collected it).
+// syndrome repeats until it has collected it). The replay workload
+// re-collects mostly unchanged system states wave after wave, so
+// hypothesis grouping (BatchOptions.ShareCertification /
+// ShareFinalPrefix) lets the centre certify once and regrow the
+// behaviour-independent final prefix once per repeated hypothesis.
+// opt.Pool and opt.Options.ResultCache are superseded by the server's
+// runtime and the cache argument.
 //
 // results[i] corresponds to syns[i]; the syndromes must be distinct
 // values even when they encode the same hypothesis (each is driven
 // concurrently during its wave and by one batch worker after).
-func (cs *CollectServer) Replay(syns []syndrome.Syndrome, cache *core.ResultCache) []ReplayResult {
-	return cs.ReplayBatch(syns, cache, core.BatchOptions{})
-}
-
-// ReplayBatch is Replay with explicit batch options for the central
-// diagnosis phase — the replay workload re-collects mostly unchanged
-// system states wave after wave, so hypothesis grouping
-// (BatchOptions.ShareCertification / ShareFinalPrefix) lets the centre
-// certify once and regrow the behaviour-independent final prefix once
-// per repeated hypothesis. opt.Pool and opt.Options.ResultCache are
-// superseded by the server's runtime and the cache argument.
 func (cs *CollectServer) ReplayBatch(syns []syndrome.Syndrome, cache *core.ResultCache, opt core.BatchOptions) []ReplayResult {
 	out := make([]ReplayResult, len(syns))
 	// Collected is the index list of waves that completed: a wave that
@@ -153,13 +148,13 @@ func (r remappedSyndrome) Test(u, v, w int32) int {
 	return r.inner.Test(r.newToOld[u], r.newToOld[v], r.newToOld[w])
 }
 func (r remappedSyndrome) Lookups() int64 { return r.inner.Lookups() }
-func (r remappedSyndrome) ResetLookups() { r.inner.ResetLookups() }
+func (r remappedSyndrome) ResetLookups()  { r.inner.ResetLookups() }
 
-// ReplayFaulty is Replay under a network fault plan: each wave collects
+// ReplayFaulty is ReplayBatch under a network fault plan: each wave collects
 // through ResilientCollect (stop-and-wait hop acks, timeout
 // retransmission with exponential backoff, bounded by retries) on an
 // engine armed with the plan. Waves that still collect every source are
-// diagnosed exactly like Replay (batched through the runtime, cache
+// diagnosed exactly like ReplayBatch (batched through the runtime, cache
 // honoured). Waves with missing sources degrade instead of failing:
 // the missing nodes are removed from the server graph, a Survivor
 // engine is derived for the surviving component (see core.Engine), and
@@ -170,38 +165,7 @@ func (r remappedSyndrome) ResetLookups() { r.inner.ResetLookups() }
 // the same syndromes under the same plan reproduces every result —
 // fault sets, ledgers, events — bit-identically.
 func (cs *CollectServer) ReplayFaulty(syns []syndrome.Syndrome, plan *FaultPlan, retries int, cache *core.ResultCache) []FaultyReplayResult {
-	out := make([]FaultyReplayResult, len(syns))
-	var fullIdx []int
-	var fullSyns []syndrome.Syndrome
-	for i, s := range syns {
-		e := NewEngine(cs.g, 0)
-		e.SetFaultPlan(plan)
-		rc := NewResilientCollect(e, cs.g, s, retries)
-		st, err := e.Run(rc, cs.maxRounds)
-		if st != nil {
-			out[i].Net = *st
-		}
-		out[i].Inject = e.FaultStats()
-		out[i].Events = e.FaultEvents()
-		out[i].Missing = rc.Missing()
-		// A round-limited run degrades like a lossy one: every source
-		// that did arrive is usable. err is deliberately not recorded.
-		_ = err
-		if len(out[i].Missing) == 0 {
-			fullIdx = append(fullIdx, i)
-			fullSyns = append(fullSyns, s)
-			continue
-		}
-		cs.degradedWave(&out[i], s)
-	}
-	batch := cs.rt.DiagnoseBatch(fullSyns, core.BatchOptions{Options: core.Options{ResultCache: cache}})
-	for k, r := range batch {
-		i := fullIdx[k]
-		out[i].Faults = r.Faults
-		out[i].Diag = r.Stats
-		out[i].Err = r.Err
-	}
-	return out
+	return cs.replayWaves(syns, retries, cache, func(e *Engine, _ int) { e.SetFaultPlan(plan) })
 }
 
 // ReplayRecovering is ReplayFaulty on the campaign's global round axis
@@ -224,14 +188,11 @@ func (cs *CollectServer) ReplayRecovering(syns []syndrome.Syndrome, plan *FaultP
 			}
 		}
 	}
-	out := make([]FaultyReplayResult, len(syns))
-	var fullIdx []int
-	var fullSyns []syndrome.Syndrome
-	for i, s := range syns {
+	return cs.replayWaves(syns, retries, cache, func(e *Engine, wave int) {
 		wavePlan := *plan
 		wavePlan.Crashes = nil
 		var waveRec RecoveryPlan
-		base := i * cs.maxRounds
+		base := wave * cs.maxRounds
 		for _, c := range plan.Crashes {
 			eff := c.Round - base
 			if eff > cs.maxRounds {
@@ -253,18 +214,33 @@ func (cs *CollectServer) ReplayRecovering(syns []syndrome.Syndrome, plan *FaultP
 				wavePlan.Crashes = append(wavePlan.Crashes, Crash{Node: c.Node, Round: eff})
 			}
 		}
-		e := NewEngine(cs.g, 0)
 		e.SetFaultPlan(&wavePlan)
 		e.SetRecoveryPlan(&waveRec)
+	})
+}
+
+// replayWaves is the loop behind ReplayFaulty and ReplayRecovering:
+// each wave collects through ResilientCollect on a fresh engine that
+// arm(e, wave) has armed, waves with missing sources degrade onto the
+// surviving component, and the full waves are diagnosed centrally in
+// one batch through the runtime (cache honoured).
+func (cs *CollectServer) replayWaves(syns []syndrome.Syndrome, retries int, cache *core.ResultCache, arm func(e *Engine, wave int)) []FaultyReplayResult {
+	out := make([]FaultyReplayResult, len(syns))
+	var fullIdx []int
+	var fullSyns []syndrome.Syndrome
+	for i, s := range syns {
+		e := NewEngine(cs.g, 0)
+		arm(e, i)
 		rc := NewResilientCollect(e, cs.g, s, retries)
-		st, err := e.Run(rc, cs.maxRounds)
-		if st != nil {
+		// A round-limited run degrades like a lossy one: every source
+		// that did arrive is usable, so the error is deliberately not
+		// recorded.
+		if st, _ := e.Run(rc, cs.maxRounds); st != nil {
 			out[i].Net = *st
 		}
 		out[i].Inject = e.FaultStats()
 		out[i].Events = e.FaultEvents()
 		out[i].Missing = rc.Missing()
-		_ = err // a round-limited run degrades like a lossy one
 		if len(out[i].Missing) == 0 {
 			fullIdx = append(fullIdx, i)
 			fullSyns = append(fullSyns, s)

@@ -42,7 +42,7 @@ func TestCollectServerReplayMatchesOneShot(t *testing.T) {
 	cs := NewCollectServer(g, delta, parts, 1, 4*g.N())
 	defer cs.Close()
 	cache := core.NewResultCache(16)
-	results := cs.Replay(syns, cache)
+	results := cs.ReplayBatch(syns, cache, core.BatchOptions{})
 
 	for i, r := range results {
 		if r.Err != nil {
@@ -98,7 +98,7 @@ func TestCollectServerReplayBatchShared(t *testing.T) {
 	defer cs.Close()
 
 	plainSyns := makeSyns()
-	plain := cs.Replay(plainSyns, nil)
+	plain := cs.ReplayBatch(plainSyns, nil, core.BatchOptions{})
 	sharedSyns := makeSyns()
 	shared := cs.ReplayBatch(sharedSyns, nil, core.BatchOptions{
 		ShareCertification: true, ShareFinalPrefix: true,

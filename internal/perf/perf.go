@@ -197,80 +197,6 @@ func implicitEngineDiagnoseCase(bits int) Result {
 	})
 }
 
-// parallelFinalCase is implicitEngineDiagnoseCase under a FinalWorkers
-// fan-out: the same Q_bits descriptor-bound engine, the same fault load
-// (seed 1, mimic), served with Options.FinalWorkers = workers. The word
-// kernels split rounds at word granularity, so lookups/op must be
-// bit-identical between the workers = 1 and workers = 4 twins at any
-// GOMAXPROCS — the ns/op gap on a multi-core host is the parallel final
-// pass's win, and on a single hardware thread the request clamps and
-// the twins coincide. Warm allocs/op staying 0 is the regression gate
-// for the fan-out plumbing.
-func parallelFinalCase(bits, workers int) Result {
-	masks := make([]int32, bits)
-	for i := range masks {
-		masks[i] = 1 << uint(i)
-	}
-	eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: bits, Masks: masks}, bits)
-	if err != nil {
-		panic(err)
-	}
-	n := 1 << uint(bits)
-	F := syndrome.RandomFaults(n, bits, rand.New(rand.NewSource(1)))
-	s := syndrome.NewLazy(F, syndrome.Mimic{})
-	sc := eng.AcquireScratch()
-	defer eng.ReleaseScratch(sc)
-	opt := core.Options{Scratch: sc, FinalWorkers: workers}
-	op := func() int64 {
-		before := s.Lookups()
-		got, _, err := eng.DiagnoseOpts(s, opt)
-		if err != nil {
-			panic(err)
-		}
-		if !got.Equal(F) {
-			panic("misdiagnosis")
-		}
-		return s.Lookups() - before
-	}
-	return run(fmt.Sprintf("parallelfinal%d/Q%d", workers, bits), op, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-	})
-}
-
-// shardedSweepCase measures a δ-fault campaign sweep through a sharded
-// runtime: `shards` independent engine snapshots of Q_bits, one worker
-// pinned to each, serving 64 trials per op. Per-trial reseeding makes
-// the outcomes bit-identical across shard counts (pinned by the
-// campaign tests); the shards = 1 vs shards = 4 ns/op ratio on a
-// multi-core host is the sharding headline, since each shard's worker
-// draws from its own scratch pool and binding snapshot.
-func shardedSweepCase(bits, shards int) Result {
-	nw := topology.NewHypercube(bits)
-	engines := make([]*core.Engine, shards)
-	for i := range engines {
-		engines[i] = core.NewEngine(nw)
-	}
-	rt := campaign.NewShardedRuntime(engines, 1)
-	defer rt.Close()
-	cfg := campaign.Config{MinFaults: bits, MaxFaults: bits, Trials: 64, Seed: 11}
-	op := func() {
-		for _, p := range campaign.SweepRuntime(rt, cfg) {
-			if p.Exact != p.Trials {
-				panic("sweep outcome drifted")
-			}
-		}
-	}
-	return run(fmt.Sprintf("shardedsweep%d/Q%d", shards, bits), nil, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-	})
-}
-
 // batchSyndromes builds k independent δ-fault mimic syndromes.
 func batchSyndromes(nw topology.Network, k int) ([]syndrome.Syndrome, []*bitset.Set) {
 	g := nw.Graph()
@@ -960,17 +886,6 @@ func Suite() *Report {
 		implicitEngineDiagnoseCase(14),
 		implicitEngineDiagnoseCase(20),
 		batchSharedFinalCase(topology.NewHypercube(14), 8, true, true),
-	)
-	// PR 8: parallel million-node serving — the Q20 implicit final pass
-	// under a FinalWorkers fan-out (lookups/op bit-identical between the
-	// twins; ns/op scales on multi-core hosts and coincides when clamped
-	// to one hardware thread) and the sharded Q14 campaign runtime
-	// (1-shard vs 4-shard pools over identical bit-identical sweeps).
-	rep.Results = append(rep.Results,
-		parallelFinalCase(20, 1),
-		parallelFinalCase(20, 4),
-		shardedSweepCase(14, 1),
-		shardedSweepCase(14, 4),
 	)
 	// PR 9: recovery tolerance — one full remove-restore flap cycle on a
 	// live Q14 engine (both rebinds), gated well under the two

@@ -28,7 +28,7 @@ func TestObservabilityPollingRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := core.NewEngine(nw)
-	cache := core.NewResultCacheWithSketch(64, 2)
+	cache := core.NewResultCache(64)
 	rt := campaign.NewRuntime(eng, 2)
 	defer rt.Close()
 

@@ -18,6 +18,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -73,6 +74,11 @@ const (
 	defaultWindow      = 2 * time.Millisecond
 	defaultMaxBatch    = 64
 	defaultCacheCap    = 1024
+
+	// maxRequestBytes caps every request body. A valid request is a
+	// topology spec, a few scalars and a short fault list, far below
+	// this; a larger body is refused with 413 instead of buffered.
+	maxRequestBytes = 1 << 20
 )
 
 // Server is the HTTP front end. Create with New, serve via any
@@ -345,6 +351,26 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decodeRequest strictly decodes one JSON request body (unknown fields
+// refused) of at most maxRequestBytes into v. On failure it answers the
+// request itself — 413 for an oversized body, 400 otherwise — and
+// returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !s.begin(w) {
 		return
@@ -357,11 +383,8 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiagnoseRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if !decodeRequest(w, r, &req) {
 		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Topology == "" {
@@ -500,10 +523,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CampaignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Topology == "" {

@@ -465,6 +465,30 @@ func testCampaignStream(t *testing.T, spec string) {
 	}
 }
 
+// TestCampaignOversizedBody checks that /v1/campaign refuses a body
+// beyond maxRequestBytes with 413 even when it is otherwise a valid
+// request (JSON whitespace padding), and starts no campaign.
+func TestCampaignOversizedBody(t *testing.T) {
+	srv := New(Config{NoCoalesce: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := `{"topology":"q:6",` + strings.Repeat(" ", maxRequestBytes) + `"min_faults":0,"max_faults":1,"trials":1}`
+	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if snap := srv.Snapshot(); snap.Campaigns != 0 {
+		t.Errorf("oversized request started %d campaigns", snap.Campaigns)
+	}
+}
+
 // TestImplicitServing pins descriptor-backed binding: an "implicit"
 // request binds a Cayley engine (no CSR) and its response matches the
 // solo descriptor-bound reference bit for bit. A plain request for the
@@ -556,11 +580,16 @@ func TestDiagnoseValidation(t *testing.T) {
 		{"negative bound", `{"topology":"q:6","faults":[1],"bound":-2}`, http.StatusBadRequest},
 		{"implicit non-hypercube", `{"topology":"star:5","implicit":true,"faults":[1]}`, http.StatusBadRequest},
 		{"beyond bound", `{"topology":"q:6","faults":[0,1,2,3,4,5,6,7,8,9,10,11]}`, http.StatusUnprocessableEntity},
+		{"oversized body", `{"topology":"q:6",` + strings.Repeat(" ", maxRequestBytes) + `"faults":[1]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
+	}
+	// Every refusal above, the oversized body included, is counted.
+	if got := srv.Snapshot().Errors; got != int64(len(cases)) {
+		t.Errorf("diagnosed_errors_total = %d after %d refused requests", got, len(cases))
 	}
 	// Method checks.
 	if resp, err := http.Get(ts.URL + "/v1/diagnose"); err != nil {
