@@ -265,16 +265,6 @@ func BenchmarkAblationCertify(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallel regenerates ablation A2.
-func BenchmarkAblationParallel(b *testing.B) {
-	nw := NewHypercube(13)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d/Q13", workers), func(b *testing.B) {
-			benchDiagnose(b, nw, Options{Workers: workers})
-		})
-	}
-}
-
 // BenchmarkAblationBehaviour regenerates ablation A3.
 func BenchmarkAblationBehaviour(b *testing.B) {
 	nw := NewHypercube(10)

@@ -11,7 +11,7 @@
 //	benchtab -compare OLD NEW    # gate: shared cases must not regress lookups/op
 //	benchtab -quick              # smoke subset for PR CI (bench.sh -quick)
 //
-// Table ids: t2..t12 (paper claims), a1..a3 (repository ablations).
+// Table ids: t2..t12 (paper claims), a1, a3 (repository ablations).
 //
 // The -json mode runs the fixed benchmark suite of internal/perf
 // (ns/op, lookups/op, allocs/op per experiment) and writes it to the
@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "experiment id (t2..t12, a1..a3, or 'all')")
+	table := flag.String("table", "all", "experiment id (t2..t12, a1, a3, or 'all')")
 	full := flag.Bool("full", false, "run the enlarged sweeps (slower)")
 	jsonOut := flag.String("json", "", "run the perf regression suite and write JSON to this file ('-' for stdout)")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json files (args: OLD NEW); exit 1 if a shared case regressed lookups/op")

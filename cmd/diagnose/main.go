@@ -26,10 +26,10 @@
 // syndromes, diagnoses them on the runtime's worker pool and reports
 // aggregate throughput (diagnoses/sec), result-cache hit rates (-cache)
 // and the per-worker trial distribution beside the per-syndrome
-// verdicts. -share-cert additionally groups syndromes by fault
-// hypothesis so each group's part certification runs once, and
-// -share-final shares each group's behaviour-independent final-pass
-// prefix (see docs/runtime.md).
+// verdicts. -workers sizes that pool. -share additionally groups
+// syndromes by fault hypothesis so each group's part certification and
+// behaviour-independent final-pass prefix run once (see
+// docs/runtime.md).
 package main
 
 import (
@@ -56,13 +56,12 @@ func main() {
 	behaviorName := flag.String("behavior", "mimic", "faulty tester behaviour: allzero|allone|mimic|inverted|random")
 	pattern := flag.String("pattern", "random", "fault placement: random|cluster|neighborhood")
 	seed := flag.Int64("seed", 1, "PRNG seed")
-	workers := flag.Int("workers", 1, "parallel part certification; with -trials > 1, the runtime worker-pool size (-1 = GOMAXPROCS; clamped to it)")
+	workers := flag.Int("workers", 1, "with -trials > 1 or churn: the runtime worker-pool size (-1 = GOMAXPROCS; clamped to it)")
 	bound := flag.Int("bound", 0, "known fault bound t < δ (0 = use δ)")
 	paper := flag.Bool("paper-certificate", false, "use the paper's literal contributor certificate (see gap G1)")
 	trials := flag.Int("trials", 1, "number of syndromes to diagnose; > 1 serves them through a persistent campaign.Runtime")
 	cacheCap := flag.Int("cache", 0, "with -trials > 1: result-cache capacity (0 = off); repeated syndromes replay without diagnosis")
-	shareCert := flag.Bool("share-cert", false, "with -trials > 1: share part certification across syndromes of one fault hypothesis")
-	shareFinal := flag.Bool("share-final", false, "with -trials > 1: share the behaviour-independent final-pass prefix across syndromes of one fault hypothesis")
+	share := flag.Bool("share", false, "with -trials > 1: share part certification and the behaviour-independent final-pass prefix across syndromes of one fault hypothesis")
 	churn := flag.Int("churn", 0, "remove this many random nodes and rebind the engine before diagnosing (degraded mode; routes through the engine even for one trial; contradicts -churn-nodes and -flap)")
 	churnNodes := flag.String("churn-nodes", "", "comma-separated node ids to remove (one-shot explicit churn), or the set each -flap cycle removes; contradicts -churn")
 	flap := flag.Int("flap", 0, "run this many remove-restore cycles before serving: each cycle removes nodes (the -churn-nodes list, default 4 random picks), rebinds, restores them and rebinds again, reporting both rebinds; contradicts -churn")
@@ -172,14 +171,14 @@ func main() {
 		if *cacheCap > 0 {
 			opt.ResultCache = core.NewResultCache(*cacheCap)
 		}
-		runBatch(nw, behavior, makeFaults, *trials, *workers, *churn, *flap, churnList, *seed, nFaults, opt, *shareCert, *shareFinal)
+		runBatch(nw, behavior, makeFaults, *trials, *workers, *churn, *flap, churnList, *seed, nFaults, opt, *share)
 		return
 	}
 
 	F := makeFaults(g, nFaults, 0)
 	fmt.Printf("injected    %d faults (%s, %s testers): %v\n", F.Count(), *pattern, behavior.Name(), F)
 
-	opt := core.Options{Workers: *workers, FaultBound: *bound}
+	opt := core.Options{FaultBound: *bound}
 	if *paper {
 		opt.Strategy = core.StrategyPaper
 	}
@@ -241,7 +240,7 @@ func churnModeError(churn, flap int, churnNodes string) error {
 // `trials` independent syndromes through the runtime's worker pool and
 // reports aggregate throughput, cache effectiveness, degraded-mode
 // status and the worker-pool trial distribution.
-func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*graph.Graph, int, int) *bitset.Set, trials, workers, churn, flap int, churnList []int32, seed int64, nFaults int, opt core.Options, shareCert, shareFinal bool) {
+func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*graph.Graph, int, int) *bitset.Set, trials, workers, churn, flap int, churnList []int32, seed int64, nFaults int, opt core.Options, share bool) {
 	eng := core.NewEngine(nw)
 	if err := eng.PartsErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "batch mode needs a Theorem 1 partition:", err)
@@ -344,7 +343,7 @@ func runBatch(nw topology.Network, behavior syndrome.Behavior, makeFaults func(*
 		trials, faults[0].Count(), behavior.Name(), rt.Workers(), eng.KernelName())
 
 	start := time.Now()
-	results := rt.DiagnoseBatch(syns, core.BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal, Options: opt})
+	results := rt.DiagnoseBatch(syns, core.BatchOptions{ShareHypotheses: share, Options: opt})
 	elapsed := time.Since(start)
 
 	exact, failed := 0, 0

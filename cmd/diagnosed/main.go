@@ -40,6 +40,28 @@ import (
 	"comparisondiag/internal/serve"
 )
 
+// HTTP timeouts of the listener: a client that trickles its headers
+// or body, or parks an idle keep-alive connection, cannot hold a
+// connection open indefinitely. There is deliberately no WriteTimeout:
+// /v1/campaign streams one line per sweep point for as long as the
+// sweep runs — minutes for a large one — and a write deadline would
+// cut the stream off mid-campaign.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7133", "listen address (host:port; port 0 picks a free port)")
 	registryCap := flag.Int("registry", 8, "bound-engine LRU capacity")
@@ -47,8 +69,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "flush a window early at this many distinct pending requests")
 	workers := flag.Int("workers", 0, "worker-pool size per engine (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache", 1024, "per-engine result-cache capacity (0 disables caching)")
-	noShareCert := flag.Bool("no-share-cert", false, "disable shared certification in coalesced batches (ablation)")
-	noShareFinal := flag.Bool("no-share-final", false, "disable shared final prefixes in coalesced batches (ablation)")
 	preload := flag.String("preload", "", "comma-separated specs to bind at startup; hypercubes (q:<n>) bind from their XOR descriptor, with or without the implicit: prefix, and are refused from q:27 up (n·2^n arcs beyond int32), other families build their CSR")
 	flag.Parse()
 
@@ -83,7 +103,6 @@ func main() {
 		MaxBatch:    *maxBatch,
 		Workers:     *workers,
 		CacheCap:    *cacheCap,
-		NoShareCert: *noShareCert, NoShareFinal: *noShareFinal,
 	}
 	if *cacheCap == 0 {
 		cfg.CacheCap = -1 // serve.Config: negative disables, 0 means default
@@ -106,7 +125,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "diagnosed: listen: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -70,7 +70,7 @@ func main() {
 		}
 		// The sweep: faulty testers answer randomly (firmware chaos).
 		s := cd.NewLazySyndrome(live, cd.RandomBehavior{Seed: uint64(epoch)})
-		found, stats, err := cd.DiagnoseOpts(nw, s, cd.Options{Workers: 4})
+		found, stats, err := cd.Diagnose(nw, s)
 		if err != nil {
 			log.Fatalf("  diagnosis failed: %v", err)
 		}

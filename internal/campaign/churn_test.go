@@ -42,8 +42,8 @@ func TestRuntimeServesAcrossRebind(t *testing.T) {
 					syns[i] = syndrome.NewLazy(F, syndrome.Mimic{})
 				}
 				rt.DiagnoseBatch(syns, core.BatchOptions{
-					ShareCertification: true,
-					Options:            core.Options{ResultCache: cache},
+					ShareHypotheses: true,
+					Options:         core.Options{ResultCache: cache},
 				})
 			}
 		}(int64(w))

@@ -147,11 +147,11 @@ func pointsEqual(a, b []Point) bool {
 }
 
 // TestRuntimeDiagnoseBatchSharedFinalPrefix pins the grouped-batch
-// plumbing through the persistent pool: ShareCertification +
-// ShareFinalPrefix on a Runtime produce the same fault sets and shape
-// stats as the engine's transient pool, with members adopting a
-// shared final prefix and the group spending strictly fewer look-ups
-// than an unshared runtime batch.
+// plumbing through the persistent pool: ShareHypotheses on a Runtime
+// produces the same fault sets and shape stats as the engine's
+// transient pool, with members adopting a shared final prefix and the
+// group spending strictly fewer look-ups than an unshared runtime
+// batch.
 func TestRuntimeDiagnoseBatchSharedFinalPrefix(t *testing.T) {
 	nw := topology.NewHypercube(8)
 	g := nw.Graph()
@@ -172,7 +172,7 @@ func TestRuntimeDiagnoseBatchSharedFinalPrefix(t *testing.T) {
 		return syns
 	}
 
-	opt := core.BatchOptions{ShareCertification: true, ShareFinalPrefix: true}
+	opt := core.BatchOptions{ShareHypotheses: true}
 	plainSyns := makeSyns()
 	plain := rt.DiagnoseBatch(plainSyns, core.BatchOptions{})
 	sharedSyns := makeSyns()

@@ -28,15 +28,13 @@ import (
 // scratches.
 //
 // A hit returns the Stats of the populating run. Results and look-up
-// counts are deterministic for the sequential configuration, so for a
-// fixed engine and Options the replayed Stats are exactly what a fresh
-// call would report; configurations whose counts are scheduling-
-// dependent (Workers above 1) replay the first run's
-// counts. The syndrome's own Lookups counter does not advance on a hit
-// — short-circuiting those consultations is the cache's entire point.
+// counts are deterministic, so for a fixed engine and Options the
+// replayed Stats are exactly what a fresh call would report. The
+// syndrome's own Lookups counter does not advance on a hit —
+// short-circuiting those consultations is the cache's entire point.
 //
-// Hypothesis entries. A grouped DiagnoseBatch (ShareCertification or
-// ShareFinalPrefix) passed a cache also keeps a second kind of entry:
+// Hypothesis entries. A grouped DiagnoseBatch (ShareHypotheses) passed
+// a cache also keeps a second kind of entry:
 // the behaviour-independent state of a fault hypothesis (hypState — the
 // scan verdict and the final-prefix checkpoint), keyed on the fault set,
 // effective bound, strategy and binding epoch, with no behaviour in the
@@ -90,7 +88,7 @@ type cacheEntry struct {
 // shared.
 type hypState struct {
 	scan   *sharedScan  // nil when the representative's scan never completed
-	prefix *finalPrefix // nil when no final prefix was recorded (ShareFinalPrefix off)
+	prefix *finalPrefix // nil when no one could resume from it (a lone syndrome, no cache)
 }
 
 // hypEntryOverhead approximates the fixed bytes of one hypothesis entry
@@ -237,20 +235,14 @@ func hypHash(fh uint64, delta int, strat Strategy) uint64 {
 
 // lookupHypothesis returns the memoised state of a fault hypothesis
 // (fh its faultsHash) under the given effective bound, strategy and
-// binding epoch, or nil. withPrefix asks for an entry that carries a
-// final-prefix verdict: an entry recorded by a batch without
-// ShareFinalPrefix is then a miss, so the caller records a fuller one.
-// The returned state is immutable.
-func (c *ResultCache) lookupHypothesis(faults *bitset.Set, fh uint64, delta int, strat Strategy, epoch uint64, withPrefix bool) *hypState {
+// binding epoch, or nil. The returned state is immutable.
+func (c *ResultCache) lookupHypothesis(faults *bitset.Set, fh uint64, delta int, strat Strategy, epoch uint64) *hypState {
 	h := hypHash(fh, delta, strat)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.byHash[h] {
 		e := el.Value.(*cacheEntry)
 		if e.hyp != nil && e.delta == delta && e.strategy == strat && e.epoch == epoch && sameMembers(e.ids, faults) {
-			if withPrefix && e.hyp.prefix == nil {
-				return nil
-			}
 			c.ll.MoveToFront(el)
 			c.hypHits++
 			return e.hyp
@@ -262,29 +254,21 @@ func (c *ResultCache) lookupHypothesis(faults *bitset.Set, fh uint64, delta int,
 // insertHypothesis memoises a hypothesis's shared state, which the
 // caller must no longer modify. n is the bound graph's node count; it
 // sets the byte ceiling, under which least-recently-used hypothesis
-// entries are evicted. A concurrent duplicate keeps the first entry,
-// unless only the newcomer carries a final-prefix verdict.
+// entries are evicted. A concurrent duplicate keeps the first entry.
 func (c *ResultCache) insertHypothesis(faults *bitset.Set, fh uint64, delta int, strat Strategy, epoch uint64, hs *hypState, n int) {
 	h := hypHash(fh, delta, strat)
 	e := &cacheEntry{
 		hash: h, ids: faults.Members32(), delta: delta, strategy: strat, epoch: epoch,
 		hyp: hs,
 	}
-	e.size = hypEntryOverhead + 4*int64(len(e.ids))
-	if hs.prefix != nil {
-		e.size += hs.prefix.bytes()
-	}
+	e.size = hypEntryOverhead + 4*int64(len(e.ids)) + hs.prefix.bytes()
 	ceiling := hypothesisByteCeiling(n)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.byHash[h] {
 		old := el.Value.(*cacheEntry)
 		if old.hyp != nil && old.delta == delta && old.strategy == strat && old.epoch == epoch && sameMembers(old.ids, faults) {
-			if old.hyp.prefix != nil || hs.prefix == nil {
-				return
-			}
-			c.unlink(el)
-			break
+			return
 		}
 	}
 	c.byHash[h] = append(c.byHash[h], c.ll.PushFront(e))
@@ -471,16 +455,11 @@ func remapSet(s *bitset.Set, oldToNew []int32, newN int) (*bitset.Set, bool) {
 	return out, ok
 }
 
-// evict removes one element and counts the eviction (called with the
-// lock held).
+// evict removes one element from the list, its hash chain and the
+// hypothesis-tier census, and counts the eviction (called with the lock
+// held).
 func (c *ResultCache) evict(el *list.Element) {
-	c.unlink(el)
 	c.evictions++
-}
-
-// unlink removes one element from the list, its hash chain and the
-// hypothesis-tier census (called with the lock held).
-func (c *ResultCache) unlink(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	if e.hyp != nil {
 		c.hypEntries--

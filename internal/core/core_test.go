@@ -315,30 +315,6 @@ func TestDiagnoseNoFaults(t *testing.T) {
 	}
 }
 
-func TestDiagnoseParallelMatchesSequential(t *testing.T) {
-	setGOMAXPROCS(t, 4)
-	rng := rand.New(rand.NewSource(41))
-	g := q7.Graph()
-	for trial := 0; trial < 10; trial++ {
-		F := syndrome.RandomFaults(g.N(), rng.Intn(8), rng)
-		s := syndrome.NewLazy(F, syndrome.Random{Seed: uint64(trial)})
-		seqF, seqStats, err := DiagnoseOpts(q7, s, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parF, parStats, err := DiagnoseOpts(q7, s, Options{Workers: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seqF.Equal(parF) {
-			t.Fatalf("parallel result differs: %v vs %v", parF, seqF)
-		}
-		if seqStats.CertifiedPart != parStats.CertifiedPart {
-			t.Fatalf("certified part differs: %d vs %d", parStats.CertifiedPart, seqStats.CertifiedPart)
-		}
-	}
-}
-
 func TestDiagnosePaperStrategyNeedsBiggerParts(t *testing.T) {
 	// Gap G1: with the paper's prescribed part size (> δ), the
 	// contributor certificate cannot fire on Q7 (subcube BFS trees have

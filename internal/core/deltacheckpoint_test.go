@@ -68,7 +68,7 @@ func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 			free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return DiagnoseOpts(tc.nw, s, opt) }
 			for _, load := range loads {
 				F := syndrome.RandomFaults(g.N(), load, rng)
-				bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: opt}
+				bopt := BatchOptions{ShareHypotheses: true, Options: opt}
 				checkDeltaAgainstFree(t, tc.name, eng, F, bopt, free)
 			}
 		})
@@ -108,7 +108,7 @@ func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 			free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
 			panel := append([]syndrome.Behavior{goldenBehavior(fx.Behavior, fx.BehaviorSeed)}, sharedFinalBehaviors()...)
 			cache := NewResultCache(32)
-			bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
+			bopt := BatchOptions{ShareHypotheses: true, Options: Options{ResultCache: cache}}
 			got := checkBatchAgainstFree(t, "recording", eng, F, panel, bopt, false, free)
 			checkBatchAgainstFree(t, "memo", eng, F, memoBehaviors(), bopt, F.Count() <= nw.Diagnosability(), free)
 			switch {
@@ -143,7 +143,7 @@ func TestFullCheckpointAgainstFreeFunctions(t *testing.T) {
 	center := parts[0].Seed ^ int32(g.N()-1)
 	F := syndrome.ClusterFaults(g, center, nw.Diagnosability())
 	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
-	bopt := BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: NewResultCache(16)}}
+	bopt := BatchOptions{ShareHypotheses: true, Options: Options{ResultCache: NewResultCache(16)}}
 	checkBatchAgainstFree(t, "recording", eng, F, sharedFinalBehaviors()[:1], bopt, false, free)
 	for i, r := range checkBatchAgainstFree(t, "memo", eng, F, memoBehaviors(), bopt, true, free) {
 		if r.Stats.CertLookups != 0 || r.Stats.SharedFinalLookups == 0 {

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/graph"
@@ -31,9 +29,6 @@ const (
 type Options struct {
 	// Strategy selects the part certificate (default StrategyScan).
 	Strategy Strategy
-	// Workers > 1 certifies candidate parts concurrently. 0 or 1 means
-	// sequential; negative means GOMAXPROCS.
-	Workers int
 	// Parts, when non-nil, overrides the network's own partition.
 	Parts []topology.Part
 	// FaultBound, when in (0, δ), tightens the assumed fault bound: if
@@ -60,7 +55,7 @@ type Options struct {
 	// syndrome consultation, and misses populate it. Results are
 	// copied out on every hit (see ResultCache). Grouped batches also
 	// keep each hypothesis's shared scan verdict and final prefix in it
-	// (see BatchOptions.ShareFinalPrefix). The free functions
+	// (see BatchOptions.ShareHypotheses). The free functions
 	// ignore the field — they are the paper-literal reference and
 	// always recompute.
 	ResultCache *ResultCache
@@ -73,7 +68,7 @@ type Options struct {
 	// pass (see kernel.go); nil for generic topologies.
 	kernel wordRounder
 	// shared carries a certification verdict computed once per fault
-	// hypothesis (see BatchOptions.ShareCertification and hypState): the
+	// hypothesis (see BatchOptions.ShareHypotheses and hypState): the
 	// certified part index and the representative's scan footprint.
 	// When set, the part scan is skipped entirely — only the final pass
 	// consults the syndrome — and the Stats record the shared verdict
@@ -81,7 +76,7 @@ type Options struct {
 	shared *sharedScan
 	// recordPrefix asks the final pass to record the hypothesis's shared
 	// final-prefix checkpoint (set by a grouped DiagnoseBatch on each
-	// group representative; see BatchOptions.ShareFinalPrefix and
+	// group representative; see BatchOptions.ShareHypotheses and
 	// finalPrefix). Recording never changes the representative's own
 	// results or accounting.
 	recordPrefix *finalPrefix
@@ -116,7 +111,7 @@ type Stats struct {
 	TotalLookups  int64 // all look-ups of this call
 
 	// SharedFinalRounds and SharedFinalLookups are non-zero only for
-	// members of a ShareFinalPrefix group: the growth rounds and
+	// members of a ShareHypotheses group: the growth rounds and
 	// syndrome look-ups of the adopted behaviour-independent prefix,
 	// which the group representative computed (and whose consultations
 	// the representative's Stats carry). For such members FinalLookups
@@ -235,9 +230,6 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 		// during the scan.
 		stats.PartsScanned = opt.shared.partsScanned
 		certified = opt.shared.certified
-	} else if workers := ClampWorkers(opt.Workers); workers > 1 {
-		certified = certifyParallel(a, s, candidates, delta, opt.Strategy, workers)
-		stats.PartsScanned = len(candidates) // parallel scan may touch all
 	} else {
 		certified = -1
 		for i, p := range candidates {
@@ -265,9 +257,10 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 			// Checkpoint plumbing rides on the scratch so the driver
 			// sees it without widening its signature. Resume engages
 			// only when the checkpoint grew from this call's certified
-			// seed — with unshared certification a member's own scan is
-			// behaviour-independent under the grouping guards, so this
-			// guard only bites when those guarantees were broken.
+			// seed — a member without a shared verdict scans for itself,
+			// and that scan is behaviour-independent under the grouping
+			// guards, so this guard only bites when those guarantees
+			// were broken.
 			if fp := opt.resumePrefix; fp != nil && fp.valid && fp.u0 == seed {
 				sc.prefixRes = fp
 				resumed = fp
@@ -300,8 +293,7 @@ func diagnoseInto(sc *Scratch, a graph.Adjacencer, delta int, parts []topology.P
 
 // certifyOne runs the selected certificate on one part using sc's
 // reusable mask (populated and cleared member-wise — O(|part|), not
-// O(n)) and neighbour buffer. Both the sequential scan and the
-// parallel workers go through here, so the two paths cannot diverge.
+// O(n)) and neighbour buffer.
 func certifyOne(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome, p topology.Part, delta int, strat Strategy) bool {
 	mask := sc.maskBuf()
 	for _, v := range p.Nodes {
@@ -317,58 +309,4 @@ func certifyOne(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome, p topology
 		mask.Remove(int(v))
 	}
 	return ok
-}
-
-// certifyParallel scans candidate parts concurrently and returns the
-// least index that certifies, or -1. The result is deterministic: an
-// index is only skipped when a smaller or equal index has already
-// certified. Each worker draws its own pooled Scratch and — when the
-// syndrome supports sharding — a per-worker Shard view, so look-up
-// counting stays exact without a contended atomic per Test.
-func certifyParallel(a graph.Adjacencer, s syndrome.Syndrome, parts []topology.Part, delta int, strat Strategy, workers int) int {
-	best := atomic.Int64{}
-	best.Store(int64(len(parts)))
-	var wg sync.WaitGroup
-	idx := atomic.Int64{}
-	idx.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ws syndrome.Syndrome
-			if sharder, ok := s.(syndrome.Sharder); ok {
-				shard := sharder.Shard()
-				defer shard.Close()
-				ws = shard
-			} else {
-				// Non-sharding syndromes must tolerate concurrent Test
-				// themselves (the ForConcurrent contract).
-				ws = syndrome.ForConcurrent(s)
-			}
-			sc := getScratch(a.N())
-			defer putScratch(sc)
-			for {
-				i := idx.Add(1)
-				if i >= int64(len(parts)) {
-					return
-				}
-				if i >= best.Load() {
-					continue
-				}
-				if certifyOne(sc, a, ws, parts[i], delta, strat) {
-					for {
-						cur := best.Load()
-						if i >= cur || best.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b := best.Load(); b < int64(len(parts)) {
-		return int(b)
-	}
-	return -1
 }

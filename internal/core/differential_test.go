@@ -95,12 +95,12 @@ func genRandomInstance(rng *rand.Rand) randomInstance {
 // diffStats compares a batch result against the free-function outcome
 // under the documented accounting contract: reps and ungrouped
 // syndromes must match bit for bit; members of a grouped batch keep
-// the shape fields and satisfy the shared-scan / shared-prefix
+// the shape fields and satisfy the shared-scan and shared-prefix
 // look-up identities. With a result cache, a member may instead replay
 // a cached outcome, which carries the Stats of whichever run populated
 // it — the canonical row of a representative or another member's row.
 func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
-	member, shareCert, shareFinal, cached bool) error {
+	member, cached bool) error {
 	if (r.Err == nil) != (wantErr == nil) {
 		return fmt.Errorf("err %v, free function %v", r.Err, wantErr)
 	}
@@ -123,20 +123,11 @@ func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
 		st.PartsScanned != wantStats.PartsScanned {
 		return fmt.Errorf("member shape stats %+v differ from free-function %+v", st, *wantStats)
 	}
-	if shareCert {
-		if st.CertLookups != 0 {
-			return fmt.Errorf("member CertLookups = %d with shared scans", st.CertLookups)
-		}
-	} else if st.CertLookups != wantStats.CertLookups {
-		return fmt.Errorf("member CertLookups %d ≠ free %d", st.CertLookups, wantStats.CertLookups)
+	if st.CertLookups != 0 {
+		return fmt.Errorf("member CertLookups = %d with shared scans", st.CertLookups)
 	}
-	if shareFinal {
-		if st.FinalLookups+st.SharedFinalLookups != wantStats.FinalLookups {
-			return fmt.Errorf("member final %d + shared %d ≠ free final %d",
-				st.FinalLookups, st.SharedFinalLookups, wantStats.FinalLookups)
-		}
-	} else if st.FinalLookups != wantStats.FinalLookups || st.SharedFinalLookups != 0 {
-		return fmt.Errorf("member final %d (shared %d) ≠ free final %d",
+	if st.FinalLookups+st.SharedFinalLookups != wantStats.FinalLookups {
+		return fmt.Errorf("member final %d + shared %d ≠ free final %d",
 			st.FinalLookups, st.SharedFinalLookups, wantStats.FinalLookups)
 	}
 	if st.TotalLookups != st.CertLookups+st.FinalLookups {
@@ -146,8 +137,8 @@ func diffStats(r BatchResult, want *bitset.Set, wantStats *Stats, wantErr error,
 }
 
 // runDifferentialMatrix drives one engine through DiagnoseOpts and
-// every DiagnoseBatch Share* × cache combination over the given fault
-// hypotheses, with base applied to every call (e.g. a tightened
+// every DiagnoseBatch ShareHypotheses × cache combination over the
+// given fault hypotheses, with base applied to every call (e.g. a tightened
 // FaultBound), and asserts everything against freeRef, the
 // paper-literal reference runner for the same instance. Each cached
 // combination then runs a second batch on the same cache under fresh
@@ -202,7 +193,7 @@ func runDifferentialMatrix(t *testing.T, tag string, eng *Engine, hyps []*bitset
 	for i, s := range syns {
 		f, st, err := eng.DiagnoseOpts(s, base)
 		berr := diffStats(BatchResult{Faults: f, Stats: derefStats(st), Err: err},
-			refs[i].faults, refs[i].stats, refs[i].err, false, false, false, false)
+			refs[i].faults, refs[i].stats, refs[i].err, false, false)
 		if berr != nil {
 			t.Fatalf("%s: engine Diagnose syndrome %d: %v", tag, i, berr)
 		}
@@ -217,59 +208,55 @@ func runDifferentialMatrix(t *testing.T, tag string, eng *Engine, hyps []*bitset
 			groupableSets = append(groupableSets, F)
 		}
 	}
-	for _, shareCert := range []bool{false, true} {
-		for _, shareFinal := range []bool{false, true} {
-			for _, cached := range []bool{false, true} {
-				opt := BatchOptions{ShareCertification: shareCert, ShareFinalPrefix: shareFinal, Options: base}
-				if cached {
-					opt.Options.ResultCache = NewResultCache(64)
+	for _, share := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			opt := BatchOptions{ShareHypotheses: share, Options: base}
+			if cached {
+				opt.Options.ResultCache = NewResultCache(64)
+			}
+			for pass := 0; pass < 2; pass++ {
+				name := fmt.Sprintf("%s share=%v cache=%v", tag, share, cached)
+				syns, hypOf := makeSyns(behaviors, true)
+				want := refs
+				memo := pass == 1
+				if memo {
+					if !cached {
+						break
+					}
+					name += " memo"
+					syns, hypOf = makeSyns(memoBehaviors, false)
+					want = memoRefs
 				}
-				grouped := shareCert || shareFinal
-				for pass := 0; pass < 2; pass++ {
-					name := fmt.Sprintf("%s cert=%v final=%v cache=%v", tag, shareCert, shareFinal, cached)
-					syns, hypOf := makeSyns(behaviors, true)
-					want := refs
-					memo := pass == 1
-					if memo {
-						if !cached {
-							break
-						}
-						name += " memo"
-						syns, hypOf = makeSyns(memoBehaviors, false)
-						want = memoRefs
-					}
-					results := eng.DiagnoseBatch(syns, opt)
-					// Grouping keys on fault-set equality, so two hypothesis
-					// indices holding equal sets share one group.
-					var seenSets []*bitset.Set
-					for i, r := range results {
-						F := hyps[hypOf[i]]
-						member := false
-						if grouped && F.Count() <= delta {
-							member = memo || slices.ContainsFunc(seenSets, F.Equal)
-							if !member {
-								seenSets = append(seenSets, F)
-							}
-						}
-						if err := diffStats(r, want[i].faults, want[i].stats, want[i].err,
-							member, member && shareCert, member && shareFinal, cached); err != nil {
-							t.Fatalf("%s: syndrome %d: %v", name, i, err)
-						}
-						if !cached && !member && syns[i].Lookups() != refSyns[i].Lookups() {
-							t.Fatalf("%s: syndrome %d consulted %d, free function %d",
-								name, i, syns[i].Lookups(), refSyns[i].Lookups())
-						}
-						// A cache hit consults nothing; anything else is
-						// consulted exactly as its Stats account.
-						if got := syns[i].Lookups(); member && r.Err == nil && got != r.Stats.TotalLookups && !(cached && got == 0) {
-							t.Fatalf("%s: member syndrome %d consulted %d, stats say %d",
-								name, i, got, r.Stats.TotalLookups)
+				results := eng.DiagnoseBatch(syns, opt)
+				// Grouping keys on fault-set equality, so two hypothesis
+				// indices holding equal sets share one group.
+				var seenSets []*bitset.Set
+				for i, r := range results {
+					F := hyps[hypOf[i]]
+					member := false
+					if share && F.Count() <= delta {
+						member = memo || slices.ContainsFunc(seenSets, F.Equal)
+						if !member {
+							seenSets = append(seenSets, F)
 						}
 					}
-					if memo && grouped {
-						if hits := opt.Options.ResultCache.Stats().HypothesisHits; hits != int64(len(groupableSets)) {
-							t.Fatalf("%s: %d hypothesis hits, want one per groupable hypothesis (%d)", name, hits, len(groupableSets))
-						}
+					if err := diffStats(r, want[i].faults, want[i].stats, want[i].err, member, cached); err != nil {
+						t.Fatalf("%s: syndrome %d: %v", name, i, err)
+					}
+					if !cached && !member && syns[i].Lookups() != refSyns[i].Lookups() {
+						t.Fatalf("%s: syndrome %d consulted %d, free function %d",
+							name, i, syns[i].Lookups(), refSyns[i].Lookups())
+					}
+					// A cache hit consults nothing; anything else is
+					// consulted exactly as its Stats account.
+					if got := syns[i].Lookups(); member && r.Err == nil && got != r.Stats.TotalLookups && !(cached && got == 0) {
+						t.Fatalf("%s: member syndrome %d consulted %d, stats say %d",
+							name, i, got, r.Stats.TotalLookups)
+					}
+				}
+				if memo && share {
+					if hits := opt.Options.ResultCache.Stats().HypothesisHits; hits != int64(len(groupableSets)) {
+						t.Fatalf("%s: %d hypothesis hits, want one per groupable hypothesis (%d)", name, hits, len(groupableSets))
 					}
 				}
 			}
@@ -288,8 +275,8 @@ func derefStats(st *Stats) Stats {
 // testing/quick-driven random connected graphs — not declared
 // topology families — with random partitions, fault loads (including
 // beyond-δ hypotheses) and all behaviours, asserting the engine
-// serving paths (Diagnose, DiagnoseBatch under every Share*
-// combination, cache on and off) against the paper-literal free
+// serving paths (Diagnose, DiagnoseBatch with and without
+// ShareHypotheses, cache on and off) against the paper-literal free
 // functions field by field.
 func TestDifferentialRandomGraphs(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(20260729))}

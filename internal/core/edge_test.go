@@ -89,7 +89,7 @@ func TestDiagnoseStatsPartsScanned(t *testing.T) {
 		F.Add(int(parts[i].Nodes[1]))
 	}
 	s := syndrome.NewLazy(F, syndrome.Mimic{})
-	got, stats, err := DiagnoseOpts(q7, s, Options{Workers: 1})
+	got, stats, err := Diagnose(q7, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -516,58 +516,46 @@ type BatchOptions struct {
 	// instead of transient per-call goroutines — see BatchPool and
 	// campaign.Runtime. The pool decides its own parallelism.
 	Pool BatchPool
-	// ShareCertification groups the batch's lazy syndromes by fault
-	// hypothesis and runs the Theorem 1 part scan once per group: the
-	// group's first syndrome certifies normally, and every other
-	// member adopts the shared verdict, paying only its final
-	// Set_Builder pass. Fault sets and final-pass look-ups stay
-	// bit-identical to individual calls; the members' Stats record the
-	// shared verdict with CertLookups = 0 and PartsScanned copied from
-	// the representative. Opt-in because it changes the members'
-	// observed total look-up counts (that saving is the feature).
+	// ShareHypotheses groups the batch's lazy syndromes by fault
+	// hypothesis and shares each group's behaviour-independent work:
+	// the group's first syndrome (the representative) is diagnosed
+	// normally, and every other member adopts its part-certification
+	// verdict and resumes its final pass from the representative's
+	// final-prefix checkpoint. Fault sets and the shape fields of Stats
+	// (Seed, Rounds, HealthyCount, FaultCount) stay bit-identical to
+	// individual calls. Opt-in because it changes the members' observed
+	// look-up counts (that saving is the feature): members report
+	// CertLookups = 0 with PartsScanned copied from the representative,
+	// and FinalLookups covers only their own consultations past the
+	// checkpoint, with the adopted prefix recorded in
+	// Stats.SharedFinalRounds / SharedFinalLookups — so FinalLookups +
+	// SharedFinalLookups equals the free-function FinalLookups.
 	//
-	// Sharing is sound because the scan certificate's per-part verdict
-	// does not depend on faulty-tester behaviour while the hypothesis
-	// respects the fault bound: a fault-free part is tested only by
-	// healthy members, a mixed part always contains a healthy member
-	// whose consulted pair holds its faulty part-neighbour (forcing a
-	// 1), and the one behaviour-dependent case — an all-faulty part —
-	// would need more than δ faults. Syndromes outside the guards
-	// (non-lazy, StrategyPaper, caller-supplied Parts, hypotheses
-	// beyond the bound) are diagnosed individually within the batch.
-	ShareCertification bool
-	// ShareFinalPrefix additionally shares the behaviour-independent
-	// prefix of the final Set_Builder pass across each group: the
-	// representative's final pass records a checkpoint at the first
-	// round whose frontier would consult a comparison involving a
-	// hypothesised-faulty node, and every other member resumes from it,
-	// consulting the syndrome only past the checkpoint. While the
-	// frontier avoids F ∪ N(F) every consulted comparison has a healthy
-	// tester, parent and candidate, so those rounds' admissions, tree
-	// and look-up trace are identical under every behaviour — see
-	// finalPrefix for the full argument. Fault sets and the shape
-	// fields of Stats (Seed, Rounds, HealthyCount, FaultCount) stay
-	// bit-identical to individual calls; the accounting contract is
-	// that prefix look-ups are paid once by the representative and
-	// members report only their own suffix (FinalLookups), with the
-	// adopted prefix recorded in Stats.SharedFinalRounds /
-	// SharedFinalLookups. Grouping guards match ShareCertification;
-	// the flags compose but are independent — either may be set alone.
+	// Sharing the verdict is sound because the scan certificate's
+	// per-part verdict does not depend on faulty-tester behaviour while
+	// the hypothesis respects the fault bound: a fault-free part is
+	// tested only by healthy members, a mixed part always contains a
+	// healthy member whose consulted pair holds its faulty
+	// part-neighbour (forcing a 1), and the one behaviour-dependent
+	// case — an all-faulty part — would need more than δ faults.
+	// Sharing the prefix is sound because the checkpoint sits at the
+	// first round whose frontier would consult a comparison involving a
+	// hypothesised-faulty node: while the frontier avoids F ∪ N(F)
+	// every consulted comparison has a healthy tester, parent and
+	// candidate, so those rounds' admissions, tree and look-up trace
+	// are identical under every behaviour — see finalPrefix for the
+	// full argument. Syndromes outside the guards (non-lazy,
+	// StrategyPaper, caller-supplied Parts, hypotheses beyond the
+	// bound) are diagnosed individually within the batch.
 	//
-	// With Options.ResultCache set, both kinds of shared state outlive
-	// the batch: each hypothesis's scan verdict and checkpoint are
-	// stored as a hypothesis entry of the cache (see ResultCache), and
-	// a later batch resumes every syndrome of a stored hypothesis as a
-	// member — no representative re-runs the scan or the prefix. Each
-	// flag still governs only its own half: a batch without
-	// ShareFinalPrefix never resumes a stored checkpoint, one without
-	// ShareCertification never adopts a stored verdict.
-	ShareFinalPrefix bool
+	// With Options.ResultCache set, the shared state outlives the
+	// batch: each hypothesis's scan verdict and checkpoint are stored
+	// as a hypothesis entry of the cache (see ResultCache), and a later
+	// batch resumes every syndrome of a stored hypothesis as a member —
+	// no representative re-runs the scan or the prefix.
+	ShareHypotheses bool
 	// Options applies to every diagnosis in the batch. Scratch is
-	// ignored (workers bind their own); Workers inside Options still
-	// selects parallel part certification per syndrome and composes
-	// with the batch pool — leave it 0 for the deterministic,
-	// lookup-identical sequential path.
+	// ignored (workers bind their own).
 	Options Options
 }
 
@@ -599,8 +587,8 @@ func (e *Engine) DiagnoseBatch(syndromes []syndrome.Syndrome, opt BatchOptions) 
 	if pool == nil {
 		pool = transientPool{e: e, workers: opt.Workers}
 	}
-	if opt.ShareCertification || opt.ShareFinalPrefix {
-		e.diagnoseGrouped(b, pool, syndromes, opt, results)
+	if opt.ShareHypotheses {
+		e.diagnoseGrouped(b, pool, syndromes, opt.Options, results)
 		return results
 	}
 	pool.RunScratch(len(syndromes), func(sc *Scratch, i int) {
@@ -609,20 +597,18 @@ func (e *Engine) DiagnoseBatch(syndromes []syndrome.Syndrome, opt BatchOptions) 
 	return results
 }
 
-// diagnoseGrouped implements BatchOptions.ShareCertification and
-// BatchOptions.ShareFinalPrefix. Syndromes are grouped by fault
-// hypothesis, and each group resolves its shared state (hypState) from
-// the store: the batch-local groups, backed by the ResultCache's
-// hypothesis entries when Options.ResultCache is set. A group whose
-// hypothesis is stored has no representative; otherwise phase A
-// diagnoses its first syndrome (and every ungroupable one) in full,
-// recording the final-prefix checkpoint as a side effect, and the
+// diagnoseGrouped implements BatchOptions.ShareHypotheses. Syndromes
+// are grouped by fault hypothesis, and each group resolves its shared
+// state (hypState) from the store: the batch-local groups, backed by
+// the ResultCache's hypothesis entries when Options.ResultCache is set.
+// A group whose hypothesis is stored has no representative; otherwise
+// phase A diagnoses its first syndrome (and every ungroupable one) in
+// full, recording the final-prefix checkpoint as a side effect, and the
 // recorded state is stored. Phase B then runs every member under the
-// shared certification verdict and/or resumed from the checkpoint. See
-// the two BatchOptions fields for the soundness arguments and the
-// accounting contracts.
-func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrome.Syndrome, bopt BatchOptions, results []BatchResult) {
-	opt := bopt.Options
+// shared certification verdict, resumed from the checkpoint. See
+// BatchOptions.ShareHypotheses for the soundness arguments and the
+// accounting contract.
+func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrome.Syndrome, opt Options, results []BatchResult) {
 	delta := b.delta
 	if opt.FaultBound > 0 && opt.FaultBound < delta {
 		delta = opt.FaultBound
@@ -668,7 +654,7 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 
 	for _, grp := range groups {
 		if memo != nil {
-			if hs := memo.lookupHypothesis(grp.faults, grp.hash, delta, opt.Strategy, b.epoch, bopt.ShareFinalPrefix); hs != nil {
+			if hs := memo.lookupHypothesis(grp.faults, grp.hash, delta, opt.Strategy, b.epoch); hs != nil {
 				grp.hyp = hs
 				continue
 			}
@@ -676,7 +662,7 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 		grp.hyp = &hypState{}
 		// Record the final prefix only where someone can resume from it:
 		// the group's own members, or later batches through the memo.
-		if bopt.ShareFinalPrefix && (len(grp.idx) > 1 || memo != nil) {
+		if len(grp.idx) > 1 || memo != nil {
 			grp.hyp.prefix = &finalPrefix{}
 		}
 		grp.rep = true
@@ -707,7 +693,7 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 				grp.hyp.scan = &sharedScan{certified: rep.Stats.CertifiedPart, partsScanned: rep.Stats.PartsScanned}
 				// A representative answered from the result cache recorded
 				// no prefix; storing its state would pin an empty one.
-				if memo != nil && (grp.hyp.prefix == nil || grp.hyp.prefix.settled) {
+				if memo != nil && grp.hyp.prefix.settled {
 					memo.insertHypothesis(grp.faults, grp.hash, delta, opt.Strategy, b.epoch, grp.hyp, b.adj.N())
 				}
 			}
@@ -719,12 +705,7 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 	pool.RunScratch(len(phaseB), func(sc *Scratch, k int) {
 		t := phaseB[k]
 		o := opt
-		if bopt.ShareCertification {
-			o.shared = t.hyp.scan
-		}
-		if bopt.ShareFinalPrefix {
-			o.resumePrefix = t.hyp.prefix
-		}
+		o.shared, o.resumePrefix = t.hyp.scan, t.hyp.prefix
 		results[t.idx] = e.diagnoseOne(b, syndromes[t.idx], o, sc)
 	})
 }

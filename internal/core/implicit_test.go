@@ -107,8 +107,8 @@ func TestImplicitEngineMatchesCSR(t *testing.T) {
 
 // TestImplicitEngineBatch pins the grouped batch paths on an implicit
 // engine against the CSR engine: member-for-member identical fault
-// sets and Stats under every ShareCertification × ShareFinalPrefix
-// combination, with and without a result cache. This is the path the
+// sets and Stats with and without ShareHypotheses, and with a result
+// cache. This is the path the
 // shared-final delta checkpoints ride.
 func TestImplicitEngineBatch(t *testing.T) {
 	for _, nw := range []topology.CayleyStructured{
@@ -130,10 +130,8 @@ func TestImplicitEngineBatch(t *testing.T) {
 				cache bool
 			}{
 				{bopt: BatchOptions{}},
-				{bopt: BatchOptions{ShareCertification: true}},
-				{bopt: BatchOptions{ShareFinalPrefix: true}},
-				{bopt: BatchOptions{ShareCertification: true, ShareFinalPrefix: true}},
-				{bopt: BatchOptions{ShareFinalPrefix: true}, cache: true},
+				{bopt: BatchOptions{ShareHypotheses: true}},
+				{bopt: BatchOptions{ShareHypotheses: true}, cache: true},
 			} {
 				bopt, boptCsr := tc.bopt, tc.bopt
 				if tc.cache {

@@ -9,60 +9,6 @@ import (
 	"comparisondiag/internal/topology"
 )
 
-// TestParallelCertifySharding exercises the per-worker sharded look-up
-// counters: parallel certification shares one Lazy syndrome across
-// workers (each taking a Shard view), and the merged counter must
-// account for exactly the look-ups the call reports. Run under -race
-// this also proves the shards keep the plain-counter Lazy data-race
-// free.
-func TestParallelCertifySharding(t *testing.T) {
-	setGOMAXPROCS(t, 4)
-	nw := topology.NewHypercube(9)
-	delta := nw.Diagnosability()
-	for trial := int64(0); trial < 8; trial++ {
-		F := syndrome.RandomFaults(nw.Graph().N(), delta, rand.New(rand.NewSource(trial)))
-		s := syndrome.NewLazy(F, syndrome.Mimic{})
-		got, stats, err := DiagnoseOpts(nw, s, Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !got.Equal(F) {
-			t.Fatalf("trial %d: misdiagnosis", trial)
-		}
-		if s.Lookups() != stats.TotalLookups {
-			t.Fatalf("trial %d: lookup accounting drifted: syndrome says %d, stats say %d",
-				trial, s.Lookups(), stats.TotalLookups)
-		}
-	}
-}
-
-// TestParallelCertifyMatchesSequentialResult pins determinism of the
-// parallel scan: it must certify a part yielding the same fault set as
-// the sequential scan (the least certifying index wins).
-func TestParallelCertifyMatchesSequentialResult(t *testing.T) {
-	setGOMAXPROCS(t, 4)
-	nw := topology.NewHypercube(9)
-	delta := nw.Diagnosability()
-	for trial := int64(10); trial < 16; trial++ {
-		F := syndrome.RandomFaults(nw.Graph().N(), delta, rand.New(rand.NewSource(trial)))
-		seqFaults, seqStats, err := DiagnoseOpts(nw, syndrome.NewLazy(F, syndrome.Mimic{}), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parFaults, parStats, err := DiagnoseOpts(nw, syndrome.NewLazy(F, syndrome.Mimic{}), Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seqFaults.Equal(parFaults) {
-			t.Fatalf("trial %d: parallel fault set differs", trial)
-		}
-		if seqStats.CertifiedPart != parStats.CertifiedPart {
-			t.Fatalf("trial %d: certified part %d (sequential) vs %d (parallel)",
-				trial, seqStats.CertifiedPart, parStats.CertifiedPart)
-		}
-	}
-}
-
 // TestConcurrentDiagnoses runs many diagnoses at once, each with its
 // own syndrome but drawing scratches from the shared pool — the
 // campaign workload shape. Meaningful mainly under -race.
@@ -79,7 +25,7 @@ func TestConcurrentDiagnoses(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				F := syndrome.RandomFaults(nw.Graph().N(), delta, rand.New(rand.NewSource(seed*100+int64(i))))
 				s := syndrome.NewLazy(F, syndrome.Mimic{})
-				got, _, err := DiagnoseOpts(nw, s, Options{Workers: 2})
+				got, _, err := Diagnose(nw, s)
 				if err != nil {
 					errs <- err
 					return

@@ -281,7 +281,7 @@ func TestDiagnoseDuringRebindRace(t *testing.T) {
 					eng.DiagnoseBatch([]syndrome.Syndrome{
 						syndrome.NewLazy(F, syndrome.Mimic{}),
 						syndrome.NewLazy(F, syndrome.Mimic{}),
-					}, BatchOptions{ShareCertification: true, ShareFinalPrefix: true})
+					}, BatchOptions{ShareHypotheses: true})
 					continue
 				}
 				eng.DiagnoseOpts(syndrome.NewLazy(F, syndrome.Mimic{}), Options{ResultCache: cache})

@@ -10,13 +10,15 @@ import (
 
 // TestShareCertificationAccounting pins the grouped-batch contract:
 // syndromes of one fault hypothesis share the representative's part
-// scan. For every member (non-representative): the fault set and the
-// final-pass look-ups are bit-identical to an individual call, the
-// syndrome is only consulted during its final pass, and the Stats
-// record the shared verdict — CertifiedPart and PartsScanned copied
-// from the representative, CertLookups pinned to 0, TotalLookups equal
-// to FinalLookups. Representatives and hypotheses outside the guards
-// keep free-function Stats exactly.
+// scan and final prefix. For every member (non-representative): the
+// fault set and the final-pass shape are bit-identical to an individual
+// call, its own final look-ups plus the adopted prefix's equal the
+// free-function final look-ups, the syndrome is only consulted during
+// its final pass, and the Stats record the shared verdict —
+// CertifiedPart and PartsScanned copied from the representative,
+// CertLookups pinned to 0, TotalLookups equal to FinalLookups.
+// Representatives and hypotheses outside the guards keep free-function
+// Stats exactly.
 func TestShareCertificationAccounting(t *testing.T) {
 	nw := topology.NewHypercube(9)
 	g := nw.Graph()
@@ -39,7 +41,7 @@ func TestShareCertificationAccounting(t *testing.T) {
 	syns = append(syns, syndrome.NewLazy(beyond, syndrome.Mimic{}), syndrome.NewLazy(beyond, syndrome.AllZero{}))
 	refs = append(refs, syndrome.NewLazy(beyond, syndrome.Mimic{}), syndrome.NewLazy(beyond, syndrome.AllZero{}))
 
-	results := eng.DiagnoseBatch(syns, BatchOptions{ShareCertification: true})
+	results := eng.DiagnoseBatch(syns, BatchOptions{ShareHypotheses: true})
 
 	perGroup := len(behaviors)
 	grouped := len(hyps) * perGroup
@@ -72,9 +74,9 @@ func TestShareCertificationAccounting(t *testing.T) {
 				i, r.Stats.CertifiedPart, r.Stats.PartsScanned, rep.Stats.CertifiedPart, rep.Stats.PartsScanned)
 		}
 		if wantStats != nil {
-			if r.Stats.FinalLookups != wantStats.FinalLookups {
-				t.Fatalf("syndrome %d: member final pass spent %d look-ups, free function %d",
-					i, r.Stats.FinalLookups, wantStats.FinalLookups)
+			if r.Stats.FinalLookups+r.Stats.SharedFinalLookups != wantStats.FinalLookups {
+				t.Fatalf("syndrome %d: member final pass spent %d + %d shared look-ups, free function %d",
+					i, r.Stats.FinalLookups, r.Stats.SharedFinalLookups, wantStats.FinalLookups)
 			}
 			if r.Stats.Seed != wantStats.Seed || r.Stats.Rounds != wantStats.Rounds ||
 				r.Stats.HealthyCount != wantStats.HealthyCount || r.Stats.FaultCount != wantStats.FaultCount {
@@ -114,7 +116,7 @@ func TestShareCertificationPaperStrategyUngrouped(t *testing.T) {
 	}
 	eng := NewEngine(nw)
 	opt := Options{Strategy: StrategyPaper, Parts: parts}
-	for i, r := range eng.DiagnoseBatch(syns, BatchOptions{ShareCertification: true, Options: opt}) {
+	for i, r := range eng.DiagnoseBatch(syns, BatchOptions{ShareHypotheses: true, Options: opt}) {
 		want, wantStats, wantErr := DiagnoseOpts(nw, refs[i], opt)
 		if (r.Err == nil) != (wantErr == nil) {
 			t.Fatalf("syndrome %d: err %v vs %v", i, r.Err, wantErr)
@@ -128,7 +130,7 @@ func TestShareCertificationPaperStrategyUngrouped(t *testing.T) {
 	}
 }
 
-// TestShareCertificationOnRuntimePool runs the grouped batch on an
+// TestShareCertificationOnExternalPool runs the grouped batch on an
 // externally supplied BatchPool (the campaign.Runtime shape, modelled
 // here by a trivial sequential pool) to pin the Pool plumbing.
 type seqPool struct{ e *Engine }
@@ -151,7 +153,7 @@ func TestShareCertificationOnExternalPool(t *testing.T) {
 		syndrome.NewLazy(F, syndrome.AllOne{}),
 	}
 	eng := NewEngine(nw)
-	results := eng.DiagnoseBatch(syns, BatchOptions{ShareCertification: true, Pool: seqPool{eng}})
+	results := eng.DiagnoseBatch(syns, BatchOptions{ShareHypotheses: true, Pool: seqPool{eng}})
 	for i, r := range results {
 		want, _, wantErr := Diagnose(nw, syndrome.NewLazy(F, syns[i].(*syndrome.Lazy).Behavior()))
 		if (r.Err == nil) != (wantErr == nil) || (wantErr == nil && !r.Faults.Equal(want)) {

@@ -8,7 +8,7 @@ import (
 )
 
 // finalPrefix is the shared-final-prefix checkpoint of a grouped batch
-// (BatchOptions.ShareFinalPrefix): the final Set_Builder state — U, the
+// (BatchOptions.ShareHypotheses): the final Set_Builder state — U, the
 // tree, the frontier and the look-up count — at the boundary of the
 // behaviour-independent prefix of the pass.
 //

@@ -21,13 +21,13 @@ func sharedFinalBehaviors() []syndrome.Behavior {
 
 // checkSharedFinalGroup runs one fault hypothesis through a grouped
 // DiagnoseBatch on the given network/engine and pins the
-// ShareFinalPrefix contract against the paper-literal free functions
+// ShareHypotheses contract against the paper-literal free functions
 // (checkBatchAgainstFree), plus the point of sharing: the group-total
 // look-ups strictly below the unshared total whenever a non-empty
 // prefix was shared.
 func checkSharedFinalGroup(t *testing.T, nw topology.Network, eng *Engine, F *bitset.Set, bopt BatchOptions) {
 	t.Helper()
-	bopt.ShareFinalPrefix = true
+	bopt.ShareHypotheses = true
 	behaviors := sharedFinalBehaviors()
 	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
 	results := checkBatchAgainstFree(t, "shared-final group", eng, F, behaviors, bopt, false, free)
@@ -79,9 +79,7 @@ func checkBatchAgainstFree(t *testing.T, label string, eng *Engine, F *bitset.Se
 			t.Fatalf("%s: syndrome %d (%s): err %v, free function %v", label, i, behaviors[i].Name(), r.Err, wantErr)
 		}
 		member := groupable && (allMembers || i > 0)
-		if err := diffStats(r, want, wantStats, wantErr,
-			member, member && bopt.ShareCertification, member && bopt.ShareFinalPrefix,
-			bopt.Options.ResultCache != nil); err != nil {
+		if err := diffStats(r, want, wantStats, wantErr, member, bopt.Options.ResultCache != nil); err != nil {
 			t.Fatalf("%s: syndrome %d (%s): %v", label, i, behaviors[i].Name(), err)
 		}
 		if got := syns[i].Lookups(); r.Err == nil && got != r.Stats.TotalLookups && !(bopt.Options.ResultCache != nil && got == 0) {
@@ -93,8 +91,9 @@ func checkBatchAgainstFree(t *testing.T, label string, eng *Engine, F *bitset.Se
 
 // TestShareFinalPrefixAccounting pins the shared-final-prefix contract
 // on a kernel-bound engine (Q9: xor-cayley) for a far-clustered
-// hypothesis — the workload with a long behaviour-independent prefix —
-// with and without composed certification sharing.
+// hypothesis — the workload with a long behaviour-independent prefix.
+// Members adopt the representative's scan verdict along with its
+// prefix.
 func TestShareFinalPrefixAccounting(t *testing.T) {
 	nw := topology.NewHypercube(9)
 	g := nw.Graph()
@@ -108,11 +107,8 @@ func TestShareFinalPrefixAccounting(t *testing.T) {
 	center := parts[0].Seed ^ int32(g.N()-1)
 	F := syndrome.ClusterFaults(g, center, nw.Diagnosability())
 
-	t.Run("final-only", func(t *testing.T) {
-		checkSharedFinalGroup(t, nw, eng, F, BatchOptions{})
-	})
 	t.Run("with-shared-cert", func(t *testing.T) {
-		checkSharedFinalGroup(t, nw, eng, F, BatchOptions{ShareCertification: true})
+		checkSharedFinalGroup(t, nw, eng, F, BatchOptions{})
 	})
 }
 
@@ -141,7 +137,7 @@ func TestShareFinalPrefixGenericAndKernels(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				f := 1 + rng.Intn(tc.nw.Diagnosability())
 				F := syndrome.RandomFaults(g.N(), f, rng)
-				bopt := BatchOptions{ShareCertification: true, Options: Options{GenericFinal: tc.generic}}
+				bopt := BatchOptions{Options: Options{GenericFinal: tc.generic}}
 				checkSharedFinalGroup(t, tc.nw, eng, F, bopt)
 			}
 		})
@@ -150,13 +146,13 @@ func TestShareFinalPrefixGenericAndKernels(t *testing.T) {
 
 // TestShareFinalPrefixCompletePrefix pins the clean-to-termination
 // case: the empty hypothesis's final pass never touches a hazard, so
-// members adopt the whole result and consult the syndrome only for
-// their (shared or own) certification scan.
+// members adopt the whole result and the shared scan verdict, and
+// never consult the syndrome.
 func TestShareFinalPrefixCompletePrefix(t *testing.T) {
 	nw := topology.NewHypercube(8)
 	eng := NewEngine(nw)
 	F := bitset.New(nw.Graph().N())
-	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{ShareCertification: true})
+	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{})
 
 	// Directly: members of the empty hypothesis report zero final
 	// look-ups of their own.
@@ -164,7 +160,7 @@ func TestShareFinalPrefixCompletePrefix(t *testing.T) {
 	for _, b := range sharedFinalBehaviors() {
 		syns = append(syns, syndrome.NewLazy(F, b))
 	}
-	results := eng.DiagnoseBatch(syns, BatchOptions{ShareCertification: true, ShareFinalPrefix: true})
+	results := eng.DiagnoseBatch(syns, BatchOptions{ShareHypotheses: true})
 	for i, r := range results[1:] {
 		if r.Err != nil {
 			t.Fatalf("member %d: %v", i+1, r.Err)
@@ -201,7 +197,7 @@ func TestShareFinalPrefixHazardousSeed(t *testing.T) {
 	F.Add(int(seed0) ^ (g.N() >> 1))
 
 	// The general contract still holds (members simply share nothing)…
-	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{ShareCertification: true})
+	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{})
 
 	// …and if part 0 still certified (the fault lives elsewhere), the
 	// hazardous seed must have suppressed the checkpoint entirely.
@@ -209,7 +205,7 @@ func TestShareFinalPrefixHazardousSeed(t *testing.T) {
 	for _, b := range sharedFinalBehaviors() {
 		syns = append(syns, syndrome.NewLazy(F, b))
 	}
-	results := eng.DiagnoseBatch(syns, BatchOptions{ShareCertification: true, ShareFinalPrefix: true})
+	results := eng.DiagnoseBatch(syns, BatchOptions{ShareHypotheses: true})
 	if results[0].Err == nil && results[0].Stats.CertifiedPart == 0 {
 		for i, r := range results[1:] {
 			if r.Stats.SharedFinalLookups != 0 || r.Stats.SharedFinalRounds != 0 {
@@ -235,7 +231,7 @@ func TestShareFinalPrefixOnExternalPool(t *testing.T) {
 		refs = append(refs, syndrome.NewLazy(F, b))
 	}
 	results := eng.DiagnoseBatch(syns, BatchOptions{
-		ShareCertification: true, ShareFinalPrefix: true, Pool: seqPool{eng},
+		ShareHypotheses: true, Pool: seqPool{eng},
 	})
 	shared := false
 	for i, r := range results {
@@ -281,7 +277,7 @@ func TestShareFinalPrefixWarmCache(t *testing.T) {
 
 	syns := makeSyns()
 	results := eng.DiagnoseBatch(syns, BatchOptions{
-		ShareFinalPrefix: true, Options: Options{ResultCache: cache},
+		ShareHypotheses: true, Options: Options{ResultCache: cache},
 	})
 	for i, r := range results {
 		if r.Err != nil {
@@ -311,7 +307,7 @@ func TestHypothesisMemoAcrossBatches(t *testing.T) {
 	F := syndrome.ClusterFaults(g, parts[0].Seed^int32(g.N()-1), nw.Diagnosability())
 	free := func(s syndrome.Syndrome) (*bitset.Set, *Stats, error) { return Diagnose(nw, s) }
 	both := func(cache *ResultCache) BatchOptions {
-		return BatchOptions{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
+		return BatchOptions{ShareHypotheses: true, Options: Options{ResultCache: cache}}
 	}
 	randoms := func(seeds ...uint64) []syndrome.Behavior {
 		var bs []syndrome.Behavior
@@ -349,39 +345,6 @@ func TestHypothesisMemoAcrossBatches(t *testing.T) {
 		}
 	})
 
-	// Each flag governs only its own half of a stored entry.
-	t.Run("flags-honoured-separately", func(t *testing.T) {
-		cache := NewResultCache(16)
-		checkBatchAgainstFree(t, "record", eng, F, randoms(1), both(cache), false, free)
-		certOnly := BatchOptions{ShareCertification: true, Options: Options{ResultCache: cache}}
-		for _, r := range checkBatchAgainstFree(t, "cert-only", eng, F, randoms(4), certOnly, true, free) {
-			if r.Stats.CertLookups != 0 || r.Stats.SharedFinalLookups != 0 {
-				t.Fatalf("cert-only batch: stats %+v; want the stored verdict and no stored prefix", r.Stats)
-			}
-		}
-		finalOnly := BatchOptions{ShareFinalPrefix: true, Options: Options{ResultCache: cache}}
-		for _, r := range checkBatchAgainstFree(t, "final-only", eng, F, randoms(5), finalOnly, true, free) {
-			if r.Stats.CertLookups == 0 || r.Stats.SharedFinalLookups == 0 {
-				t.Fatalf("final-only batch: stats %+v; want its own scan and the stored prefix", r.Stats)
-			}
-		}
-		// An entry recorded without ShareFinalPrefix carries no prefix: a
-		// prefix-sharing batch treats it as a miss and records a fuller
-		// one, which the next batch resumes.
-		cache = NewResultCache(16)
-		certOnly.Options.ResultCache = cache
-		checkBatchAgainstFree(t, "cert-record", eng, F, randoms(6), certOnly, false, free)
-		checkBatchAgainstFree(t, "upgrade", eng, F, randoms(7), both(cache), false, free)
-		for _, r := range checkBatchAgainstFree(t, "upgraded", eng, F, randoms(8), both(cache), true, free) {
-			if r.Stats.SharedFinalLookups == 0 {
-				t.Fatalf("upgraded entry: stats %+v; want the prefix adopted", r.Stats)
-			}
-		}
-		if cs := cache.Stats(); cs.HypothesisEntries != 1 || cs.HypothesisHits != 1 {
-			t.Fatalf("cache stats %+v, want one (replaced) entry and one hit", cs)
-		}
-	})
-
 	// Rebind flushes hypothesis entries; a cache not passed to Rebind
 	// still never resumes across the churn, because entries are keyed on
 	// the binding epoch.
@@ -402,7 +365,7 @@ func TestHypothesisMemoAcrossBatches(t *testing.T) {
 		solo := syndrome.NewLazy(F, syndrome.Random{Seed: 9})
 		r := eng.DiagnoseBatch([]syndrome.Syndrome{s}, both(unflushed))[0]
 		want, wantStats, wantErr := eng.DiagnoseOpts(solo, Options{})
-		if err := diffStats(r, want, wantStats, wantErr, false, false, false, false); err != nil {
+		if err := diffStats(r, want, wantStats, wantErr, false, false); err != nil {
 			t.Fatalf("post-churn batch: %v", err)
 		}
 		if hits := unflushed.Stats().HypothesisHits; hits != 0 {
@@ -454,8 +417,8 @@ func TestShareFinalPrefixHypothesisWiderThanBinding(t *testing.T) {
 	F.Add(63)
 	F.Add(20)
 	for _, bopt := range []BatchOptions{
-		{ShareFinalPrefix: true},
-		{ShareCertification: true, ShareFinalPrefix: true, Options: Options{ResultCache: NewResultCache(8)}},
+		{ShareHypotheses: true},
+		{ShareHypotheses: true, Options: Options{ResultCache: NewResultCache(8)}},
 	} {
 		behaviors := []syndrome.Behavior{syndrome.Mimic{}, syndrome.AllOne{}}
 		var syns []syndrome.Syndrome
@@ -464,8 +427,7 @@ func TestShareFinalPrefixHypothesisWiderThanBinding(t *testing.T) {
 		}
 		for i, r := range eng.DiagnoseBatch(syns, bopt) {
 			want, wantStats, wantErr := eng.DiagnoseOpts(syndrome.NewLazy(F, behaviors[i]), Options{})
-			member := i > 0 && bopt.ShareCertification
-			if err := diffStats(r, want, wantStats, wantErr, member, member, member, false); err != nil {
+			if err := diffStats(r, want, wantStats, wantErr, i > 0, false); err != nil {
 				t.Fatalf("%+v syndrome %d: %v", bopt, i, err)
 			}
 		}

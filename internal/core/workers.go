@@ -8,14 +8,12 @@ import "runtime"
 // clamped down to it — goroutines beyond that only add scheduling and
 // coordination overhead, they can never run simultaneously. Zero passes
 // through unchanged so call sites keep their own zero semantics
-// ("sequential" for Options.Workers, "default pool" for batch and
-// campaign drivers).
+// ("default pool" for batch and campaign drivers).
 //
 // Every concurrency knob in the repository funnels through here —
-// parallel part certification, engine batch pools, the campaign
-// runtime and the BSP simulator — so an untrusted
-// or misconfigured worker count degrades to the hardware's parallelism
-// instead of a thousand idle goroutines.
+// engine batch pools, the campaign runtime and the BSP simulator — so
+// an untrusted or misconfigured worker count degrades to the hardware's
+// parallelism instead of a thousand idle goroutines.
 func ClampWorkers(n int) int {
 	max := runtime.GOMAXPROCS(0)
 	if n < 0 || n > max {

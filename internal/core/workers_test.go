@@ -1,12 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"testing"
-
-	"comparisondiag/internal/syndrome"
-	"comparisondiag/internal/topology"
-)
+import "testing"
 
 // TestClampWorkers pins the normalisation table against a known
 // GOMAXPROCS.
@@ -17,32 +11,6 @@ func TestClampWorkers(t *testing.T) {
 	} {
 		if got := ClampWorkers(c.in); got != c.want {
 			t.Errorf("ClampWorkers(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-// TestWorkersClampPlumbing pins that the clamp actually governs the
-// certification path: at GOMAXPROCS=1 an absurd Options.Workers must
-// take the sequential scan, observable through PartsScanned (the
-// sequential scan stops at the certified part; the parallel scan
-// reports the whole candidate list).
-func TestWorkersClampPlumbing(t *testing.T) {
-	setGOMAXPROCS(t, 1)
-	nw := topology.NewHypercube(9)
-	delta := nw.Diagnosability()
-	for trial := int64(0); trial < 4; trial++ {
-		F := syndrome.RandomFaults(nw.Graph().N(), delta, rand.New(rand.NewSource(trial)))
-		_, seqStats, err := DiagnoseOpts(nw, syndrome.NewLazy(F, syndrome.Mimic{}), Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, clampedStats, err := DiagnoseOpts(nw, syndrome.NewLazy(F, syndrome.Mimic{}), Options{Workers: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *clampedStats != *seqStats {
-			t.Fatalf("trial %d: clamped run took the parallel path: %+v vs sequential %+v",
-				trial, *clampedStats, *seqStats)
 		}
 	}
 }

@@ -68,8 +68,8 @@ type ReplayResult struct {
 // waves still pay the full network ledger: the centre cannot know a
 // syndrome repeats until it has collected it). The replay workload
 // re-collects mostly unchanged system states wave after wave, so
-// hypothesis grouping (BatchOptions.ShareCertification /
-// ShareFinalPrefix) lets the centre certify once and regrow the
+// hypothesis grouping (BatchOptions.ShareHypotheses) lets the centre
+// certify once and regrow the
 // behaviour-independent final prefix once per repeated hypothesis.
 // opt.Pool and opt.Options.ResultCache are superseded by the server's
 // runtime and the cache argument.

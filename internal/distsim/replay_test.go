@@ -101,7 +101,7 @@ func TestCollectServerReplayBatchShared(t *testing.T) {
 	plain := cs.ReplayBatch(plainSyns, nil, core.BatchOptions{})
 	sharedSyns := makeSyns()
 	shared := cs.ReplayBatch(sharedSyns, nil, core.BatchOptions{
-		ShareCertification: true, ShareFinalPrefix: true,
+		ShareHypotheses: true,
 	})
 	var plainLookups, sharedLookups int64
 	members := 0

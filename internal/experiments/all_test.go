@@ -13,8 +13,8 @@ func TestAllTablesGenerate(t *testing.T) {
 		t.Skip("full experiment sweep")
 	}
 	tables := All(false)
-	if len(tables) != 16 {
-		t.Fatalf("expected 16 experiment tables, got %d", len(tables))
+	if len(tables) != 15 {
+		t.Fatalf("expected 15 experiment tables, got %d", len(tables))
 	}
 	seen := map[string]bool{}
 	for _, tb := range tables {

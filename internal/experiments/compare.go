@@ -39,7 +39,7 @@ func LookupAccounting(full bool) *Table {
 	}
 	for _, nw := range instances {
 		g := nw.Graph()
-		r := measureDiagnose(nw, syndrome.Mimic{}, 5, 1, core.Options{})
+		r := measureDiagnose(nw, syndrome.Mimic{}, 5, 1)
 		if !r.ok {
 			t.Rows = append(t.Rows, []string{nw.Name(), itoa(g.N()), "-", "-", "-", "-", "ERR: " + r.errText})
 			continue
@@ -379,38 +379,6 @@ func measureDiagnoseWithParts(nw topology.Network, parts []topology.Part, strat 
 	}
 }
 
-// AblationParallel measures the concurrent part-certification speed-up.
-func AblationParallel(full bool) *Table {
-	t := &Table{
-		ID:      "A2",
-		Title:   "Ablation — sequential vs parallel part certification",
-		Columns: []string{"instance", "workers", "time/diag", "speed-up"},
-	}
-	n := 12
-	if full {
-		n = 14
-	}
-	nw := topology.NewHypercube(n)
-	var base time.Duration
-	for _, workers := range []int{1, 2, 4, 8} {
-		r := measureDiagnose(nw, syndrome.Mimic{}, 5, 1, core.Options{Workers: workers})
-		if !r.ok {
-			t.Rows = append(t.Rows, []string{nw.Name(), itoa(workers), "ERR: " + r.errText, "-"})
-			continue
-		}
-		if workers == 1 {
-			base = r.avgTime
-		}
-		t.Rows = append(t.Rows, []string{
-			nw.Name(), itoa(workers), fmtDur(r.avgTime),
-			fmt.Sprintf("%.2fx", float64(base)/float64(r.avgTime)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"speed-up saturates quickly: certification touches ≤ δ+1 parts and the final pass is sequential")
-	return t
-}
-
 // AblationBehaviour measures sensitivity to the faulty-tester adversary.
 func AblationBehaviour(full bool) *Table {
 	t := &Table{
@@ -424,7 +392,7 @@ func AblationBehaviour(full bool) *Table {
 	}
 	nw := topology.NewHypercube(n)
 	for _, b := range syndrome.AllBehaviors(2024) {
-		r := measureDiagnose(nw, b, 5, 6, core.Options{})
+		r := measureDiagnose(nw, b, 5, 6)
 		if !r.ok {
 			t.Rows = append(t.Rows, []string{b.Name(), "-", "-", "-", "ERR: " + r.errText})
 			continue

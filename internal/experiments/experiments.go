@@ -4,7 +4,7 @@
 // Sections 3/6, the diagnosability validations, the distributed
 // comparison of the Conclusions, and the repository's own ablations.
 // Each experiment returns a Table that cmd/benchtab prints; ByID is the
-// index (t2..t14 for the paper's claims, a1..a3 for the ablations).
+// index (t2..t14 for the paper's claims, a1 and a3 for the ablations).
 package experiments
 
 import (
@@ -77,7 +77,7 @@ type runResult struct {
 // trials run through one engine bound to the network — the serving
 // configuration the tables describe — so partition construction is
 // paid once, not per trial.
-func measureDiagnose(nw topology.Network, behavior syndrome.Behavior, trials int, seed int64, opt core.Options) runResult {
+func measureDiagnose(nw topology.Network, behavior syndrome.Behavior, trials int, seed int64) runResult {
 	eng := core.NewEngine(nw)
 	g := eng.Graph()
 	delta := eng.Diagnosability()
@@ -89,7 +89,7 @@ func measureDiagnose(nw topology.Network, behavior syndrome.Behavior, trials int
 		F := syndrome.RandomFaults(g.N(), delta, rng)
 		s := syndrome.NewLazy(F, behavior)
 		start := time.Now()
-		got, stats, err := eng.DiagnoseOpts(s, opt)
+		got, stats, err := eng.Diagnose(s)
 		total += time.Since(start)
 		if err != nil {
 			res.errText = err.Error()
@@ -116,7 +116,7 @@ func measureDiagnose(nw topology.Network, behavior syndrome.Behavior, trials int
 // scalingRow renders one instance of a Theorem 2–7 table.
 func scalingRow(nw topology.Network, trials int, seed int64) []string {
 	g := nw.Graph()
-	r := measureDiagnose(nw, syndrome.Mimic{}, trials, seed, core.Options{})
+	r := measureDiagnose(nw, syndrome.Mimic{}, trials, seed)
 	if !r.ok {
 		return []string{nw.Name(), itoa(g.N()), itoa(g.MaxDegree()), itoa(nw.Diagnosability()),
 			"-", "-", "-", r.kernel, "ERR: " + r.errText}
@@ -163,12 +163,11 @@ func All(full bool) []*Table {
 		TestScheduling(full),
 		BeyondGuarantee(full),
 		AblationCertificate(full),
-		AblationParallel(full),
 		AblationBehaviour(full),
 	}
 }
 
-// ByID returns the experiment table with the given id (t2..t14, a1..a3).
+// ByID returns the experiment table with the given id (t2..t14, a1, a3).
 func ByID(id string, full bool) (*Table, error) {
 	switch strings.ToLower(id) {
 	case "t2":
@@ -199,8 +198,6 @@ func ByID(id string, full bool) (*Table, error) {
 		return BeyondGuarantee(full), nil
 	case "a1":
 		return AblationCertificate(full), nil
-	case "a2":
-		return AblationParallel(full), nil
 	case "a3":
 		return AblationBehaviour(full), nil
 	}

@@ -392,57 +392,10 @@ func batchRepeatCase(nw topology.Network, total, distinct int, cached bool) Resu
 	})
 }
 
-// batchSharedCertCase measures batch-aware certification: hypotheses
-// replayed under several adversaries with ShareCertification grouping,
-// so each hypothesis's part scan runs once. The saving shows in
-// lookups/op (certification consultations disappear for group
-// members); fault sets and final passes are bit-identical to
-// individual calls.
-func batchSharedCertCase(nw topology.Network, hyps int, share bool) Result {
-	g := nw.Graph()
-	delta := nw.Diagnosability()
-	eng := core.NewEngine(nw)
-	behaviors := []syndrome.Behavior{syndrome.Mimic{}, syndrome.AllZero{}, syndrome.AllOne{}, syndrome.Inverted{}}
-	faultSets := make([]*bitset.Set, hyps)
-	for d := range faultSets {
-		faultSets[d] = syndrome.RandomFaults(g.N(), delta, rand.New(rand.NewSource(int64(d)+900)))
-	}
-	total := hyps * len(behaviors)
-	name := fmt.Sprintf("batchsharedcert%d/%s", total, nw.Name())
-	if !share {
-		name = fmt.Sprintf("batchsharedcert%doff/%s", total, nw.Name())
-	}
-	op := func() int64 {
-		syns := make([]syndrome.Syndrome, 0, total)
-		for _, F := range faultSets {
-			for _, b := range behaviors {
-				syns = append(syns, syndrome.NewLazy(F, b))
-			}
-		}
-		for _, r := range eng.DiagnoseBatch(syns, core.BatchOptions{ShareCertification: share}) {
-			if r.Err != nil {
-				panic(r.Err)
-			}
-		}
-		var lookups int64
-		for _, s := range syns {
-			lookups += s.Lookups()
-		}
-		return lookups
-	}
-	return run(name, op, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-	})
-}
-
 // batchSharedFinalCase measures batch-aware final passes compounded
 // with shared certification: hypotheses replayed under several
-// adversaries with ShareCertification + ShareFinalPrefix grouping, so
-// each hypothesis pays one part scan and one behaviour-independent
-// final-prefix growth, and members only regrow the suffix past the
+// adversaries with ShareHypotheses grouping, so each hypothesis pays
+// one part scan and one behaviour-independent final-prefix growth, and members only regrow the suffix past the
 // first fault-adjacent frontier. With scatter == false the fault sets
 // cluster around far nodes (BFS-last from the certified seed) — the
 // repeated-hypothesis serving workload this lever targets, where most
@@ -504,7 +457,7 @@ func batchSharedFinalCase(nw topology.Network, hyps int, share, scatter bool) Re
 	if !share {
 		name = fmt.Sprintf("batchsharedfinal%s%doff/%s", kind, total, nw.Name())
 	}
-	opt := core.BatchOptions{ShareCertification: share, ShareFinalPrefix: share}
+	opt := core.BatchOptions{ShareHypotheses: share}
 	op := func() int64 {
 		syns := make([]syndrome.Syndrome, 0, total)
 		for _, F := range faultSets {
@@ -849,16 +802,14 @@ func Suite() *Report {
 		batchGenericCase(topology.NewKAryNCube(4, 7), 64),
 	)
 	// PR 4: the persistent campaign runtime + engine result cache
-	// (cached vs uncached sweep and repeated-syndrome batches),
-	// batch-aware certification, and the augmented k-ary family (served
-	// by the generic pass; these cases keep its look-ups gated).
+	// (cached vs uncached sweep and repeated-syndrome batches) and the
+	// augmented k-ary family (served by the generic pass; these cases
+	// keep its look-ups gated).
 	rep.Results = append(rep.Results,
 		campaignSweepCase(topology.NewHypercube(14), true),
 		campaignSweepCase(topology.NewHypercube(14), false),
 		batchRepeatCase(topology.NewHypercube(14), 64, 8, true),
 		batchRepeatCase(topology.NewHypercube(14), 64, 8, false),
-		batchSharedCertCase(topology.NewHypercube(14), 16, true),
-		batchSharedCertCase(topology.NewHypercube(14), 16, false),
 		engineDiagnoseCase(topology.NewAugmentedKAryNCube(4, 5)),
 		batchDiagnoseCase(topology.NewAugmentedKAryNCube(4, 5), 64),
 	)

@@ -27,9 +27,9 @@ func errText(err error) string {
 // for n = 2..16 — same kernel, same partition, and per syndrome the same
 // fault set, whole-struct Stats, look-up count and error text (Q2–Q5
 // have no Theorem 1 partition and must refuse identically). Solo calls
-// sweep every behaviour under every FaultBound 1..δ; grouped batches run
-// every ShareCertification × ShareFinalPrefix × ResultCache combination,
-// the cached ones twice so the second batch resumes stored hypotheses.
+// sweep every behaviour under every FaultBound 1..δ; batches run with
+// and without ShareHypotheses and a ResultCache, the cached ones twice
+// so the second batch resumes stored hypotheses.
 func TestServedHypercubeMatchesCSR(t *testing.T) {
 	behaviors := syndrome.AllBehaviors(7)
 	for n := 2; n <= 16; n++ {
@@ -84,35 +84,33 @@ func TestServedHypercubeMatchesCSR(t *testing.T) {
 				syndrome.RandomFaults(g.N(), n/2, rng),
 				syndrome.ClusterFaults(g, int32(g.N()-1), n),
 			}
-			for _, cert := range []bool{false, true} {
-				for _, final := range []bool{false, true} {
-					for _, cached := range []bool{false, true} {
-						bopt := core.BatchOptions{Workers: 2, ShareCertification: cert, ShareFinalPrefix: final}
-						boptCSR := bopt
-						passes := 1
-						if cached {
-							// One cache per engine, or the second engine would
-							// answer from the first one's work.
-							bopt.Options.ResultCache = core.NewResultCache(64)
-							boptCSR.Options.ResultCache = core.NewResultCache(64)
-							passes = 2
-						}
-						for pass := 0; pass < passes; pass++ {
-							var sGot, sWant []syndrome.Syndrome
-							for _, F := range hyps {
-								for _, b := range behaviors {
-									sGot = append(sGot, syndrome.NewLazy(F, b))
-									sWant = append(sWant, syndrome.NewLazy(F, b))
-								}
+			for _, share := range []bool{false, true} {
+				for _, cached := range []bool{false, true} {
+					bopt := core.BatchOptions{Workers: 2, ShareHypotheses: share}
+					boptCSR := bopt
+					passes := 1
+					if cached {
+						// One cache per engine, or the second engine would
+						// answer from the first one's work.
+						bopt.Options.ResultCache = core.NewResultCache(64)
+						boptCSR.Options.ResultCache = core.NewResultCache(64)
+						passes = 2
+					}
+					for pass := 0; pass < passes; pass++ {
+						var sGot, sWant []syndrome.Syndrome
+						for _, F := range hyps {
+							for _, b := range behaviors {
+								sGot = append(sGot, syndrome.NewLazy(F, b))
+								sWant = append(sWant, syndrome.NewLazy(F, b))
 							}
-							got := desc.DiagnoseBatch(sGot, bopt)
-							want := csr.DiagnoseBatch(sWant, boptCSR)
-							for i := range want {
-								label := fmt.Sprintf("cert=%v final=%v cache=%v pass %d member %d", cert, final, cached, pass, i)
-								checkSame(t, label, got[i].Faults, &got[i].Stats, got[i].Err, want[i].Faults, &want[i].Stats, want[i].Err)
-								if sGot[i].Lookups() != sWant[i].Lookups() {
-									t.Fatalf("%s: %d look-ups, CSR %d", label, sGot[i].Lookups(), sWant[i].Lookups())
-								}
+						}
+						got := desc.DiagnoseBatch(sGot, bopt)
+						want := csr.DiagnoseBatch(sWant, boptCSR)
+						for i := range want {
+							label := fmt.Sprintf("share=%v cache=%v pass %d member %d", share, cached, pass, i)
+							checkSame(t, label, got[i].Faults, &got[i].Stats, got[i].Err, want[i].Faults, &want[i].Stats, want[i].Err)
+							if sGot[i].Lookups() != sWant[i].Lookups() {
+								t.Fatalf("%s: %d look-ups, CSR %d", label, sGot[i].Lookups(), sWant[i].Lookups())
 							}
 						}
 					}

@@ -46,21 +46,19 @@ type request struct {
 // or maxBatch distinct requests accumulate, whichever is first — later
 // requests pile into the same pending set, and the flush runs them as
 // one grouped Engine.DiagnoseBatch call. Requests sharing a fault
-// hypothesis land in one certification group (ShareCertification) and
-// inherit the behaviour-independent final prefix (ShareFinalPrefix),
+// hypothesis land in one group (ShareHypotheses): they share one part
+// certification and inherit the behaviour-independent final prefix,
 // so the per-batch look-up bill shrinks the more the traffic overlaps;
 // answers are bit-identical to solo Diagnose calls by the DiagnoseBatch
 // contract. Batches mixing fault bounds are split per bound, since
 // Options.FaultBound is batch-wide.
 type coalescer struct {
-	eng        *core.Engine
-	pool       core.BatchPool
-	cache      *core.ResultCache
-	window     time.Duration // ≤ 0 flushes every submission immediately
-	maxBatch   int
-	shareCert  bool
-	shareFinal bool
-	met        *metrics
+	eng      *core.Engine
+	pool     core.BatchPool
+	cache    *core.ResultCache
+	window   time.Duration // ≤ 0 flushes every submission immediately
+	maxBatch int
+	met      *metrics
 
 	mu      sync.Mutex
 	pending map[string]*request
@@ -70,11 +68,10 @@ type coalescer struct {
 	flights sync.WaitGroup // in-progress flushes
 }
 
-func newCoalescer(eng *core.Engine, pool core.BatchPool, cache *core.ResultCache, window time.Duration, maxBatch int, shareCert, shareFinal bool, met *metrics) *coalescer {
+func newCoalescer(eng *core.Engine, pool core.BatchPool, cache *core.ResultCache, window time.Duration, maxBatch int, met *metrics) *coalescer {
 	return &coalescer{
 		eng: eng, pool: pool, cache: cache,
 		window: window, maxBatch: maxBatch,
-		shareCert: shareCert, shareFinal: shareFinal,
 		met:     met,
 		pending: make(map[string]*request),
 	}
@@ -184,10 +181,9 @@ func (c *coalescer) flushBound(bound int, reqs []*request) {
 		syns[i] = r.syn
 	}
 	opt := core.BatchOptions{
-		ShareCertification: c.shareCert,
-		ShareFinalPrefix:   c.shareFinal,
-		Pool:               c.pool,
-		Options:            core.Options{FaultBound: bound, ResultCache: c.cache},
+		ShareHypotheses: true,
+		Pool:            c.pool,
+		Options:         core.Options{FaultBound: bound, ResultCache: c.cache},
 	}
 	results := c.eng.DiagnoseBatch(syns, opt)
 	width := len(reqs)

@@ -53,8 +53,8 @@ func TestObservabilityPollingRace(t *testing.T) {
 					syns[j] = syndrome.NewLazy(F, syndrome.Mimic{})
 				}
 				rt.DiagnoseBatch(syns, core.BatchOptions{
-					ShareCertification: true, ShareFinalPrefix: true,
-					Options: core.Options{ResultCache: cache},
+					ShareHypotheses: true,
+					Options:         core.Options{ResultCache: cache},
 				})
 			}
 		}(w)

@@ -62,11 +62,6 @@ type Config struct {
 	// CacheCap is the per-engine result-cache capacity: 0 means the
 	// default (1024 outcomes), negative disables caching.
 	CacheCap int
-	// NoShareCert and NoShareFinal switch the batch sharing flags off
-	// (ablation/debugging; both default on — engaging them is the
-	// point of coalescing).
-	NoShareCert  bool
-	NoShareFinal bool
 }
 
 const (
@@ -252,8 +247,7 @@ func (s *Server) buildEntry(key string) (*entry, error) {
 	if s.cfg.NoCoalesce {
 		window = 0
 	}
-	e.co = newCoalescer(eng, rt, cache, window, s.cfg.MaxBatch,
-		!s.cfg.NoShareCert, !s.cfg.NoShareFinal, &s.met)
+	e.co = newCoalescer(eng, rt, cache, window, s.cfg.MaxBatch, &s.met)
 	return e, nil
 }
 
@@ -560,12 +554,15 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.met.campaigns.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	// One SweepRuntime call per fault count: the per-trial seed formula
 	// depends only on (Seed, fault count, trial index), so the streamed
-	// points are bit-identical to a single whole-range sweep.
-	for f := req.MinFaults; f <= req.MaxFaults; f++ {
+	// points are bit-identical to a single whole-range sweep. The sweep
+	// stops before the next point once the client is gone: a cancelled
+	// context, or a failed write or flush (an HTTP/1.1 body the decoder
+	// did not read to EOF never cancels the context).
+	for f := req.MinFaults; f <= req.MaxFaults && r.Context().Err() == nil; f++ {
 		pts := campaign.SweepRuntime(ent.rt, campaign.Config{
 			MinFaults: f, MaxFaults: f,
 			Trials:   req.Trials,
@@ -574,14 +571,17 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			Cache:    ent.cache,
 		})
 		p := pts[0]
-		enc.Encode(CampaignPoint{
+		err := enc.Encode(CampaignPoint{
 			Faults: p.Faults, Trials: p.Trials,
 			Exact: p.Exact, Refused: p.Refused, Silent: p.Silent,
 			ExactRate: p.ExactRate(), SilentRate: p.SilentRate(),
 		})
+		if err != nil {
+			return
+		}
 		s.met.campaignPoints.Add(1)
-		if flusher != nil {
-			flusher.Flush()
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return
 		}
 	}
 }

@@ -465,6 +465,48 @@ func testCampaignStream(t *testing.T, spec string) {
 	}
 }
 
+// TestCampaignStopsWhenClientLeaves checks that /v1/campaign stops
+// sweeping once its client disconnects: the client reads the first
+// streamed point of a 257-point Q8 campaign and closes the connection,
+// and the handler must return having streamed only a few points.
+func TestCampaignStopsWhenClientLeaves(t *testing.T) {
+	srv := New(Config{NoCoalesce: true, CacheCap: -1})
+	defer srv.Close()
+	done := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	const points = 257 // every fault count of Q8, 0..256
+	req := CampaignRequest{Topology: "q:8", MinFaults: 0, MaxFaults: points - 1, Trials: 256, Behavior: "mimic", Seed: 7}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatalf("first point: %v", err)
+	}
+	// Closing a body that was not read to EOF closes the connection.
+	resp.Body.Close()
+
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("campaign handler still running a minute after its client left")
+	}
+	if n := srv.Snapshot().CampaignPoints; n > points/4 {
+		t.Fatalf("streamed %d of %d points after the client left after the first", n, points)
+	}
+}
+
 // TestCampaignOversizedBody checks that /v1/campaign refuses a body
 // beyond maxRequestBytes with 413 even when it is otherwise a valid
 // request (JSON whitespace padding), and starts no campaign.

@@ -29,33 +29,24 @@ import (
 // on any view derived from it — advances the Lookups counter by exactly
 // one.
 //
-// Concurrency contract: concurrent drivers (parallel certification, the
-// BSP simulator) obtain views via Sharder or ForConcurrent before
-// spawning workers. An implementation therefore has two options: either
-// implement Sharder (and it may then use an unsynchronised counter for
-// direct sequential Test calls, as Lazy does), or be safe for
-// concurrent Test calls itself (as the materialised Table is) —
-// ForConcurrent passes non-Sharder syndromes through unchanged.
+// Concurrency contract: concurrent drivers (the BSP simulator) obtain a
+// view via ForConcurrent before spawning workers. Lazy uses an
+// unsynchronised counter for direct sequential Test calls and hands out
+// a striped view; any other implementation must be safe for concurrent
+// Test calls itself (as the materialised Table is) — ForConcurrent
+// passes it through unchanged.
 type Syndrome interface {
 	// Test returns s_u(v, w) ∈ {0, 1}. v and w must be distinct
 	// neighbours of u; the result is symmetric in v and w.
 	Test(u, v, w int32) int
 	// Lookups returns the number of Test invocations since the last
-	// ResetLookups, including those made through shard views.
+	// ResetLookups, including those made through concurrent views.
 	Lookups() int64
 	// ResetLookups zeroes the look-up counter.
 	ResetLookups()
 }
 
-// Sharder is implemented by syndromes that can hand out per-worker
-// views. Each Shard counts look-ups into a private (uncontended)
-// counter; Close merges it into the parent, after which the parent's
-// Lookups reflects the shard's work. One shard belongs to one goroutine.
-type Sharder interface {
-	Shard() *Shard
-}
-
-// lookupShards is the stripe count for merged/concurrent counting. A
+// lookupShards is the stripe count for concurrent counting. A
 // small power of two: enough stripes that concurrent testers (which
 // stripe by tester id) rarely collide, few enough that summing on
 // Lookups stays trivial.
@@ -75,14 +66,13 @@ type paddedCount struct {
 // (non-atomic) counter, so the sequential hot path — Set_Builder, part
 // certification, the baselines — pays no atomic per look-up. A Lazy may
 // therefore be driven by only one goroutine at a time. Concurrent
-// callers take per-worker Shard views (Sharder) or a striped
-// ForConcurrent view; both merge into the same total, so Lookups is
-// exact in every mode.
+// callers take a striped ForConcurrent view, which counts into the same
+// total, so Lookups is exact in every mode.
 type Lazy struct {
 	faults   *bitset.Set
 	behavior Behavior
 	seq      int64 // plain counter: Test calls made directly on the Lazy
-	// stripes is allocated on first Shard/ForConcurrent, so the many
+	// stripes is allocated on first ForConcurrent, so the many
 	// short-lived sequential Lazies (one per campaign trial) never pay
 	// for the padded stripe array.
 	stripes atomic.Pointer[[lookupShards]paddedCount]
@@ -127,14 +117,14 @@ func (l *Lazy) test(u, v, w int32) int {
 
 // Test implements Syndrome. Single-goroutine with respect to other
 // direct Test/Lookups calls on this Lazy; concurrent callers must use
-// Shard or ForConcurrent views instead.
+// a ForConcurrent view instead.
 func (l *Lazy) Test(u, v, w int32) int {
 	l.seq++
 	return l.test(u, v, w)
 }
 
-// Lookups implements Syndrome: direct look-ups plus everything merged
-// from shard and concurrent views.
+// Lookups implements Syndrome: direct look-ups plus everything counted
+// through concurrent views.
 func (l *Lazy) Lookups() int64 {
 	total := l.seq
 	if p := l.stripes.Load(); p != nil {
@@ -155,15 +145,6 @@ func (l *Lazy) ResetLookups() {
 	}
 }
 
-// Shard implements Sharder: the returned view serves the same results
-// but counts look-ups into a private counter, contention-free. Call
-// Close when the worker is done; the parent's Lookups only includes the
-// shard's count after Close.
-func (l *Lazy) Shard() *Shard {
-	l.stripeArr() // ensure the merge target exists before workers race
-	return &Shard{parent: l}
-}
-
 // Faults exposes the underlying fault set (read-only use).
 func (l *Lazy) Faults() *bitset.Set { return l.faults }
 
@@ -172,36 +153,6 @@ func (l *Lazy) Faults() *bitset.Set { return l.faults }
 // identity: two Lazies agreeing on both serve identical test tables,
 // which is what engine-level result caching keys on.
 func (l *Lazy) Behavior() Behavior { return l.behavior }
-
-// Shard is a per-worker view of a Lazy syndrome (see Sharder).
-type Shard struct {
-	parent *Lazy
-	local  int64
-}
-
-// Test implements Syndrome, counting into the shard-local counter.
-func (sh *Shard) Test(u, v, w int32) int {
-	sh.local++
-	return sh.parent.test(u, v, w)
-}
-
-// Lookups implements Syndrome: the parent total plus this shard's
-// not-yet-merged count. Other shards' unmerged counts are not visible
-// until they Close.
-func (sh *Shard) Lookups() int64 { return sh.parent.Lookups() + sh.local }
-
-// ResetLookups implements Syndrome by dropping the local count only;
-// resetting the parent mid-flight would race with sibling shards.
-func (sh *Shard) ResetLookups() { sh.local = 0 }
-
-// Close merges the shard's count into the parent. The shard may be
-// reused afterwards (its local count restarts at zero).
-func (sh *Shard) Close() {
-	if sh.local != 0 {
-		sh.parent.stripeArr()[0].v.Add(sh.local)
-		sh.local = 0
-	}
-}
 
 // concurrentLazy is a view of a Lazy that is safe for concurrent Test
 // calls from many goroutines at once: counts go to atomic stripes keyed

@@ -251,9 +251,9 @@ func TestNeighborhoodFaults(t *testing.T) {
 	}
 }
 
-// TestShardedLookupCounting pins the counting contract across all three
-// modes: direct (plain counter), per-worker shards, and the striped
-// concurrent view. Every Test must be counted exactly once.
+// TestShardedLookupCounting pins the counting contract across both
+// modes: direct (plain counter) and the striped concurrent view. Every
+// Test must be counted exactly once.
 func TestShardedLookupCounting(t *testing.T) {
 	F := bitset.New(64)
 	F.Add(3)
@@ -268,26 +268,8 @@ func TestShardedLookupCounting(t *testing.T) {
 	}
 	l.ResetLookups()
 
-	// Per-worker shards, merged on Close.
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := l.Shard()
-			defer sh.Close()
-			for i := 0; i < per; i++ {
-				u := int32(1 + i%62)
-				sh.Test(u, u-1, u+1)
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Lookups() != workers*per {
-		t.Fatalf("shards: %d lookups, want %d", l.Lookups(), workers*per)
-	}
-	l.ResetLookups()
 
 	// Striped concurrent view.
 	c := ForConcurrent(l)
