@@ -87,10 +87,10 @@ func main() {
 				fmtBytes(ca.FootprintBytes()), float64(csrBytes)/float64(ca.FootprintBytes()))
 		}
 	}
-	// Serving-side scratch: the dense per-node diagnosis arrays every
-	// worker pins (see core.Scratch) — an engine's steady-state memory is
-	// adjacency + this figure × its scratch-pool size.
-	fmt.Printf("scratch memory  %s per serving worker (dense per-node arrays; × pool size)\n",
+	// Serving-side scratch: the dense per-node diagnosis arrays a worker
+	// borrows for each job (see core.Scratch) — an engine's memory is
+	// its adjacency at rest, plus this figure per busy worker.
+	fmt.Printf("scratch memory  %s per busy worker (dense per-node arrays; none while idle)\n",
 		fmtBytes(core.ScratchFootprintBytes(g.N())))
 
 	d := nw.Diagnosability()

@@ -366,8 +366,9 @@ type (
 	// CampaignPoint aggregates outcomes at one fault count.
 	CampaignPoint = campaign.Point
 	// CampaignRuntime is the persistent batch-serving worker pool
-	// (pinned scratches and PRNGs, chunked trial queue); it implements
-	// BatchPool and drives SweepRuntime (see docs/runtime.md).
+	// (per-worker PRNGs, scratches borrowed per job, chunked trial
+	// queue); it implements BatchPool and drives SweepRuntime (see
+	// docs/runtime.md).
 	CampaignRuntime = campaign.Runtime
 )
 

@@ -89,9 +89,10 @@ type Config struct {
 // Sweep runs the campaign against the network through a core.Engine
 // and a persistent Runtime bound once per sweep: the partition is
 // built a single time, the worker pool outlives every sweep point
-// (no per-point goroutine spawning), every worker owns a dedicated
-// scratch and PRNG for its whole lifetime, and each worker reseeds
-// that PRNG per trial instead of constructing one — the steady-state
+// (no per-point goroutine spawning), every worker owns a PRNG for its
+// whole lifetime and borrows a scratch per sweep point, and each
+// worker reseeds that PRNG per trial instead of constructing one — the
+// steady-state
 // trial loop allocates only the fault set and syndrome of the trial
 // itself.
 //

@@ -12,7 +12,7 @@ import (
 
 // TestRuntimeServesAcrossRebind drives DiagnoseBatch traffic through a
 // persistent runtime while the bound engine is rebound under churn:
-// the pinned worker scratches must survive the graph change, batches
+// the worker scratches must survive the graph change, batches
 // racing the rebind may land on either side of it, and batches issued
 // after the rebind must serve exact degraded diagnoses.
 func TestRuntimeServesAcrossRebind(t *testing.T) {

@@ -12,13 +12,25 @@ import (
 
 // Runtime is the persistent serving pool for batch diagnosis work: a
 // fixed set of long-lived workers bound to one core.Engine, each owning
-// a pinned engine scratch and a private PRNG for its whole lifetime.
-// Work arrives as jobs of independent trials indexed 0..n-1 and is
-// dealt out in chunks from an atomic cursor, so a runtime serves many
-// campaigns, CLI batches and replay drivers back to back without ever
-// re-spawning goroutines, re-acquiring scratches or re-allocating
-// PRNGs — the per-sweep-point pool construction the transient drivers
-// paid disappears.
+// a private PRNG for its whole lifetime. Work arrives as jobs of
+// independent trials indexed 0..n-1 and is dealt out in chunks from an
+// atomic cursor, so a runtime serves many campaigns, CLI batches and
+// replay drivers back to back without ever re-spawning goroutines or
+// re-allocating PRNGs — the per-sweep-point pool construction the
+// transient drivers paid disappears.
+//
+// Scratch is borrowed per job, the same rule the engine's transient
+// batch pool follows: a worker takes one from the engine pool
+// (core.Engine.AcquireScratch) when it joins a job and returns it when
+// its share of the job ends. Within a job the trial loop allocates
+// nothing, and back-to-back jobs find their scratches warm in the
+// engine's sync.Pool; an idle runtime holds none, so the GC can reclaim
+// the dense per-node arrays of an engine nobody is diagnosing on.
+//
+// A trial that panics does not kill its worker: the panic is recovered
+// on the worker, the job is abandoned (no further trials start), and
+// Run re-panics in its caller with the original value. The runtime
+// then serves later jobs as before.
 //
 // Determinism contract: a job's trial function must derive everything
 // from its trial index (reseeding the worker PRNG per trial, as Sweep
@@ -50,28 +62,33 @@ type runtimeJob struct {
 	next  atomic.Int64
 	fn    func(w *Worker, trial int)
 	wg    sync.WaitGroup
+
+	// panicked holds the first trial panic's value, stored before the
+	// recovering worker's wg.Done, for Run to re-raise after wg.Wait.
+	panicked atomic.Pointer[any]
 }
 
-// Worker is the per-goroutine state a Runtime pins for its lifetime
-// and hands to every trial function it executes.
+// Worker is the per-goroutine state a Runtime hands to every trial
+// function it executes.
 type Worker struct {
 	// ID is the worker's index in [0, Workers()).
 	ID int
-	// Scratch is the worker's dedicated engine scratch (drawn from the
-	// runtime engine's pool): pass it via core.Options.Scratch and the
-	// steady-state trial loop performs no heap allocation beyond the
-	// trial's own inputs.
+	// Scratch is the engine scratch the worker borrowed for the current
+	// job (from the runtime engine's pool): pass it via
+	// core.Options.Scratch and the trial loop performs no heap
+	// allocation beyond the trial's own inputs. It belongs to the job —
+	// trial functions must not retain it — and is nil between jobs.
 	Scratch *core.Scratch
-	// RNG is the worker's private PRNG. Reseed it per trial from the
-	// trial index (see Sweep) to keep results independent of worker
-	// scheduling.
+	// RNG is the worker's private PRNG, kept for the worker's lifetime.
+	// Reseed it per trial from the trial index (see Sweep) to keep
+	// results independent of worker scheduling.
 	RNG *rand.Rand
 }
 
 // NewRuntime starts a persistent pool of workers bound to the engine.
 // workers ≤ 0 means GOMAXPROCS; requests above it are clamped (see
 // core.ClampWorkers). Callers own the runtime's lifecycle: Close it
-// when the serving session ends to release the pinned scratches.
+// when the serving session ends to stop the workers.
 func NewRuntime(eng *core.Engine, workers int) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -96,37 +113,53 @@ func (rt *Runtime) Engine() *core.Engine { return rt.eng }
 // Workers returns the pool size.
 func (rt *Runtime) Workers() int { return rt.workers }
 
-// worker is the persistent loop: acquire a scratch and a PRNG once,
-// then serve chunked jobs until Close.
+// worker is the persistent loop: allocate a PRNG once, then serve
+// chunked jobs until Close.
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
-	w := &Worker{ID: id, Scratch: rt.eng.AcquireScratch(), RNG: rand.New(rand.NewSource(0))}
-	defer rt.eng.ReleaseScratch(w.Scratch)
+	w := &Worker{ID: id, RNG: rand.New(rand.NewSource(0))}
 	for jb := range rt.jobs {
-		served := int64(0)
-		for {
-			lo := int(jb.next.Add(int64(jb.chunk))) - jb.chunk
-			if lo >= jb.n {
-				break
-			}
-			hi := lo + jb.chunk
-			if hi > jb.n {
-				hi = jb.n
-			}
-			for i := lo; i < hi; i++ {
-				jb.fn(w, i)
-			}
-			served += int64(hi - lo)
+		rt.serve(w, jb)
+	}
+}
+
+// serve runs the worker's share of one job on a scratch borrowed for
+// it. A trial panic is recovered here and recorded for Run; the
+// scratch it interrupted is dropped rather than pooled, since its part
+// mask and checkpoint plumbing may be mid-update.
+func (rt *Runtime) serve(w *Worker, jb *runtimeJob) {
+	w.Scratch = rt.eng.AcquireScratch()
+	served := int64(0)
+	defer func() {
+		if v := recover(); v != nil {
+			jb.panicked.CompareAndSwap(nil, &v)
+			jb.next.Store(int64(jb.n)) // abandon the job's unclaimed trials
+		} else {
+			rt.eng.ReleaseScratch(w.Scratch)
 		}
-		rt.trials[id].Add(served)
+		w.Scratch = nil
+		rt.trials[w.ID].Add(served)
 		jb.wg.Done()
+	}()
+	for {
+		lo := int(jb.next.Add(int64(jb.chunk))) - jb.chunk
+		if lo >= jb.n {
+			return
+		}
+		hi := min(lo+jb.chunk, jb.n)
+		for i := lo; i < hi; i++ {
+			jb.fn(w, i)
+		}
+		served += int64(hi - lo)
 	}
 }
 
 // Run executes fn(w, i) exactly once for every trial index in [0, n),
 // distributed across the pool in chunks, and returns when all trials
 // completed. Concurrent Run calls are safe (each job carries its own
-// cursor); Run must not be called after Close.
+// cursor); Run must not be called after Close. If a trial panics, the
+// trials not yet started are skipped and Run panics with the trial's
+// panic value once every worker has left the job.
 func (rt *Runtime) Run(n int, fn func(w *Worker, trial int)) {
 	if n <= 0 {
 		return
@@ -148,6 +181,9 @@ func (rt *Runtime) Run(n int, fn func(w *Worker, trial int)) {
 	}
 	jb.wg.Wait()
 	rt.jobCnt.Add(1)
+	if v := jb.panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // RunScratch implements core.BatchPool, letting Engine.DiagnoseBatch
@@ -166,9 +202,8 @@ func (rt *Runtime) DiagnoseBatch(syndromes []syndrome.Syndrome, opt core.BatchOp
 	return rt.eng.DiagnoseBatch(syndromes, opt)
 }
 
-// Close drains the pool: workers finish their current job, release
-// their scratches and exit. Close is idempotent; Run must not be
-// called afterwards.
+// Close drains the pool: workers finish their current job and exit.
+// Close is idempotent; Run must not be called afterwards.
 func (rt *Runtime) Close() {
 	rt.close.Do(func() {
 		close(rt.jobs)

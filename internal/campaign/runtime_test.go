@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"comparisondiag/internal/core"
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -204,4 +205,92 @@ func TestRuntimeDiagnoseBatchSharedFinalPrefix(t *testing.T) {
 	if sharedLookups >= plainLookups {
 		t.Fatalf("grouped runtime batch consulted %d look-ups, unshared %d", sharedLookups, plainLookups)
 	}
+}
+
+// TestRuntimeTrialPanicReachesCaller pins panic isolation: a trial
+// panic is recovered on its worker, the job ends, Run re-panics in its
+// caller with the original value, and the same runtime — every worker
+// still alive — then serves the next Run exactly.
+func TestRuntimeTrialPanicReachesCaller(t *testing.T) {
+	setGOMAXPROCS(t, 2)
+	nw := topology.NewHypercube(7)
+	rt := NewRuntime(core.NewEngine(nw), 2)
+	defer rt.Close()
+
+	const poison = "poisoned trial"
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		rt.Run(64, func(w *Worker, i int) {
+			if i == 5 {
+				panic(poison)
+			}
+		})
+	}()
+	if got != poison {
+		t.Fatalf("Run panicked with %v, want %q", got, poison)
+	}
+
+	cfg := Config{MinFaults: 0, MaxFaults: nw.Diagnosability() + 2, Trials: 12, Seed: 7, Workers: 1}
+	want := Sweep(nw, cfg)
+	if got := SweepRuntime(rt, cfg); !pointsEqual(got, want) {
+		t.Fatalf("sweep after a panicked job diverged: %+v vs %+v", got, want)
+	}
+	hits := make([]atomic.Int32, 64)
+	rt.Run(len(hits), func(w *Worker, i int) {
+		if w.Scratch == nil {
+			t.Error("worker runs a trial without a scratch")
+		}
+		hits[i].Add(1)
+	})
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("trial %d ran %d times after the panicked job", i, hits[i].Load())
+		}
+	}
+}
+
+// TestRuntimeIdleFootprint pins the per-job scratch rule: an implicit
+// Q20 runtime whose two workers each diagnosed once retains less than
+// 1 MiB once the job is over and two collections have emptied the
+// engine's scratch pool. A worker that kept its scratch would pin
+// ~13 MiB of dense per-node arrays; the full Q20 partition would add
+// 5 MiB.
+func TestRuntimeIdleFootprint(t *testing.T) {
+	setGOMAXPROCS(t, 2)
+	const bitsN = 20
+	masks := make([]int32, bitsN)
+	for i := range masks {
+		masks[i] = 1 << uint(i)
+	}
+	F := syndrome.RandomFaults(1<<bitsN, bitsN, rand.New(rand.NewSource(20)))
+
+	before := liveHeap()
+	eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: bitsN, Masks: masks}, bitsN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(eng, 2)
+	defer rt.Close()
+	rt.Run(2, func(w *Worker, i int) {
+		got, _, err := eng.DiagnoseOpts(syndrome.NewLazy(F, syndrome.Mimic{}), core.Options{Scratch: w.Scratch})
+		if err != nil || !got.Equal(F) {
+			t.Errorf("trial %d: Q%d diagnosis inexact (%v)", i, bitsN, err)
+		}
+	})
+	retained := liveHeap() - before
+	runtime.KeepAlive(rt)
+	if retained >= 1<<20 {
+		t.Fatalf("idle Q%d runtime retains %d bytes, want < 1 MiB", bitsN, retained)
+	}
+}
+
+// liveHeap is the live heap after two collections (the second empties
+// the sync.Pool victim caches).
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -18,7 +18,10 @@ import (
 // (plus tightened partitions per FaultBound, built lazily), the part
 // candidate order, and a pool of correctly sized Scratches — so that
 // serving many syndromes against one fixed network pays the setup cost
-// once instead of per call.
+// once instead of per call. Descriptor-bound engines keep only the
+// δ+1 candidate parts a diagnosis scans, and the scratch pool holds
+// only what idle callers returned (sync.Pool, emptied by the GC), so an
+// idle engine's footprint is its binding, not its working set.
 //
 // The free functions (Diagnose, DiagnoseOpts, DiagnoseGraph) remain the
 // paper-literal reference path and rebuild that state per call; the
@@ -64,7 +67,10 @@ type binding struct {
 	baseDelta  int
 	connBudget int
 
-	parts    []topology.Part // default partition for delta; nil iff partsErr != nil
+	// parts is the default partition for delta — for implicit bindings
+	// only its delta+1 candidate parts (topology.CayleyCandidates), the
+	// prefix diagnoseInto scans. nil iff partsErr != nil.
+	parts    []topology.Part
 	partsErr error
 
 	// kernel is the specialised final-pass kernel bound from the
@@ -201,11 +207,13 @@ func NewGraphEngine(g *graph.Graph, delta int, parts []topology.Part) *Engine {
 // the implicit-adjacency mode: no CSR is ever materialised, neighbours
 // are generated algebraically on demand (graph.CayleyAdjacency), and
 // the Theorem 1 partition is computed from the descriptor's coset
-// structure (topology.CayleyParts) instead of an edge scan. Memory is
-// O(descriptor) plus the diagnosis scratch, independent of edge count —
-// a Q20 hypercube binds in kilobytes where the CSR's targets array
-// alone is ~80 MB — and results and syndrome look-up counts are
-// bit-identical to a CSR-bound engine on the same graph.
+// structure instead of an edge scan, and only its delta+1 candidate
+// parts are kept (topology.CayleyCandidates): the ones a diagnosis
+// scans. Nothing proportional to the node count is allocated at bind,
+// so memory at rest is O(descriptor + δ²) — a Q20 hypercube binds in
+// kilobytes where the CSR's targets array alone is ~80 MB — plus one
+// scratch per diagnosis in flight. Results and syndrome look-up counts
+// are bit-identical to a CSR-bound engine on the same graph.
 //
 // delta is the fault bound δ served, which for the declared families is
 // the graph's connectivity (e.g. n for Q_n). The descriptor is shape-
@@ -233,7 +241,7 @@ func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 		connBudget: delta,
 		desc:       desc,
 	}
-	b.parts, b.partsErr = topology.CayleyParts(desc, delta+1, delta+1)
+	b.parts, b.partsErr = topology.CayleyCandidates(desc, delta+1, delta+1)
 	b.kernel = bindFinalKernel(desc, ca)
 	e := &Engine{name: cayleyEngineName(desc)}
 	e.bnd.Store(b)
@@ -276,12 +284,23 @@ func (e *Engine) Diagnosability() int { return e.bnd.Load().delta }
 // engines stamp Stats.Degraded/EffectiveDelta on every diagnosis.
 func (e *Engine) Degraded() bool { return e.bnd.Load().degraded }
 
-// Parts returns the precomputed default partition (or the recorded
-// construction error).
+// Parts returns the default partition (or the recorded construction
+// error): the precomputed one on CSR-bound engines. An implicit engine
+// stores only the δ+1 candidate parts it scans, so on those Parts
+// materialises the full partition (topology.CayleyParts) on every call
+// — O(n) node ids, the memory the binding itself avoids. It is meant
+// for inspection and tests, not the serving path.
 func (e *Engine) Parts() ([]topology.Part, error) {
 	b := e.bnd.Load()
+	if b.implicit() {
+		return topology.CayleyParts(b.desc, b.delta+1, b.delta+1)
+	}
 	return b.parts, b.partsErr
 }
+
+// implicit reports a descriptor-bound binding (NewCayleyEngine): no
+// network, no CSR.
+func (b *binding) implicit() bool { return b.nw == nil && b.g == nil && b.desc != nil }
 
 // PartsErr reports whether the engine holds a valid Theorem 1 partition;
 // non-nil means every Diagnose call will fail the same way and the
@@ -297,9 +316,10 @@ func (e *Engine) PartsErr() error { return e.bnd.Load().partsErr }
 // Degraded bindings always serve their δ′ partition: the network's
 // partition generator describes the pre-churn graph, and the δ′ parts
 // remain valid for every tighter bound (sizes and count only need to
-// reach bound+1 ≤ δ′+1).
+// reach bound+1 ≤ δ′+1). Implicit bindings build and cache only the
+// bound+1 candidates of each tightened partition, like the default one.
 func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
-	implicit := b.nw == nil && b.g == nil && b.desc != nil
+	implicit := b.implicit()
 	if bound >= b.delta || (b.nw == nil && !implicit) || b.degraded {
 		return b.parts, b.partsErr
 	}
@@ -311,7 +331,7 @@ func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
 	var p []topology.Part
 	var err error
 	if implicit {
-		p, err = topology.CayleyParts(b.desc, bound+1, bound+1)
+		p, err = topology.CayleyCandidates(b.desc, bound+1, bound+1)
 	} else {
 		p, err = b.nw.Parts(bound+1, bound+1)
 	}
@@ -450,9 +470,11 @@ func (e *Engine) serveCached(b *binding, ent *cacheEntry, sc *Scratch) (*bitset.
 // executing worker for the duration of the call — and return only once
 // every index has completed. The engine's default pool spawns transient
 // goroutines per call; campaign.Runtime implements the interface with
-// persistent workers (pinned scratches, no per-batch pool
-// construction) so long-running batch clients share one runtime across
-// campaigns, CLI batches and replay drivers.
+// persistent workers (no per-batch pool construction) so long-running
+// batch clients share one runtime across campaigns, CLI batches and
+// replay drivers. Both borrow one engine scratch per worker for the
+// length of a RunScratch call and return it afterwards, so an idle
+// pool holds none.
 type BatchPool interface {
 	RunScratch(n int, fn func(sc *Scratch, i int))
 }

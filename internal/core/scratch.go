@@ -161,10 +161,12 @@ func (sc *Scratch) faultsBuf() *bitset.Set {
 // word-granular sets and snapshots (U, Contributors, added, part mask,
 // frontier membership, round-start U snapshot, output fault set, and
 // the shared-prefix recorder's hazard mask — one bit/node each).
-// Engines keep one scratch per serving worker in their pool, so a
-// deployment's scratch budget is this figure times the pool size;
-// cmd/topoinfo prints it next to the adjacency memory models (ROADMAP:
-// dense scratch is fine at Q20, revisit at Q24).
+// A worker borrows one scratch per job from its engine's pool and
+// returns it when the job ends, so a deployment's scratch budget is
+// this figure per busy worker, and an idle engine holds none once the
+// GC has emptied the pool. cmd/topoinfo prints it next to the adjacency
+// memory models (ROADMAP: dense scratch is fine at Q20, revisit at
+// Q24).
 func ScratchFootprintBytes(n int) int64 {
 	words := int64((n + 63) / 64)
 	return 3*4*int64(n) + 8*8*words

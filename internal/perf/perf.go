@@ -164,11 +164,7 @@ func engineDiagnoseCase(nw topology.Network) Result {
 // comparable memory (~84 MB of adjacency arrays avoided); allocs/op
 // staying 0 is the regression gate.
 func implicitEngineDiagnoseCase(bits int) Result {
-	masks := make([]int32, bits)
-	for i := range masks {
-		masks[i] = 1 << uint(i)
-	}
-	eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: bits, Masks: masks}, bits)
+	eng, err := core.NewCayleyEngine(hypercubeDescriptor(bits), bits)
 	if err != nil {
 		panic(err)
 	}
@@ -193,6 +189,37 @@ func implicitEngineDiagnoseCase(bits int) Result {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			op()
+		}
+	})
+}
+
+// hypercubeDescriptor is Q_bits as an XOR Cayley descriptor: one
+// single-bit mask per dimension.
+func hypercubeDescriptor(bits int) graph.XORCayley {
+	masks := make([]int32, bits)
+	for i := range masks {
+		masks[i] = 1 << uint(i)
+	}
+	return graph.XORCayley{Bits: bits, Masks: masks}
+}
+
+// implicitBindCase measures binding Q_bits from its descriptor
+// (core.NewCayleyEngine) — B/op is what an idle implicit engine costs.
+// The engine keeps only the δ+1 candidate parts a diagnosis scans, so
+// bytes/op does not grow with the node count; the full Q20 partition
+// would be ~5 MiB of node ids and part headers.
+func implicitBindCase(bits int) Result {
+	desc := hypercubeDescriptor(bits)
+	return run(fmt.Sprintf("bindimplicit/Q%d", bits), nil, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng, err := core.NewCayleyEngine(desc, bits)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if eng.PartsErr() != nil {
+				b.Fatal(eng.PartsErr())
+			}
 		}
 	})
 }
@@ -851,6 +878,11 @@ func Suite() *Report {
 	rep.Results = append(rep.Results,
 		servedBatchCase(14, 8, true),
 		servedBatchCase(14, 8, false),
+	)
+	// An implicit engine at rest: binding Q20 from its descriptor keeps
+	// only the candidate parts, so B/op stays node-count independent.
+	rep.Results = append(rep.Results,
+		implicitBindCase(20),
 	)
 	return rep
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -15,6 +16,10 @@ import (
 // entry) is shutting down: requests already accepted are flushed and
 // answered, new ones are refused.
 var ErrClosing = errors.New("serve: shutting down")
+
+// errBatchPanic answers every waiter of a batch whose diagnosis
+// panicked: the server's fault, not a verdict about the hypothesis.
+var errBatchPanic = errors.New("serve: diagnosis panicked")
 
 // Outcome is one request's diagnosis as delivered by the coalescer.
 type Outcome struct {
@@ -180,12 +185,7 @@ func (c *coalescer) flushBound(bound int, reqs []*request) {
 	for i, r := range reqs {
 		syns[i] = r.syn
 	}
-	opt := core.BatchOptions{
-		ShareHypotheses: true,
-		Pool:            c.pool,
-		Options:         core.Options{FaultBound: bound, ResultCache: c.cache},
-	}
-	results := c.eng.DiagnoseBatch(syns, opt)
+	results := c.diagnoseBatch(syns, bound)
 	width := len(reqs)
 	// Count the batch before answering anyone, so a client holding its
 	// answer always finds its look-ups in the counters.
@@ -205,6 +205,27 @@ func (c *coalescer) flushBound(bound int, reqs []*request) {
 			ch <- out
 		}
 	}
+}
+
+// diagnoseBatch runs one sub-batch. A panic anywhere in it — the
+// engine, the pool, a behaviour — is recovered here and becomes an
+// errBatchPanic outcome for every syndrome, so the batch's waiters are
+// answered instead of stranded and the flush still completes.
+func (c *coalescer) diagnoseBatch(syns []syndrome.Syndrome, bound int) (results []core.BatchResult) {
+	defer func() {
+		if v := recover(); v != nil {
+			err := fmt.Errorf("%w: %v", errBatchPanic, v)
+			results = make([]core.BatchResult, len(syns))
+			for i := range results {
+				results[i].Err = err
+			}
+		}
+	}()
+	return c.eng.DiagnoseBatch(syns, core.BatchOptions{
+		ShareHypotheses: true,
+		Pool:            c.pool,
+		Options:         core.Options{FaultBound: bound, ResultCache: c.cache},
+	})
 }
 
 // close drains the coalescer: later Submits refuse with ErrClosing,

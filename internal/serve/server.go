@@ -423,6 +423,11 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := <-ch
+	if errors.Is(out.Err, errBatchPanic) {
+		s.met.errors.Add(1)
+		httpError(w, http.StatusInternalServerError, "%v", out.Err)
+		return
+	}
 
 	resp := DiagnoseResponse{
 		Topology:       req.Topology,

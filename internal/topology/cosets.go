@@ -28,10 +28,40 @@ import (
 // between parts — an inherently graph-walking repair) are not
 // reproducible from the descriptor; CayleyParts returns ErrNoPartition
 // for those requests.
+//
+// CayleyParts builds every block: O(n) node ids. A diagnosis reads only
+// the first minCount of them, which CayleyCandidates builds alone.
 func CayleyParts(desc graph.CayleyDescriptor, minSize, minCount int) ([]Part, error) {
+	n, size, err := cayleyBlockSize(desc, minSize, minCount)
+	if err != nil {
+		return nil, err
+	}
+	return rangeParts(n, size), nil
+}
+
+// CayleyCandidates returns the first minCount parts of
+// CayleyParts(desc, minSize, minCount) — with minCount = δ+1, exactly
+// the candidates a Theorem 1 diagnosis scans — without building the
+// rest: the blocks are contiguous id ranges from 0, so the leading
+// minCount of them are resolved from the block size alone. Memory is
+// O(minCount · block size) ids, independent of the graph's order; the
+// error contract is CayleyParts'.
+func CayleyCandidates(desc graph.CayleyDescriptor, minSize, minCount int) ([]Part, error) {
+	_, size, err := cayleyBlockSize(desc, minSize, minCount)
+	if err != nil {
+		return nil, err
+	}
+	return rangeParts(max(minCount, 0)*size, size), nil
+}
+
+// cayleyBlockSize resolves the coset level CayleyParts partitions at:
+// the descriptor's order n and the block size of the first admissible
+// level.
+func cayleyBlockSize(desc graph.CayleyDescriptor, minSize, minCount int) (n, size int, err error) {
 	switch d := desc.(type) {
 	case graph.XORCayley:
-		return xorCosetParts(d, minSize, minCount)
+		size, err = xorCosetBlock(d, minSize, minCount)
+		return d.Order(), size, err
 	case graph.AdditiveCayley:
 		radices := make([]int, d.Dims)
 		gens := make([][]int, 0, 2*d.Dims)
@@ -42,18 +72,22 @@ func CayleyParts(desc graph.CayleyDescriptor, minSize, minCount int) ([]Part, er
 			up[dim], down[dim] = 1, d.K-1
 			gens = append(gens, up, down)
 		}
-		return mixedRadixCosetParts(graph.MixedRadixCayley{Radices: radices, Gens: gens}, minSize, minCount)
+		mr := graph.MixedRadixCayley{Radices: radices, Gens: gens}
+		size, err = mixedRadixCosetBlock(mr, minSize, minCount)
+		return mr.Order(), size, err
 	case graph.MixedRadixCayley:
-		return mixedRadixCosetParts(d, minSize, minCount)
+		size, err = mixedRadixCosetBlock(d, minSize, minCount)
+		return d.Order(), size, err
 	default:
-		return nil, ErrNoPartition
+		return 0, 0, ErrNoPartition
 	}
 }
 
-// xorCosetParts picks the first m ∈ [1, Bits) whose 2^m-sized blocks fit
+// xorCosetBlock picks the first m ∈ [1, Bits) whose 2^m-sized blocks fit
 // minSize/minCount and whose confined masks (those below 2^m) span
-// GF(2)^m — span is the subgroup-coverage test, by Gaussian elimination.
-func xorCosetParts(d graph.XORCayley, minSize, minCount int) ([]Part, error) {
+// GF(2)^m — span is the subgroup-coverage test, by Gaussian elimination
+// — and returns the block size 2^m.
+func xorCosetBlock(d graph.XORCayley, minSize, minCount int) (int, error) {
 	n := d.Order()
 	for m := 1; m < d.Bits; m++ {
 		size := 1 << uint(m)
@@ -70,9 +104,9 @@ func xorCosetParts(d graph.XORCayley, minSize, minCount int) ([]Part, error) {
 		if len(confined) < 2 || !spansBits(confined, m) {
 			continue
 		}
-		return rangeParts(n, size), nil
+		return size, nil
 	}
-	return nil, ErrNoPartition
+	return 0, ErrNoPartition
 }
 
 // spansBits reports whether the masks span GF(2)^m (Gaussian
@@ -94,12 +128,12 @@ func spansBits(masks []int32, m int) bool {
 	return rank == m
 }
 
-// mixedRadixCosetParts picks the first md ∈ [1, dims) whose blocks
+// mixedRadixCosetBlock picks the first md ∈ [1, dims) whose blocks
 // (all coordinates of dimensions < md, high dimensions fixed — size
 // ∏ Radices[:md]) fit minSize/minCount, have ≥ 2 confined generators
 // (non-zero digits only below md) and are covered by a BFS over those
-// generators from the identity.
-func mixedRadixCosetParts(d graph.MixedRadixCayley, minSize, minCount int) ([]Part, error) {
+// generators from the identity, and returns that block size.
+func mixedRadixCosetBlock(d graph.MixedRadixCayley, minSize, minCount int) (int, error) {
 	dims := len(d.Radices)
 	n := d.Order()
 	for md := 1; md < dims; md++ {
@@ -135,9 +169,9 @@ func mixedRadixCosetParts(d graph.MixedRadixCayley, minSize, minCount int) ([]Pa
 		if !blockCovered(d.Radices[:md], confined, size) {
 			continue
 		}
-		return rangeParts(n, size), nil
+		return size, nil
 	}
-	return nil, ErrNoPartition
+	return 0, ErrNoPartition
 }
 
 // blockCovered reports whether BFS from node 0 over the given digit-

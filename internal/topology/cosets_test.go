@@ -96,11 +96,51 @@ func TestCayleyPartsMatchesFamilyParts(t *testing.T) {
 	}
 }
 
+// TestCayleyCandidatesArePartsPrefix pins the candidate-only build an
+// implicit engine binds against the full reference partition: for every
+// declared family and every request an engine issues, CayleyCandidates
+// returns exactly the first minCount parts of CayleyParts (seeds, node
+// ranges and capacity-capped node slices alike), and refuses exactly
+// when CayleyParts refuses.
+func TestCayleyCandidatesArePartsPrefix(t *testing.T) {
+	families := declaredFamilies()
+	for n := 2; n <= 12; n++ {
+		families = append(families, NewHypercube(n))
+	}
+	for _, nw := range families {
+		t.Run(nw.Name(), func(t *testing.T) {
+			desc := nw.CayleyStructure()
+			for bound := 1; bound <= nw.Diagnosability()+1; bound++ {
+				want, wantErr := CayleyParts(desc, bound, bound)
+				got, gotErr := CayleyCandidates(desc, bound, bound)
+				if (wantErr == nil) != (gotErr == nil) || (gotErr != nil && !errors.Is(gotErr, ErrNoPartition)) {
+					t.Fatalf("bound %d: candidates err %v, parts err %v", bound, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if len(got) != bound {
+					t.Fatalf("bound %d: %d candidates, want %d", bound, len(got), bound)
+				}
+				for i := range got {
+					if got[i].Seed != want[i].Seed || !slices.Equal(got[i].Nodes, want[i].Nodes) || cap(got[i].Nodes) != len(got[i].Nodes) {
+						t.Fatalf("bound %d: candidate %d (seed %d, %d nodes) differs from part (seed %d, %d nodes)",
+							bound, i, got[i].Seed, len(got[i].Nodes), want[i].Seed, len(want[i].Nodes))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCayleyPartsRefusals pins the error paths: undeclared descriptor
 // kinds and impossible requests return ErrNoPartition.
 func TestCayleyPartsRefusals(t *testing.T) {
 	if _, err := CayleyParts(nil, 2, 2); !errors.Is(err, ErrNoPartition) {
 		t.Fatalf("nil descriptor: %v", err)
+	}
+	if _, err := CayleyCandidates(nil, 2, 2); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("nil descriptor, candidates: %v", err)
 	}
 	// A request larger than any coset level can serve.
 	desc := NewHypercube(6).CayleyStructure()

@@ -64,16 +64,7 @@ func rangeParts(total, size int) []Part {
 	// the partition per call, so building total/size separate slices
 	// would dominate its allocation profile.
 	flat := make([]int32, total)
-	// Four ids per iteration: this fill is most of an implicit Q18 bind,
-	// and a one-store loop's speed swings by up to 2× with where its few
-	// bytes of code land relative to 64-byte fetch boundaries, which any
-	// edit to code linked before it can move.
-	i := 0
-	for ; i+4 <= total; i += 4 {
-		f, v := flat[i:i+4:i+4], int32(i)
-		f[0], f[1], f[2], f[3] = v, v+1, v+2, v+3
-	}
-	for ; i < total; i++ {
+	for i := range flat {
 		flat[i] = int32(i)
 	}
 	parts := make([]Part, 0, total/size)
