@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,14 @@ func TestFromAdjacencyRejects(t *testing.T) {
 		{"reverse missing later", [][]int32{{1, 2}, {0}, {}}, "arc 0→2 has no reverse"},
 		{"reverse missing earlier", [][]int32{{1}, {0}, {0}}, "arc 2→0 has no reverse"},
 		{"unread entry below the prober", [][]int32{{}, {2}, {0, 1}}, "arc 2→0 has no reverse"},
+		// Strictly ascending blocks: the sorted path's merge pass must
+		// name the same arcs, and its listing pass the same bad ids.
+		{"ascending: reverse missing below the prober", [][]int32{{1}, {0, 3}, {}, {0, 1}}, "arc 3→0 has no reverse"},
+		{"ascending: reverse missing above the prober", [][]int32{{2}, {2}, {0, 3}, {2}}, "arc 1→2 has no reverse"},
+		{"ascending: over-listed node", [][]int32{{2}, {2}, {0}}, "arc 1→2 has no reverse"},
+		{"ascending: self-loop", [][]int32{{1}, {0, 1, 2}, {1}}, "self-loop at node 1"},
+		{"ascending: id past n", [][]int32{{1}, {0, 3}, {}}, "neighbour 3 of node 1 out of range"},
+		{"ascending: negative id", [][]int32{{1}, {-1, 0}}, "neighbour -1 of node 1 out of range"},
 	}
 	for _, tc := range cases {
 		msg := panicMessage(func() { FromAdjacency(len(tc.lists), listAdjacency(tc.lists)) })
@@ -140,6 +149,33 @@ func TestFromAdjacencyRefusesInt32Overflow(t *testing.T) {
 	}
 }
 
+// TestFromAdjacencySortedFootprint pins that an ascending listing is kept
+// as the CSR: building Q12 from its BasisWalk listing allocates the
+// target array, the offsets and one scratch array of n int32s, not a
+// second copy of the targets.
+func TestFromAdjacencySortedFootprint(t *testing.T) {
+	const dim = 12
+	n, basis := 1<<dim, uint32(1<<dim-1)
+	ascending := func(dst []int32, u int32) []int32 {
+		for w := BasisWalk(u, basis); w != 0; w &= w - 1 {
+			dst = append(dst, BasisNeighbor(u, w))
+		}
+		return dst
+	}
+	FromAdjacency(n, ascending) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := FromAdjacency(n, ascending)
+	runtime.ReadMemStats(&after)
+	if g.M() != n*dim/2 {
+		t.Fatalf("M = %d, want %d", g.M(), n*dim/2)
+	}
+	budget := 1.3 * float64(4*n*dim+8*n)
+	if grew := after.TotalAlloc - before.TotalAlloc; float64(grew) >= budget {
+		t.Errorf("ascending Q%d build allocated %d bytes, want < %.0f", dim, grew, budget)
+	}
+}
+
 func TestBuilderExactCapacity(t *testing.T) {
 	b := NewBuilder(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 0}, {0, 1}, {2, 3}, {3, 4}, {4, 3}} {
@@ -182,57 +218,73 @@ func decodeAdjacency(data []byte) (n int, lists [][]int32) {
 // the first bad entry in node order names the self-loop or range panic;
 // otherwise an asymmetric arc set panics naming an arc whose reverse is
 // truly absent, and a symmetric one yields the Builder reference CSR at
-// exact capacity.
+// exact capacity. Every input runs twice: as listed, which mostly takes
+// the transpose path, and with each block sorted and deduplicated
+// first, which takes the sorted path.
 func FuzzFromAdjacency(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, lists := decodeAdjacency(data)
-		msg := panicMessage(func() {
-			g := FromAdjacency(n, listAdjacency(lists))
-			if ref := builderReference(n, listAdjacency(lists)); !sameCSR(g, ref) {
-				t.Fatalf("CSR differs from the Builder reference for %v", lists)
-			}
-			if !exactCapacity(g) {
-				t.Fatalf("target array has spare capacity for %v", lists)
-			}
-		})
+		checkFromAdjacency(t, n, lists)
+		ascending := make([][]int32, n)
 		for u, l := range lists {
-			for _, v := range l {
-				switch {
-				case int(v) == u:
-					if want := fmt.Sprintf("self-loop at node %d", u); !strings.Contains(msg, want) {
-						t.Fatalf("panic %q, want %q for %v", msg, want, lists)
-					}
-					return
-				case v < 0 || int(v) >= n:
-					if want := fmt.Sprintf("neighbour %d of node %d out of range", v, u); !strings.Contains(msg, want) {
-						t.Fatalf("panic %q, want %q for %v", msg, want, lists)
-					}
-					return
-				}
-			}
+			l = slices.Clone(l)
+			slices.Sort(l)
+			ascending[u] = slices.Compact(l)
 		}
-		arcs := map[[2]int32]bool{}
-		for u, l := range lists {
-			for _, v := range l {
-				arcs[[2]int32{int32(u), v}] = true
-			}
+		checkFromAdjacency(t, n, ascending)
+	})
+}
+
+// checkFromAdjacency runs FromAdjacency on lists and checks the outcome
+// against the model FuzzFromAdjacency describes.
+func checkFromAdjacency(t *testing.T, n int, lists [][]int32) {
+	t.Helper()
+	msg := panicMessage(func() {
+		g := FromAdjacency(n, listAdjacency(lists))
+		if ref := builderReference(n, listAdjacency(lists)); !sameCSR(g, ref) {
+			t.Fatalf("CSR differs from the Builder reference for %v", lists)
 		}
-		symmetric := true
-		for a := range arcs {
-			symmetric = symmetric && arcs[[2]int32{a[1], a[0]}]
-		}
-		if symmetric {
-			if msg != "" {
-				t.Fatalf("symmetric input %v panicked: %s", lists, msg)
-			}
-			return
-		}
-		var u, v int32
-		if _, err := fmt.Sscanf(msg, "graph: arc %d→%d", &u, &v); err != nil {
-			t.Fatalf("asymmetric input %v: panic %q names no arc", lists, msg)
-		}
-		if !arcs[[2]int32{u, v}] || arcs[[2]int32{v, u}] {
-			t.Fatalf("asymmetric input %v: named arc %d→%d is not one missing its reverse", lists, u, v)
+		if !exactCapacity(g) {
+			t.Fatalf("target array has spare capacity for %v", lists)
 		}
 	})
+	for u, l := range lists {
+		for _, v := range l {
+			switch {
+			case int(v) == u:
+				if want := fmt.Sprintf("self-loop at node %d", u); !strings.Contains(msg, want) {
+					t.Fatalf("panic %q, want %q for %v", msg, want, lists)
+				}
+				return
+			case v < 0 || int(v) >= n:
+				if want := fmt.Sprintf("neighbour %d of node %d out of range", v, u); !strings.Contains(msg, want) {
+					t.Fatalf("panic %q, want %q for %v", msg, want, lists)
+				}
+				return
+			}
+		}
+	}
+	arcs := map[[2]int32]bool{}
+	for u, l := range lists {
+		for _, v := range l {
+			arcs[[2]int32{int32(u), v}] = true
+		}
+	}
+	symmetric := true
+	for a := range arcs {
+		symmetric = symmetric && arcs[[2]int32{a[1], a[0]}]
+	}
+	if symmetric {
+		if msg != "" {
+			t.Fatalf("symmetric input %v panicked: %s", lists, msg)
+		}
+		return
+	}
+	var u, v int32
+	if _, err := fmt.Sscanf(msg, "graph: arc %d→%d", &u, &v); err != nil {
+		t.Fatalf("asymmetric input %v: panic %q names no arc", lists, msg)
+	}
+	if !arcs[[2]int32{u, v}] || arcs[[2]int32{v, u}] {
+		t.Fatalf("asymmetric input %v: named arc %d→%d is not one missing its reverse", lists, u, v)
+	}
 }

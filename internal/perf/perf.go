@@ -760,13 +760,16 @@ func servedBatchCase(bits, hyps int, coalesce bool) Result {
 	})
 }
 
-// graphBuildCase measures CSR construction of Q_n via FromAdjacency.
-func graphBuildCase(n int) Result {
-	return run(fmt.Sprintf("graphbuild/Q%d", n), nil, func(b *testing.B) {
+// graphBuildCase measures a family's CSR construction via
+// FromAdjacency. Q_n lists its neighbours ascending, so its listing is
+// kept as the CSR; FQ_n appends the complement last, so it measures the
+// transpose path.
+func graphBuildCase(build func() topology.Network) Result {
+	nw := build()
+	return run("graphbuild/"+nw.Name(), nil, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			nw := topology.NewHypercube(n)
-			if nw.Graph().N() != 1<<uint(n) {
+			if build().Graph().N() != nw.Graph().N() {
 				b.Fatal("bad size")
 			}
 		}
@@ -811,7 +814,8 @@ func Suite() *Report {
 		engineDiagnoseCase(topology.NewHypercube(14)),
 		loopDiagnoseCase(topology.NewHypercube(14), 64),
 		batchDiagnoseCase(topology.NewHypercube(14), 64),
-		graphBuildCase(14),
+		graphBuildCase(func() topology.Network { return topology.NewHypercube(14) }),
+		graphBuildCase(func() topology.Network { return topology.NewFoldedHypercube(14) }),
 		boundaryCase(14),
 	)
 	// Structured families served by the PR 3 kernels: engine single-shot
@@ -900,7 +904,7 @@ func QuickSuite() *Report {
 		batchRepeatCase(topology.NewHypercube(10), 16, 4, true),
 		batchSharedFinalCase(topology.NewHypercube(10), 2, true, false),
 		campaignSweepCase(topology.NewHypercube(8), true),
-		graphBuildCase(10),
+		graphBuildCase(func() topology.Network { return topology.NewHypercube(10) }),
 		churnRebindCase(10, 4),
 		churnFlapCase(10, 4),
 		implicitEngineDiagnoseCase(10),

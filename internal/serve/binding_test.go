@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"comparisondiag/internal/bitset"
@@ -136,4 +138,67 @@ func checkSame(t *testing.T, label string, gotF *bitset.Set, gotSt *core.Stats, 
 	if *gotSt != *wantSt {
 		t.Fatalf("%s: stats %+v, CSR %+v", label, *gotSt, *wantSt)
 	}
+}
+
+// TestHypercubeSpellingsShareDescriptor pins that every spelling of Q12
+// that differs only in case and Unicode spacing reaches the one q:12
+// descriptor entry: none may fall through to topology.Parse, which
+// trims every argument and would build a CSR under a second key.
+func TestHypercubeSpellingsShareDescriptor(t *testing.T) {
+	srv := New(Config{NoCoalesce: true})
+	defer srv.Close()
+	for _, spec := range []string{
+		"q:12", "Q:12", " q:12 ", "q:\t12", "hypercube:\u00a012", "Q : 12",
+		"q:12\n", "implicit:q:\u200912",
+	} {
+		if err := srv.Preload(spec); err != nil {
+			t.Fatalf("preload %q: %v", spec, err)
+		}
+	}
+	snap := srv.Snapshot()
+	if len(snap.Engines) != 1 {
+		keys := make([]string, len(snap.Engines))
+		for i, es := range snap.Engines {
+			keys[i] = fmt.Sprintf("%q (%s)", es.Key, es.Binding)
+		}
+		t.Fatalf("%d engines resident: %v; want the one q:12 entry", len(keys), keys)
+	}
+	if es := snap.Engines[0]; es.Key != "q:12" || es.Binding != "descriptor" {
+		t.Fatalf("resident engine %q bound as %q; want q:12 bound as descriptor", es.Key, es.Binding)
+	}
+}
+
+// FuzzNormalizeKey pins the registry's side of the descriptor
+// guarantee: whenever topology.Parse reads a spec as a hypercube Q_n,
+// normalizeKey folds it, with or without the "implicit:" prefix, to
+// "q:<n>", the key bound from the XOR descriptor. Specs whose graph
+// could be large are skipped: any integer argument beyond 12, or
+// beyond 6 outside the hypercube names, whose orders grow as n! or k^n.
+func FuzzNormalizeKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		name, args, _ := strings.Cut(spec, ":")
+		limit := 6
+		if name := strings.ToLower(name); name == "q" || name == "hypercube" {
+			limit = 12
+		}
+		for _, a := range strings.Split(args, ",") {
+			if v, err := strconv.Atoi(strings.TrimSpace(a)); err == nil && v > limit {
+				t.Skip("large graph")
+			}
+		}
+		nw, err := topology.Parse(spec)
+		if err != nil {
+			return
+		}
+		h, ok := nw.(*topology.Hypercube)
+		if !ok {
+			return
+		}
+		want := "q:" + strconv.Itoa(h.Dim())
+		for _, s := range []string{spec, "implicit:" + spec} {
+			if got := normalizeKey(s); got != want {
+				t.Fatalf("Parse(%q) is Q%d, but normalizeKey(%q) = %q, want %q", spec, h.Dim(), s, got, want)
+			}
+		}
+	})
 }

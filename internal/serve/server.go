@@ -182,13 +182,16 @@ func adjacencyFootprint(eng *core.Engine) (string, int64) {
 	return "csr", graph.CSRFootprintBytes(g.N(), g.M())
 }
 
-// normalizeKey canonicalises a spec so "Q:14" and " q:14 " share one
-// engine. Every hypercube spec ("q:<n>", "hypercube:<n>", with or
-// without the "implicit:" prefix) folds to "q:<n>": hypercubes are
-// always descriptor-bound, so there is one entry per hypercube. The
-// prefix stays on any other spec, whose bind then refuses it.
+// normalizeKey canonicalises a spec so "Q:14", " q:14 " and "q:\t14"
+// share one engine: every Unicode space is dropped, a superset of what
+// topology.Parse trims from its arguments, so no spelling Parse accepts
+// as a hypercube escapes the descriptor binding. Every hypercube spec
+// ("q:<n>", "hypercube:<n>", with or without the "implicit:" prefix)
+// folds to "q:<n>": hypercubes are always descriptor-bound, so there is
+// one entry per hypercube. The prefix stays on any other spec, whose
+// bind then refuses it.
 func normalizeKey(spec string) string {
-	key := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(spec), " ", ""))
+	key := strings.ToLower(strings.Join(strings.Fields(spec), ""))
 	if n, ok := hypercubeDim(strings.TrimPrefix(key, "implicit:")); ok {
 		return "q:" + strconv.Itoa(n)
 	}

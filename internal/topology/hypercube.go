@@ -20,9 +20,12 @@ func NewHypercube(n int) *Hypercube {
 		panic("topology: hypercube needs n ≥ 2")
 	}
 	N := pow(2, n)
+	// Listed ascending, every block is already the CSR's, so
+	// FromAdjacency keeps the listing instead of transposing it.
+	basis := uint32(N - 1)
 	g := buildCSR(N, func(dst []int32, u int32) []int32 {
-		for b := 0; b < n; b++ {
-			dst = append(dst, u^int32(1<<uint(b)))
+		for w := graph.BasisWalk(u, basis); w != 0; w &= w - 1 {
+			dst = append(dst, graph.BasisNeighbor(u, w))
 		}
 		return dst
 	})

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -43,12 +44,13 @@ func Parse(spec string) (Network, error) {
 		return nil
 	}
 	// Constructors panic on out-of-range parameters; surface that as an
-	// error for CLI friendliness.
+	// error for CLI friendliness, under one "topology: " prefix (their
+	// own messages already carry it; graph's do not).
 	var nw Network
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("topology: %v", r)
+				err = errors.New("topology: " + strings.TrimPrefix(fmt.Sprint(r), "topology: "))
 			}
 		}()
 		switch strings.ToLower(name) {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -63,4 +64,71 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("spec %q: raw panic leaked: %v", spec, err)
 		}
 	}
+}
+
+// TestParseErrorPrefix pins one "topology: " prefix on every Parse
+// error, constructor refusals included: their panics already carry
+// the prefix, and served 400 bodies show the text as is.
+func TestParseErrorPrefix(t *testing.T) {
+	for _, spec := range []string{
+		"q:1", "hypercube:0", "cq:1", "tq:4", "fq:1", "eq:6,1", "eq:6,7",
+		"aq:1", "sq:8", "tnq:1", "kary:2,3", "akary:3,1", "star:2",
+		"star:13", "nkstar:5,9", "pancake:13", "arr:5,5",
+		"q:27", "bogus:5", "q:abc", "q:5,5", "",
+	} {
+		_, err := Parse(spec)
+		if err == nil {
+			t.Errorf("%q: expected an error", spec)
+			continue
+		}
+		if !singlePrefix(err.Error()) {
+			t.Errorf("%q: error %q, want exactly one \"topology: \" prefix", spec, err)
+		}
+	}
+}
+
+// singlePrefix reports whether msg starts with "topology: " once, not
+// twice.
+func singlePrefix(msg string) bool {
+	rest, ok := strings.CutPrefix(msg, "topology: ")
+	return ok && !strings.HasPrefix(rest, "topology: ")
+}
+
+// binaryCubeNames are the Parse families of order 2^n, the only ones
+// FuzzParse builds with arguments up to 12.
+var binaryCubeNames = map[string]bool{
+	"q": true, "hypercube": true, "cq": true, "crossed": true, "tq": true, "twisted": true,
+	"fq": true, "folded": true, "eq": true, "enhanced": true, "aq": true, "augmented": true,
+	"sq": true, "shuffle": true, "tnq": true, "twistedn": true,
+}
+
+// FuzzParse fuzzes the spec parser clients reach through the service:
+// Parse never panics, its errors carry one "topology: " prefix, and a
+// graph it builds has strictly ascending, symmetric, loop-free blocks.
+// Specs whose graph could be large are skipped: any integer argument
+// beyond 12 (Q12 has 4,096 nodes), or beyond 6 outside the binary
+// cubes, whose orders grow as n!, n!/(n−k)! or k^n.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		name, args, _ := strings.Cut(spec, ":")
+		limit := 6
+		if binaryCubeNames[strings.ToLower(name)] {
+			limit = 12
+		}
+		for _, a := range strings.Split(args, ",") {
+			if v, err := strconv.Atoi(strings.TrimSpace(a)); err == nil && v > limit {
+				t.Skip("large graph")
+			}
+		}
+		nw, err := Parse(spec)
+		if err != nil {
+			if !singlePrefix(err.Error()) {
+				t.Fatalf("Parse(%q): error %q, want exactly one \"topology: \" prefix", spec, err)
+			}
+			return
+		}
+		if err := nw.Graph().Validate(); err != nil {
+			t.Fatalf("Parse(%q) = %s: %v", spec, nw.Name(), err)
+		}
+	})
 }
