@@ -1,0 +1,163 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"comparisondiag/internal/graph"
+	"comparisondiag/internal/topology"
+)
+
+// candidateNetworks are the CSR families the candidate tests bind.
+func candidateNetworks() []topology.Network {
+	return []topology.Network{topology.NewHypercube(10), topology.NewFoldedHypercube(10), topology.NewStar(6)}
+}
+
+// checkHealthyCandidates checks what a healthy network-bound engine
+// stores and reports: Parts() is the network's own partition, the
+// binding keeps exactly its δ+1 leading parts, seeds included, and it
+// serves the bind-time bound.
+func checkHealthyCandidates(t *testing.T, when string, nw topology.Network, eng *Engine) {
+	t.Helper()
+	b := eng.bnd.Load()
+	if b.degraded {
+		t.Fatalf("%s %s: engine degraded", nw.Name(), when)
+	}
+	if b.delta != b.baseDelta {
+		t.Fatalf("%s %s: non-degraded binding serves δ = %d, bound at %d", nw.Name(), when, b.delta, b.baseDelta)
+	}
+	delta := nw.Diagnosability()
+	want, err := nw.Parts(delta+1, delta+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Parts()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %s: Parts() = %d parts (err %v), want the network's %d", nw.Name(), when, len(got), err, len(want))
+	}
+	if !reflect.DeepEqual(b.parts, got[:delta+1]) {
+		t.Fatalf("%s %s: stored %d parts, want Parts()[:%d]", nw.Name(), when, len(b.parts), delta+1)
+	}
+}
+
+// TestCSRCandidatesMatchDerivedPartition pins the stored-candidate rule
+// on CSR engines: before churn and after a full flap, the engine keeps
+// only the δ+1 candidates of the partition it derives from its network,
+// and that derived partition is the network's own.
+func TestCSRCandidatesMatchDerivedPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, nw := range candidateNetworks() {
+		eng := NewEngine(nw)
+		checkHealthyCandidates(t, "at bind", nw, eng)
+		nodes, edges := churnDelta(eng.Graph(), rng)
+		rr := eng.Graph().Remove(nodes, edges)
+		if _, err := eng.Rebind(rr); err != nil {
+			t.Fatalf("%s: removal: %v", nw.Name(), err)
+		}
+		if _, err := eng.Rebind(graph.Restore(rr, nodes, edges)); err != nil {
+			t.Fatalf("%s: restore: %v", nw.Name(), err)
+		}
+		checkHealthyCandidates(t, "after a flap", nw, eng)
+	}
+}
+
+// churnDelta draws three nodes to remove and one edge between two
+// nodes that stay.
+func churnDelta(g *graph.Graph, rng *rand.Rand) ([]int32, [][2]int32) {
+	nodes := distinctNodes(g.N(), 4, rng)
+	gone := map[int32]bool{nodes[0]: true, nodes[1]: true, nodes[2]: true}
+	for _, w := range g.Neighbors(nodes[3]) {
+		if !gone[w] {
+			return nodes[:3], [][2]int32{{nodes[3], w}}
+		}
+	}
+	return nodes[:3], nil
+}
+
+// TestRebindCensusMatchesFullPartition replays a seeded sequence of
+// stacked removals and partial and full restores, and checks every
+// RebindReport census, and every served partition, against
+// topology.SurviveParts and topology.RegrowParts run directly on whole
+// partitions — what each rebind would see had the engine stored them.
+func TestRebindCensusMatchesFullPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(2010))
+	for _, nw := range candidateNetworks() {
+		delta := nw.Diagnosability()
+		full, err := nw.Parts(delta+1, delta+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(nw)
+		// served filters a model partition to the parts a report's
+		// bound admits, as the engine does.
+		served := func(parts []topology.Part, rep *RebindReport) []topology.Part {
+			if rep.PartsErr != nil {
+				return nil
+			}
+			var out []topology.Part
+			for _, p := range parts {
+				if len(p.Nodes) >= rep.EffectiveDelta+1 {
+					out = append(out, p)
+				}
+			}
+			return out
+		}
+		check := func(step string, rep *RebindReport, model []topology.Part, kept, repaired, readmitted, dropped int) {
+			t.Helper()
+			got := [4]int{rep.PartsKept, rep.PartsRepaired, rep.PartsReadmitted, rep.PartsDropped}
+			if want := [4]int{kept, repaired, readmitted, dropped}; got != want {
+				t.Fatalf("%s %s: census kept/repaired/readmitted/dropped = %v, want %v", nw.Name(), step, got, want)
+			}
+			parts, _ := eng.Parts()
+			if !reflect.DeepEqual(parts, model) {
+				t.Fatalf("%s %s: engine serves %d parts, the full-partition model %d", nw.Name(), step, len(parts), len(model))
+			}
+		}
+
+		// Two stacked removals.
+		nodes1, edges1 := churnDelta(eng.Graph(), rng)
+		rr1 := eng.Graph().Remove(nodes1, edges1)
+		rep, err := eng.Rebind(rr1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, _, k, r, d := topology.SurviveParts(rr1.G, full, rr1.OldToNew, rr1.GoneEdges, nil)
+		s1 := served(p1, rep)
+		check("removal 1", rep, s1, k, r, 0, d)
+
+		nodes2, edges2 := churnDelta(eng.Graph(), rng)
+		rr2 := eng.Graph().Remove(nodes2, edges2)
+		if rep, err = eng.Rebind(rr2); err != nil {
+			t.Fatal(err)
+		}
+		p2, _, k, r, d := topology.SurviveParts(rr2.G, s1, rr2.OldToNew, rr2.GoneEdges, nil)
+		s2 := served(p2, rep)
+		check("removal 2", rep, s2, k, r, 0, d)
+
+		// Unwind the second removal fully, then the first in two steps.
+		gr := graph.Restore(rr2, nodes2, edges2)
+		if rep, err = eng.Rebind(gr); err != nil {
+			t.Fatal(err)
+		}
+		p3, _, k, r, ra, d := topology.RegrowParts(gr.G, s1, gr.OldToNew, gr.Remaining.GoneEdges, s2, gr.SurvivorToNew, nil)
+		s3 := served(p3, rep)
+		check("restore 2", rep, s3, k, r, ra, d)
+
+		gr = graph.Restore(rr1, nodes1[:1], nil)
+		if rep, err = eng.Rebind(gr); err != nil {
+			t.Fatal(err)
+		}
+		p4, _, k, r, ra, d := topology.RegrowParts(gr.G, full, gr.OldToNew, gr.Remaining.GoneEdges, s3, gr.SurvivorToNew, nil)
+		s4 := served(p4, rep)
+		check("partial restore 1", rep, s4, k, r, ra, d)
+
+		gr = graph.Restore(gr.Remaining, nodes1[1:], edges1)
+		if rep, err = eng.Rebind(gr); err != nil {
+			t.Fatal(err)
+		}
+		p5, _, k, r, ra, d := topology.RegrowParts(gr.G, full, gr.OldToNew, gr.Remaining.GoneEdges, s4, gr.SurvivorToNew, nil)
+		check("full restore 1", rep, served(p5, rep), k, r, ra, d)
+		checkHealthyCandidates(t, "after unwinding", nw, eng)
+	}
+}

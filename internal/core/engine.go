@@ -18,10 +18,11 @@ import (
 // (plus tightened partitions per FaultBound, built lazily), the part
 // candidate order, and a pool of correctly sized Scratches — so that
 // serving many syndromes against one fixed network pays the setup cost
-// once instead of per call. Descriptor-bound engines keep only the
-// δ+1 candidate parts a diagnosis scans, and the scratch pool holds
-// only what idle callers returned (sync.Pool, emptied by the GC), so an
-// idle engine's footprint is its binding, not its working set.
+// once instead of per call. Engines bound to a network or a descriptor
+// keep only the δ+1 candidate parts a diagnosis scans, and the scratch
+// pool holds only what idle callers returned (sync.Pool, emptied by
+// the GC), so an idle engine's footprint is its binding, not its
+// working set.
 //
 // The free functions (Diagnose, DiagnoseOpts, DiagnoseGraph) remain the
 // paper-literal reference path and rebuild that state per call; the
@@ -67,9 +68,12 @@ type binding struct {
 	baseDelta  int
 	connBudget int
 
-	// parts is the default partition for delta — for implicit bindings
-	// only its delta+1 candidate parts (topology.CayleyCandidates), the
-	// prefix diagnoseInto scans. nil iff partsErr != nil.
+	// parts is the default partition for delta. Where fullParts can
+	// derive the whole partition again (implicit bindings, and healthy
+	// bindings of a network) it holds only the delta+1 candidate parts,
+	// the prefix diagnoseInto scans; degraded and graph-bound bindings
+	// hold the whole partition, which churn maps forward. nil iff
+	// partsErr != nil.
 	parts    []topology.Part
 	partsErr error
 
@@ -99,16 +103,75 @@ type binding struct {
 	// result where a post-churn lookup would find it.
 	epoch uint64
 
-	tight    map[int][]topology.Part // FaultBound-tightened partitions
+	tight    map[int][]topology.Part // FaultBound-tightened candidates
 	tightErr map[int]error
 }
 
+// fullParts returns the binding's whole default partition, the one
+// Rebind maps through churn and Engine.Parts reports. Where that
+// partition is a pure function of the binding's origin it is derived
+// again, O(n) per call: an implicit binding rebuilds it from its
+// descriptor, and a healthy network binding from its network — the
+// bind-time partition, which a full restore also returns element for
+// element (topology.RegrowParts). A degraded binding's partition
+// describes a graph the network does not, and a graph-bound engine has
+// no network, so those return the partition they store.
+func (b *binding) fullParts() ([]topology.Part, error) {
+	switch {
+	case b.implicit():
+		return topology.CayleyParts(b.desc, b.delta+1, b.delta+1)
+	case b.derivable():
+		return b.nw.Parts(b.delta+1, b.delta+1)
+	}
+	return b.parts, b.partsErr
+}
+
+// derivable reports a network binding serving the network's own graph
+// at its own bound, whose partition fullParts derives from the network.
+func (b *binding) derivable() bool {
+	return b.nw != nil && !b.degraded && b.delta == b.baseDelta
+}
+
+// compact drops every part but the delta+1 candidates from a binding
+// whose full partition fullParts can derive again.
+func (b *binding) compact() {
+	if b.derivable() {
+		b.parts = candidateParts(b.parts, b.delta+1)
+	}
+}
+
+// candidateParts copies the first count parts, the candidates a
+// diagnosis scans, into one exact-size backing array: re-slicing would
+// keep the O(n) array a family's Parts fills all its parts from alive.
+func candidateParts(parts []topology.Part, count int) []topology.Part {
+	if parts == nil {
+		return nil
+	}
+	parts = parts[:min(count, len(parts))]
+	total := 0
+	for _, p := range parts {
+		total += len(p.Nodes)
+	}
+	flat := make([]int32, 0, total)
+	out := make([]topology.Part, len(parts))
+	for i, p := range parts {
+		lo := len(flat)
+		flat = append(flat, p.Nodes...)
+		out[i] = topology.Part{Nodes: flat[lo:len(flat):len(flat)], Seed: p.Seed}
+	}
+	return out
+}
+
 // NewEngine binds an engine to the network, eagerly building the
-// default partition for δ = nw.Diagnosability(). Construction never
-// fails: on gap-G3 instances with no Theorem 1 partition the error is
-// recorded and returned by PartsErr and by every Diagnose call, so
-// callers can route to DiagnoseWithVerification once instead of
-// handling errors per syndrome.
+// default partition for δ = nw.Diagnosability() and keeping only its
+// δ+1 candidate parts, the ones a diagnosis scans, rather than all n
+// node ids (on hypercubes the candidates hold O(δ²)).
+// The full partition is derived again from the network when Rebind or
+// Parts needs it. Construction never fails: on gap-G3 instances with
+// no Theorem 1 partition the error is recorded and returned by
+// PartsErr and by every Diagnose call, so callers can route to
+// DiagnoseWithVerification once instead of handling errors per
+// syndrome.
 func NewEngine(nw topology.Network) *Engine {
 	b := &binding{
 		nw:         nw,
@@ -119,6 +182,7 @@ func NewEngine(nw topology.Network) *Engine {
 	b.adj = b.g
 	b.baseDelta = b.delta
 	b.parts, b.partsErr = nw.Parts(b.delta+1, b.delta+1)
+	b.compact()
 	b.kernel, b.desc = bindStructure(nw, b.g)
 	e := &Engine{name: nw.Name()}
 	e.bnd.Store(b)
@@ -285,18 +349,13 @@ func (e *Engine) Diagnosability() int { return e.bnd.Load().delta }
 func (e *Engine) Degraded() bool { return e.bnd.Load().degraded }
 
 // Parts returns the default partition (or the recorded construction
-// error): the precomputed one on CSR-bound engines. An implicit engine
-// stores only the δ+1 candidate parts it scans, so on those Parts
-// materialises the full partition (topology.CayleyParts) on every call
-// — O(n) node ids, the memory the binding itself avoids. It is meant
-// for inspection and tests, not the serving path.
-func (e *Engine) Parts() ([]topology.Part, error) {
-	b := e.bnd.Load()
-	if b.implicit() {
-		return topology.CayleyParts(b.desc, b.delta+1, b.delta+1)
-	}
-	return b.parts, b.partsErr
-}
+// error). An engine bound to a network or a descriptor stores only the
+// δ+1 candidate parts it scans, so while it is healthy Parts derives
+// the full partition again on every call (from the network, or
+// topology.CayleyParts) — O(n) node ids, the memory the binding itself
+// avoids. A degraded or graph-bound engine returns the partition it
+// stores. It is meant for inspection and tests, not the serving path.
+func (e *Engine) Parts() ([]topology.Part, error) { return e.bnd.Load().fullParts() }
 
 // implicit reports a descriptor-bound binding (NewCayleyEngine): no
 // network, no CSR.
@@ -316,8 +375,9 @@ func (e *Engine) PartsErr() error { return e.bnd.Load().partsErr }
 // Degraded bindings always serve their δ′ partition: the network's
 // partition generator describes the pre-churn graph, and the δ′ parts
 // remain valid for every tighter bound (sizes and count only need to
-// reach bound+1 ≤ δ′+1). Implicit bindings build and cache only the
-// bound+1 candidates of each tightened partition, like the default one.
+// reach bound+1 ≤ δ′+1). Only the bound+1 candidates of each tightened
+// partition are cached, like the default one, so a distinct bound
+// costs bound+1 parts at rest rather than another whole partition.
 func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
 	implicit := b.implicit()
 	if bound >= b.delta || (b.nw == nil && !implicit) || b.degraded {
@@ -334,6 +394,7 @@ func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
 		p, err = topology.CayleyCandidates(b.desc, bound+1, bound+1)
 	} else {
 		p, err = b.nw.Parts(bound+1, bound+1)
+		p = candidateParts(p, bound+1)
 	}
 	if b.tight == nil {
 		b.tight = make(map[int][]topology.Part)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"comparisondiag/internal/graph"
+	"comparisondiag/internal/topology"
 )
 
 // TestCayleyEngineBindFootprint pins the implicit bind's memory
@@ -37,6 +38,59 @@ func TestCayleyEngineBindFootprint(t *testing.T) {
 		}
 		if len(parts) != bound+1 {
 			t.Fatalf("bound %d: engine holds %d parts, want the %d candidates", bound, len(parts), bound+1)
+		}
+	}
+}
+
+// liveHeap returns the heap still reachable after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCSREngineBindFootprint pins what a CSR engine keeps at bind:
+// beyond the network's own CSR, a bound FQ16 engine (65,536 nodes,
+// δ = 17) retains its kernel and the δ+1 candidate parts a diagnosis
+// scans, under 16 KiB. The full partition would be 256 KiB of node ids.
+func TestCSREngineBindFootprint(t *testing.T) {
+	nw := topology.NewFoldedHypercube(16)
+	before := liveHeap()
+	eng := NewEngine(nw)
+	retained := liveHeap() - before
+	if err := eng.PartsErr(); err != nil {
+		t.Fatal(err)
+	}
+	if retained >= 16<<10 {
+		t.Fatalf("binding %s retains %d bytes beyond its CSR, want < 16 KiB", nw.Name(), retained)
+	}
+	if got, want := len(eng.bnd.Load().parts), nw.Diagnosability()+1; got != want {
+		t.Fatalf("engine stores %d parts, want the %d candidates", got, want)
+	}
+}
+
+// TestTightPartitionFootprint pins the tightened-bound cache of a CSR
+// engine: serving every FaultBound 1..δ−1 on FQ16 keeps only each
+// bound's bound+1 candidates, under 64 KiB in total, where one full
+// partition per bound would be 256 KiB each.
+func TestTightPartitionFootprint(t *testing.T) {
+	nw := topology.NewFoldedHypercube(16)
+	eng := NewEngine(nw)
+	b := eng.bnd.Load()
+	before := liveHeap()
+	for bound := 1; bound < b.delta; bound++ {
+		if _, err := eng.partsFor(b, bound); err != nil {
+			t.Fatalf("bound %d: %v", bound, err)
+		}
+	}
+	if retained := liveHeap() - before; retained >= 64<<10 {
+		t.Fatalf("FaultBound 1..%d on %s retains %d bytes, want < 64 KiB", b.delta-1, nw.Name(), retained)
+	}
+	for bound := 1; bound < b.delta; bound++ {
+		if got := len(b.tight[bound]); got != bound+1 {
+			t.Fatalf("bound %d: engine caches %d parts, want the %d candidates", bound, got, bound+1)
 		}
 	}
 }

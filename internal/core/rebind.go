@@ -242,14 +242,15 @@ func deriveBinding(b *binding, rr *graph.Removal) (*binding, *RebindReport, erro
 	nb.connBudget = b.connBudget - (rr.RemovedNodes + rr.Stranded) - rr.RemovedEdges
 
 	// Partition survival: remap untouched parts, re-validate touched
-	// ones. A pre-churn partition error carries over — there is
-	// nothing to survive.
+	// ones. The whole partition survives, not just the candidates b
+	// keeps (see binding.fullParts). A pre-churn partition error
+	// carries over — there is nothing to survive.
 	var parts2 []topology.Part
-	if b.partsErr != nil {
-		nb.partsErr = b.partsErr
+	if parts, err := b.fullParts(); err != nil {
+		nb.partsErr = err
 	} else {
 		var kept, repaired, dropped int
-		parts2, _, kept, repaired, dropped = topology.SurviveParts(g2, b.parts, rr.OldToNew, rr.GoneEdges, nil)
+		parts2, _, kept, repaired, dropped = topology.SurviveParts(g2, parts, rr.OldToNew, rr.GoneEdges, nil)
 		rep.PartsKept, rep.PartsRepaired, rep.PartsDropped = kept, repaired, dropped
 	}
 
@@ -321,6 +322,7 @@ func deriveBinding(b *binding, rr *graph.Removal) (*binding, *RebindReport, erro
 
 	nb.degraded = b.degraded || nb.delta < b.delta ||
 		rr.RemovedNodes+rr.RemovedEdges+rr.Stranded > 0
+	nb.compact()
 	return nb, rep, nil
 }
 
@@ -380,13 +382,15 @@ func deriveGrowth(b *binding, gr *graph.Growth) (*binding, *RebindReport, error)
 	// membership (see topology.RegrowParts) — the served partition
 	// never loses a part across a growth. An anchor-time partition
 	// error carries over; a post-removal ErrNoSurvivingPartition does
-	// not — re-growth is exactly what can lift it.
+	// not — re-growth is exactly what can lift it. Both partitions are
+	// whole (see binding.fullParts).
 	var parts2 []topology.Part
-	if anchor.partsErr != nil {
-		nb.partsErr = anchor.partsErr
+	if anchorParts, err := anchor.fullParts(); err != nil {
+		nb.partsErr = err
 	} else {
+		prevParts, _ := b.fullParts() // nil while b serves no partition
 		var kept, regrown, readmitted, dropped int
-		parts2, _, kept, regrown, readmitted, dropped = topology.RegrowParts(g2, anchor.parts, gr.OldToNew, rm.GoneEdges, b.parts, gr.SurvivorToNew, nil)
+		parts2, _, kept, regrown, readmitted, dropped = topology.RegrowParts(g2, anchorParts, gr.OldToNew, rm.GoneEdges, prevParts, gr.SurvivorToNew, nil)
 		rep.PartsKept, rep.PartsRepaired, rep.PartsReadmitted, rep.PartsDropped = kept, regrown, readmitted, dropped
 	}
 
@@ -459,5 +463,6 @@ func deriveGrowth(b *binding, gr *graph.Growth) (*binding, *RebindReport, error)
 	// fully back: nothing still gone means the re-grown graph is the
 	// anchor graph, ids and all.
 	nb.degraded = anchor.degraded || gr.StillGone > 0 || len(rm.GoneEdges) > 0
+	nb.compact()
 	return nb, rep, nil
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -348,15 +349,20 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeRequest strictly decodes one JSON request body (unknown fields
-// refused) of at most maxRequestBytes into v. On failure it answers the
-// request itself — 413 for an oversized body, 400 otherwise — and
-// returns false.
+// decodeRequest strictly decodes a request body of at most
+// maxRequestBytes into v (see decodeObject). On failure it answers the
+// request itself — 413 for a body over the cap, whatever it holds, 400
+// otherwise — and returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	err := decodeObject(body, v)
 	var tooBig *http.MaxBytesError
+	if err != nil && !errors.As(err, &tooBig) {
+		// A body refused before its end may still be over the cap.
+		if _, rest := io.Copy(io.Discard, body); errors.As(rest, &tooBig) {
+			err = rest
+		}
+	}
 	switch {
 	case err == nil:
 		return true
@@ -366,6 +372,47 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return false
+}
+
+// decodeObject decodes exactly one JSON object from body into v:
+// unknown fields are refused, and so is anything but whitespace after
+// the object. A read error (such as http.MaxBytesError) is returned
+// as is.
+func decodeObject(body io.Reader, v any) error {
+	fb := &firstByteReader{r: body}
+	dec := json.NewDecoder(fb)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err != nil && !errors.As(err, new(*json.SyntaxError)) {
+			return err
+		}
+		return errors.New("trailing data after the request object")
+	}
+	// null is the one non-object that decodes into a struct.
+	if fb.first != '{' {
+		return errors.New("request is not a JSON object")
+	}
+	return nil
+}
+
+// firstByteReader passes a body through and notes its first byte that
+// is not JSON whitespace.
+type firstByteReader struct {
+	r     io.Reader
+	first byte
+}
+
+func (f *firstByteReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	for i := 0; i < n && f.first == 0; i++ {
+		if c := p[i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			f.first = c
+		}
+	}
+	return n, err
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {

@@ -623,6 +623,12 @@ func TestDiagnoseValidation(t *testing.T) {
 		{"implicit non-hypercube", `{"topology":"star:5","implicit":true,"faults":[1]}`, http.StatusBadRequest},
 		{"beyond bound", `{"topology":"q:6","faults":[0,1,2,3,4,5,6,7,8,9,10,11]}`, http.StatusUnprocessableEntity},
 		{"oversized body", `{"topology":"q:6",` + strings.Repeat(" ", maxRequestBytes) + `"faults":[1]}`, http.StatusRequestEntityTooLarge},
+		{"trailing garbage", `{"topology":"q:6","faults":[1]}garbage`, http.StatusBadRequest},
+		{"second object", `{"topology":"q:6","faults":[1]} {"topology":"q:6"}`, http.StatusBadRequest},
+		{"trailing brace", `{"topology":"q:6","faults":[1]}}`, http.StatusBadRequest},
+		{"null body", `null`, http.StatusBadRequest},
+		{"array body", `[{"topology":"q:6","faults":[1]}]`, http.StatusBadRequest},
+		{"oversized trailing whitespace", `{"topology":"q:6","faults":[1]}` + strings.Repeat(" ", maxRequestBytes), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {
@@ -662,11 +668,18 @@ func TestDiagnoseValidation(t *testing.T) {
 		{"inverted range", `{"topology":"q:6","min_faults":3,"max_faults":1,"trials":4}`, http.StatusBadRequest},
 		{"too many points", `{"topology":"q:6","min_faults":0,"max_faults":9999,"trials":1}`, http.StatusBadRequest},
 		{"max beyond nodes", `{"topology":"q:6","min_faults":0,"max_faults":65,"trials":1}`, http.StatusBadRequest},
+		{"trailing garbage", `{"topology":"q:6","min_faults":0,"max_faults":1,"trials":1}garbage`, http.StatusBadRequest},
+		{"second object", `{"topology":"q:6","min_faults":0,"max_faults":1,"trials":1} {"topology":"q:6"}`, http.StatusBadRequest},
+		{"null body", `null`, http.StatusBadRequest},
+		{"oversized trailing whitespace", `{"topology":"q:6","min_faults":0,"max_faults":1,"trials":1}` + strings.Repeat(" ", maxRequestBytes), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range campaignCases {
 		if got := postC(tc.body); got != tc.want {
 			t.Errorf("campaign %s: status %d, want %d", tc.name, got, tc.want)
 		}
+	}
+	if snap := srv.Snapshot(); snap.Campaigns != 0 {
+		t.Errorf("refused requests started %d campaigns", snap.Campaigns)
 	}
 }
 
