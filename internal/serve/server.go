@@ -379,10 +379,12 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 // the object. A read error (such as http.MaxBytesError) is returned
 // as is.
 func decodeObject(body io.Reader, v any) error {
-	fb := &firstByteReader{r: body}
-	dec := json.NewDecoder(fb)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	// Through an interface a JSON null clears target instead of leaving
+	// the struct untouched; an object still decodes through v.
+	target := v
+	if err := dec.Decode(&target); err != nil {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
@@ -391,28 +393,10 @@ func decodeObject(body io.Reader, v any) error {
 		}
 		return errors.New("trailing data after the request object")
 	}
-	// null is the one non-object that decodes into a struct.
-	if fb.first != '{' {
+	if target == nil {
 		return errors.New("request is not a JSON object")
 	}
 	return nil
-}
-
-// firstByteReader passes a body through and notes its first byte that
-// is not JSON whitespace.
-type firstByteReader struct {
-	r     io.Reader
-	first byte
-}
-
-func (f *firstByteReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	for i := 0; i < n && f.first == 0; i++ {
-		if c := p[i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			f.first = c
-		}
-	}
-	return n, err
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {

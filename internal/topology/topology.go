@@ -43,6 +43,10 @@ type Network interface {
 	// Parts returns at least minCount disjoint connected parts, each
 	// with at least minSize nodes and minimum induced degree ≥ 2. It
 	// returns ErrNoPartition when the family cannot meet the request.
+	// Repeated calls with the same arguments must return the same parts
+	// in the same order, seeds included: core's binding.fullParts derives
+	// a healthy engine's partition again from this call and relies on
+	// it matching the candidates stored at bind.
 	Parts(minSize, minCount int) ([]Part, error)
 }
 
