@@ -131,8 +131,8 @@ type (
 	CayleyAdjacency = graph.CayleyAdjacency
 )
 
-// Churn tolerance: incremental rebinding, degraded-mode diagnosis and
-// the distsim fault-injection harness (see docs/churn.md).
+// Churn tolerance: incremental rebinding and degraded-mode diagnosis
+// (see docs/churn.md).
 type (
 	// GraphRemoval is the delta of Graph.RemoveNodes/RemoveEdges: the
 	// compacted surviving component plus the old↔new id maps.
@@ -149,23 +149,6 @@ type (
 	// survival/re-growth, kernel fallback or promotion, and cache
 	// remapping.
 	RebindReport = core.RebindReport
-	// FaultPlan is a deterministic, seedable network fault-injection
-	// schedule for the BSP simulator (drops, duplicates, delays, slow
-	// links, node crashes).
-	FaultPlan = distsim.FaultPlan
-	// SlowLink declares a fixed extra delay on one edge of a FaultPlan.
-	SlowLink = distsim.SlowLink
-	// Crash silences one node from a given round on.
-	Crash = distsim.Crash
-	// Rejoin returns a crashed node to service from a given round on.
-	Rejoin = distsim.Rejoin
-	// RecoveryPlan schedules node re-joins against a FaultPlan's
-	// crashes (see CollectServer.ReplayRecovering).
-	RecoveryPlan = distsim.RecoveryPlan
-	// FaultStats counts a run's injected faults.
-	FaultStats = distsim.FaultStats
-	// FaultEvent is one injected fault in a run's replayable ledger.
-	FaultEvent = distsim.FaultEvent
 )
 
 // RestoreGraph re-admits removed nodes/edges into a removal's

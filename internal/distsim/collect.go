@@ -144,9 +144,7 @@ func RunCentralCollect(g *graph.Graph, s syndrome.Syndrome, delta int, parts []t
 	// The centre now holds the complete syndrome; run the sequential
 	// procedure (its further look-ups are central, not network traffic).
 	// This is a one-shot diagnosis per collection wave, so the free
-	// function with its process-wide scratch pool is the right shape; a
-	// centre serving many waves against one graph binds the persistent
-	// CollectServer instead (engine + campaign.Runtime + result cache).
+	// function with its process-wide scratch pool is the right shape.
 	faults, _, err := core.DiagnoseGraph(g, delta, parts, s, core.Options{})
 	if err != nil {
 		return nil, stats, err

@@ -60,7 +60,6 @@ type Engine struct {
 	stats   Stats
 	tests   atomic.Int64 // updated concurrently from OnRound callbacks
 	workers int
-	inj     *injector // nil unless SetFaultPlan armed a fault plan
 }
 
 // NewEngine creates an engine; workers ≤ 0 means GOMAXPROCS, and
@@ -83,45 +82,22 @@ func (e *Engine) CountTests(n int64) { e.tests.Add(n) }
 var ErrRoundLimit = errors.New("distsim: round limit exceeded")
 
 // Run drives the program to quiescence and returns the cost statistics.
-// With a fault plan armed (SetFaultPlan), every produced batch passes
-// through the injector — drops, duplicates, delays, crash silencing —
-// before delivery; Stats then counts what was actually delivered, and
-// the injection ledger is available from FaultStats / FaultEvents.
-// Without a plan the accounting is unchanged.
 func (e *Engine) Run(p Program, maxRounds int) (*Stats, error) {
-	pending := e.inject(p.Init(), e.stats.Rounds)
+	pending := p.Init()
 	for {
-		if len(pending) == 0 && !e.inFlight() {
-			quiet := p.OnQuiet()
-			if len(quiet) == 0 {
+		if len(pending) == 0 {
+			pending = p.OnQuiet()
+			if len(pending) == 0 {
 				s := e.stats
 				s.Tests = e.tests.Load()
 				return &s, nil
-			}
-			pending = e.inject(quiet, e.stats.Rounds)
-			if len(pending) == 0 && !e.inFlight() {
-				// The plan swallowed the entire restart batch with
-				// nothing left in flight: burn a round so a
-				// retransmitting program cannot livelock the run
-				// against Drop = 1 — it hits the round budget instead.
-				if e.stats.Rounds >= maxRounds {
-					return nil, ErrRoundLimit
-				}
-				e.stats.Rounds++
-				continue
 			}
 		}
 		if e.stats.Rounds >= maxRounds {
 			return nil, ErrRoundLimit
 		}
 		e.stats.Rounds++
-		pending = e.takeDue(e.stats.Rounds, pending)
-		pending = e.dropCrashedReceivers(e.stats.Rounds, pending)
 		e.account(pending)
-		if len(pending) == 0 {
-			// Everything due this round was silenced; nothing to run.
-			continue
-		}
 
 		// Deliver: group by recipient, sort each inbox for determinism.
 		inboxes := make(map[int32][]Message, len(pending))
@@ -181,7 +157,6 @@ func (e *Engine) Run(p Program, maxRounds int) (*Stats, error) {
 			pending = append(pending, out...)
 		}
 		e.stats.OnePortTime += int64(maxSent)
-		pending = e.inject(pending, e.stats.Rounds)
 	}
 }
 

@@ -7,7 +7,10 @@ import (
 
 // TestAllTablesGenerate runs every experiment end to end (short sweeps)
 // and checks the tables are well-formed: every row has the full column
-// count and no row reports a misdiagnosis.
+// count and no row reports a misdiagnosis or a failed step. Tables write
+// "ERR" (bare, "ERR: <reason>" or "CT ERR") when a verdict is wrong or a
+// run fails, so a distributed wave that misdiagnosed would otherwise
+// leave a well-formed row behind.
 func TestAllTablesGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -32,6 +35,9 @@ func TestAllTablesGenerate(t *testing.T) {
 			for _, cell := range row {
 				if strings.Contains(cell, "MISDIAGNOSIS") {
 					t.Errorf("%s: misdiagnosis leaked into a table row: %v", tb.ID, row)
+				}
+				if strings.Contains(cell, "ERR") {
+					t.Errorf("%s: failed step leaked into a table row: %v", tb.ID, row)
 				}
 			}
 		}

@@ -46,7 +46,8 @@ type Network interface {
 	// Repeated calls with the same arguments must return the same parts
 	// in the same order, seeds included: core's binding.fullParts derives
 	// a healthy engine's partition again from this call and relies on
-	// it matching the candidates stored at bind.
+	// it matching the candidates stored at bind. TestPartsDeterministic
+	// checks this for every catalogued family.
 	Parts(minSize, minCount int) ([]Part, error)
 }
 
