@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,40 +15,79 @@ func candidateNetworks() []topology.Network {
 	return []topology.Network{topology.NewHypercube(10), topology.NewFoldedHypercube(10), topology.NewStar(6)}
 }
 
+// catalogNetworks are the 14 topology.Catalog examples, one per
+// family, all of which have a partition for δ, and nkstar:6,2, a gap-G3
+// instance (docs/algorithm.md) which has none.
+func catalogNetworks(t *testing.T) []topology.Network {
+	t.Helper()
+	var specs []string
+	for _, fam := range topology.Catalog() {
+		specs = append(specs, fam.Example)
+	}
+	var nws []topology.Network
+	for _, spec := range append(specs, "nkstar:6,2") {
+		nw, err := topology.Parse(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		nws = append(nws, nw)
+	}
+	return nws
+}
+
 // checkHealthyCandidates checks what a healthy network-bound engine
 // stores and reports: Parts() is the network's own partition, the
-// binding keeps exactly its δ+1 leading parts, seeds included, and it
-// serves the bind-time bound.
+// binding keeps exactly the δ+1 leading parts of the partition it
+// re-derives (fullParts), seeds included, and it serves the bind-time
+// bound. A network with no partition for δ must make the binding, its
+// re-derivation and Parts() report the network's ErrNoPartition; such a
+// binding fails every diagnosis, so its bound is not checked.
 func checkHealthyCandidates(t *testing.T, when string, nw topology.Network, eng *Engine) {
 	t.Helper()
 	b := eng.bnd.Load()
 	if b.degraded {
 		t.Fatalf("%s %s: engine degraded", nw.Name(), when)
 	}
-	if b.delta != b.baseDelta {
+	delta := nw.Diagnosability()
+	want, wantErr := nw.Parts(delta+1, delta+1)
+	full, fullErr := b.fullParts()
+	got, err := eng.Parts()
+	if wantErr == nil && b.delta != b.baseDelta {
 		t.Fatalf("%s %s: non-degraded binding serves δ = %d, bound at %d", nw.Name(), when, b.delta, b.baseDelta)
 	}
-	delta := nw.Diagnosability()
-	want, err := nw.Parts(delta+1, delta+1)
-	if err != nil {
-		t.Fatal(err)
+	if wantErr != nil {
+		if !errors.Is(wantErr, topology.ErrNoPartition) {
+			t.Fatalf("%s: network partition: %v", nw.Name(), wantErr)
+		}
+		for _, e := range []error{b.partsErr, fullErr, err} {
+			if e != wantErr {
+				t.Fatalf("%s %s: partition error %v, want the network's %v", nw.Name(), when, e, wantErr)
+			}
+		}
+		if b.parts != nil || full != nil || got != nil {
+			t.Fatalf("%s %s: parts beside a partition error", nw.Name(), when)
+		}
+		return
 	}
-	got, err := eng.Parts()
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s %s: Parts() = %d parts (err %v), want the network's %d", nw.Name(), when, len(got), err, len(want))
 	}
-	if !reflect.DeepEqual(b.parts, got[:delta+1]) {
-		t.Fatalf("%s %s: stored %d parts, want Parts()[:%d]", nw.Name(), when, len(b.parts), delta+1)
+	if fullErr != nil || len(full) < delta+1 {
+		t.Fatalf("%s %s: fullParts() = %d parts (err %v), want at least %d", nw.Name(), when, len(full), fullErr, delta+1)
+	}
+	if !reflect.DeepEqual(b.parts, full[:delta+1]) {
+		t.Fatalf("%s %s: stored %d parts, want fullParts()[:%d]", nw.Name(), when, len(b.parts), delta+1)
 	}
 }
 
 // TestCSRCandidatesMatchDerivedPartition pins the stored-candidate rule
-// on CSR engines: before churn and after a full flap, the engine keeps
-// only the δ+1 candidates of the partition it derives from its network,
-// and that derived partition is the network's own.
+// on CSR engines of every catalogued family: before churn and after a
+// full flap, the engine keeps only the δ+1 candidates of the partition
+// it derives from its network, and that derived partition is the
+// network's own, or the network's ErrNoPartition where it has none.
 func TestCSRCandidatesMatchDerivedPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	for _, nw := range candidateNetworks() {
+	for _, nw := range catalogNetworks(t) {
 		eng := NewEngine(nw)
 		checkHealthyCandidates(t, "at bind", nw, eng)
 		nodes, edges := churnDelta(eng.Graph(), rng)

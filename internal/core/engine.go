@@ -193,8 +193,10 @@ func NewEngine(nw topology.Network) *Engine {
 // a declared descriptor first (validated against the CSR adjacency by
 // graph.VerifyCayley, so a buggy declaration degrades to the generic
 // kernel instead of corrupting results), then the from-scratch XOR
-// probe for networks that declare nothing. Both paths are O(m) and run
-// once per engine. The verified descriptor is returned alongside the
+// probe for networks that declare nothing. Both run once per engine
+// and are O(m), except that a CSR graph.FromXORCayley built from the
+// declared descriptor was checked as it was written and verifies
+// without a scan. The verified descriptor is returned alongside the
 // kernel so a later Rebind can re-verify it on the surviving component.
 func bindStructure(nw topology.Network, g *graph.Graph) (wordRounder, graph.CayleyDescriptor) {
 	if cs, ok := nw.(topology.CayleyStructured); ok {

@@ -135,7 +135,7 @@ func (c *CentralCollect) OnQuiet() []Message { return nil }
 // diagnosis at the centre, returning the fault set, the collection
 // ledger, and the number of syndrome entries assembled centrally.
 func RunCentralCollect(g *graph.Graph, s syndrome.Syndrome, delta int, parts []topology.Part, maxRounds int) (*bitset.Set, *Stats, error) {
-	e := NewEngine(g, 0)
+	e := NewEngine(0)
 	c := NewCentralCollect(e, g, s)
 	stats, err := e.Run(c, maxRounds)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestCentralCollectAssemblesFullSyndrome(t *testing.T) {
 	}
 	F := syndrome.RandomFaults(g.N(), delta, rand.New(rand.NewSource(6)))
 	s := syndrome.NewLazy(F, syndrome.Mimic{})
-	e := NewEngine(g, 0)
+	e := NewEngine(0)
 	c := NewCentralCollect(e, g, s)
 	stats, err := e.Run(c, 10000)
 	if err != nil {

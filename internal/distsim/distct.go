@@ -232,7 +232,7 @@ var ErrNoVerdict = errors.New("distsim: distributed CT produced no result")
 // RunDistCT executes the distributed extended-star diagnosis with the
 // given per-node stars and returns the fault set plus statistics.
 func RunDistCT(g *graph.Graph, s syndrome.Syndrome, stars []*baseline.ExtendedStar, maxRounds int) (*bitset.Set, *Stats, error) {
-	e := NewEngine(g, 0)
+	e := NewEngine(0)
 	d := NewDistCT(e, g, s, stars)
 	stats, err := e.Run(d, maxRounds)
 	if err != nil {

@@ -49,7 +49,7 @@ func ringGraph(n int) *graph.Graph {
 
 func TestEngineTokenRing(t *testing.T) {
 	g := ringGraph(8)
-	e := NewEngine(g, 2)
+	e := NewEngine(2)
 	p := &echoProgram{g: g, hops: 5}
 	stats, err := e.Run(p, 100)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestEngineTokenRing(t *testing.T) {
 
 func TestEngineRoundLimit(t *testing.T) {
 	g := ringGraph(4)
-	e := NewEngine(g, 1)
+	e := NewEngine(1)
 	p := &echoProgram{g: g, hops: 1 << 30}
 	if _, err := e.Run(p, 10); err != ErrRoundLimit {
 		t.Fatalf("expected ErrRoundLimit, got %v", err)
@@ -114,7 +114,7 @@ func TestWaveDeterministicAcrossWorkerCounts(t *testing.T) {
 	seed := healthySeed(t, q, s)
 
 	run := func(workers int) (*bitset.Set, *Stats) {
-		e := NewEngine(g, workers)
+		e := NewEngine(workers)
 		w := NewWaveSetBuilder(e, g, s, seed)
 		stats, err := e.Run(w, 1000)
 		if err != nil {

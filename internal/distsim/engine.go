@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"comparisondiag/internal/core"
-	"comparisondiag/internal/graph"
 )
 
 // Message is one point-to-point message delivered at the next round.
@@ -54,9 +53,8 @@ type Stats struct {
 	OnePortTime int64 // Σ over rounds of max messages sent by one node
 }
 
-// Engine runs a Program on a graph.
+// Engine runs a Program; the program holds the graph it simulates.
 type Engine struct {
-	g       *graph.Graph
 	stats   Stats
 	tests   atomic.Int64 // updated concurrently from OnRound callbacks
 	workers int
@@ -66,11 +64,11 @@ type Engine struct {
 // requests above it are clamped (core.ClampWorkers) — simulator
 // goroutines beyond the scheduler's parallelism only add coordination
 // overhead.
-func NewEngine(g *graph.Graph, workers int) *Engine {
+func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{g: g, workers: core.ClampWorkers(workers)}
+	return &Engine{workers: core.ClampWorkers(workers)}
 }
 
 // CountTests lets protocols report comparison tests they performed.

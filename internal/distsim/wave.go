@@ -195,7 +195,7 @@ var ErrSeedNotHealthy = errors.New("distsim: wave produced no result; was the se
 // RunWave executes the full distributed Set_Builder diagnosis and
 // returns the fault set together with the engine statistics.
 func RunWave(g *graph.Graph, s syndrome.Syndrome, seed int32, maxRounds int) (*bitset.Set, *Stats, error) {
-	e := NewEngine(g, 0)
+	e := NewEngine(0)
 	w := NewWaveSetBuilder(e, g, s, seed)
 	stats, err := e.Run(w, maxRounds)
 	if err != nil {

@@ -90,8 +90,7 @@ func TestWaveTestEconomy(t *testing.T) {
 // TestEngineRecordsAccounting: Records counts payload items (1 + list
 // length per message).
 func TestEngineRecordsAccounting(t *testing.T) {
-	g := ringGraph(4)
-	e := NewEngine(g, 1)
+	e := NewEngine(1)
 	p := &listProgram{}
 	stats, err := e.Run(p, 10)
 	if err != nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -146,12 +147,77 @@ func (m MixedRadixCayley) String() string {
 	return sb.String()
 }
 
+// FromXORCayley builds the CSR of the graph d declares, N(u) = {u ⊕ m :
+// m ∈ d.Masks}, straight from the descriptor. Each node's block is
+// generated ascending by CayleyAdjacency.AppendNeighbors into its slot
+// of an exact-size target array and checked while it is still in
+// cache: degree len(d.Masks), strictly ascending, and every difference
+// u⊕v a mask. With the masks distinct, non-zero and in range (the
+// shape check NewCayleyAdjacency makes), those facts prove N(u) = u⊕M
+// exactly, which is symmetric (v = u⊕m gives u = v⊕m), so no merge or
+// transpose pass runs. The result is the CSR FromAdjacency builds from
+// the same listing, its target array at exact capacity.
+//
+// The graph records a copy of d, and VerifyCayley against the same bit
+// width and mask set returns nil without a scan. Graphs derived from
+// it (Remove, Restore) record nothing and are scanned as any other.
+//
+// The int32 bounds (CheckInt32Bounds) are checked first, before the
+// shape and before anything proportional to the order is allocated;
+// any failure is returned as an error.
+func FromXORCayley(d XORCayley) (*Graph, error) {
+	n := 0 // a negative width fails the shape check
+	switch {
+	case d.Bits >= bits.UintSize-1:
+		n = math.MaxInt
+	case d.Bits >= 0:
+		n = 1 << uint(d.Bits)
+	}
+	deg := len(d.Masks)
+	if err := CheckInt32Bounds(n, deg); err != nil {
+		return nil, err
+	}
+	ca, err := NewCayleyAdjacency(d)
+	if err != nil {
+		return nil, err
+	}
+	masks := slices.Clone(d.Masks)
+	slices.Sort(masks)
+	isMask := maskTable(n, masks)
+	offsets := make([]int32, n+1)
+	targets := make([]int32, n*deg)
+	for u := int32(0); int(u) < n; u++ {
+		lo, hi := offsets[u], offsets[u]+int32(deg)
+		if got := ca.AppendNeighbors(u, targets[lo:lo:hi]); len(got) != deg {
+			return nil, fmt.Errorf("graph: xor-cayley generator gave node %d %d neighbours, want %d", u, len(got), deg)
+		}
+		// The check reads the target array itself, so it proves what
+		// the CSR holds.
+		block := targets[lo:hi]
+		prev := int32(-1)
+		for _, v := range block {
+			x := uint32(u ^ v)
+			if v <= prev || x >= uint32(len(isMask)) || !isMask[x] {
+				return nil, fmt.Errorf("graph: xor-cayley block %v of node %d is not its mask set applied ascending", block, u)
+			}
+			prev = v
+		}
+		offsets[u+1] = hi
+	}
+	g := &Graph{n: n, offsets: offsets, targets: targets, m: len(targets) / 2}
+	g.xor = &XORCayley{Bits: d.Bits, Masks: masks}
+	return g, nil
+}
+
 // VerifyCayley checks a descriptor against the graph's CSR adjacency:
 // nil means every node's neighbourhood is exactly the generator set
 // applied to its id. The check is O(m) and runs once at engine bind
 // time, so declared structure — even from an untrusted or buggy
 // source — can never route a graph through the wrong kernel: a single
-// deviating edge fails the pass.
+// deviating edge fails the pass. The one exception is a graph
+// FromXORCayley built, checked block by block as it was written: an
+// XORCayley with its bit width and mask set, in any order, is accepted
+// without a scan; any other descriptor is scanned.
 func VerifyCayley(g *Graph, d CayleyDescriptor) error {
 	switch d := d.(type) {
 	case XORCayley:
@@ -177,6 +243,9 @@ func verifyXORCayley(g *Graph, d XORCayley) error {
 	}
 	masks := slices.Clone(d.Masks)
 	slices.Sort(masks)
+	if g.xor != nil && g.xor.Bits == d.Bits && slices.Equal(g.xor.Masks, masks) {
+		return nil
+	}
 	for i, m := range masks {
 		if m <= 0 || int(m) >= n {
 			return fmt.Errorf("graph: xor-cayley mask %#x out of range (0, %d)", m, n)

@@ -5,11 +5,14 @@
 // nodes fit comfortably in memory and neighbour scans are a single
 // contiguous read. FromAdjacency builds the structure in O(m) without
 // sorting: it calls a neighbour-appending callback once per node and,
-// when every node lists its neighbours strictly ascending (Q_n does,
-// via BasisWalk), keeps that listing as the target array and proves it
-// symmetric in one merge pass; otherwise it lays the target array down
-// at exact size as the input's transpose, which also proves the input
-// symmetric. Builder assembles it from an edge list by counting sort. The package also supplies the exact
+// when every node lists its neighbours strictly ascending, keeps that
+// listing as the target array and proves it symmetric in one merge
+// pass; otherwise it lays the target array down at exact size as the
+// input's transpose, which also proves the input symmetric.
+// FromXORCayley builds the CSR of an XOR-Cayley graph (Q_n, FQ_n,
+// Q_{n,f}, AQ_n) straight from its generator set, checking each block as
+// it writes it, so no symmetry pass is needed. Builder assembles it from
+// an edge list by counting sort. The package also supplies the exact
 // structural computations the diagnosis theory relies on: connectivity
 // (via Menger/max-flow), articulation points, components and BFS
 // layers.
@@ -24,13 +27,16 @@ import (
 
 // Graph is a simple undirected graph over nodes 0..N-1 in CSR layout:
 // the neighbours of u are targets[offsets[u]:offsets[u+1]], ascending.
-// Build one with FromAdjacency or NewBuilder; a finished Graph is
-// immutable and safe for concurrent readers.
+// Build one with FromAdjacency, FromXORCayley or NewBuilder; a finished
+// Graph is immutable and safe for concurrent readers.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; offsets[u] is the start of u's block
 	targets []int32 // len 2m; sorted within each node's block
 	m       int     // number of undirected edges
+	// xor is the generator set FromXORCayley checked every block
+	// against, masks ascending; nil on every other graph.
+	xor *XORCayley
 }
 
 // N returns the number of nodes.
@@ -248,9 +254,9 @@ func countingSortByKey(key, src, dst, outS, outD, count []int32) {
 // CheckInt32Bounds returns an error unless a regular graph on n nodes
 // of degree deg fits the int32 indexing every adjacency here uses: at most
 // MaxInt32 node ids and at most MaxInt32 arcs (n·deg, the CSR offset
-// range). FromAdjacency refuses exactly these graphs, and callers that
-// bind a family without building its CSR refuse the same sizes with it,
-// before allocating anything proportional to n.
+// range). FromAdjacency and FromXORCayley refuse exactly these graphs,
+// and callers that bind a family without building its CSR refuse the
+// same sizes with it, before allocating anything proportional to n.
 func CheckInt32Bounds(n, deg int) error {
 	if n < 0 || n > math.MaxInt32 {
 		return fmt.Errorf("graph: %d nodes do not fit int32 node ids", n)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"comparisondiag/internal/bitset"
 )
@@ -73,10 +74,14 @@ type CayleyAdjacency struct {
 	n    int
 	deg  int
 
-	// xor: masks as declared; basis is their union when every mask
-	// flips a single bit (the hypercube family), 0 otherwise
+	// xor: basis is the masks' union when every mask flips a single
+	// bit (the hypercube family), 0 otherwise. A multi-bit set is
+	// grouped by highest set bit: tops is the union of those bits, and
+	// the masks topped by bit h are masks[topAt[h]:topAt[h+1]].
 	masks []int32
 	basis uint32
+	tops  uint32
+	topAt []int32
 	// additive / mixed-radix (additive is compiled to the mixed-radix
 	// form: uniform radices, ±1 unit-vector generators)
 	radices []int32
@@ -104,6 +109,8 @@ func NewCayleyAdjacency(desc CayleyDescriptor) (*CayleyAdjacency, error) {
 			for _, m := range d.Masks {
 				ca.basis |= uint32(m)
 			}
+		} else {
+			ca.groupByTopBit()
 		}
 	case AdditiveCayley:
 		if d.K < 3 || d.Dims < 1 {
@@ -153,6 +160,21 @@ func NewCayleyAdjacency(desc CayleyDescriptor) (*CayleyAdjacency, error) {
 		return nil, fmt.Errorf("graph: unknown Cayley descriptor %T", desc)
 	}
 	return ca, nil
+}
+
+// groupByTopBit orders a multi-bit mask set by highest set bit and
+// records the groups (tops, topAt) AppendNeighbors walks.
+func (ca *CayleyAdjacency) groupByTopBit() {
+	slices.SortStableFunc(ca.masks, func(a, b int32) int { return bits.Len32(uint32(a)) - bits.Len32(uint32(b)) })
+	ca.topAt = make([]int32, 32)
+	for _, m := range ca.masks {
+		top := bits.Len32(uint32(m)) - 1
+		ca.tops |= 1 << top
+		ca.topAt[top+1]++ // a count for now; summed below
+	}
+	for h := 1; h < len(ca.topAt); h++ {
+		ca.topAt[h] += ca.topAt[h-1]
+	}
 }
 
 // checkXORShape validates an XORCayley descriptor without a graph: the
@@ -261,8 +283,12 @@ func (ca *CayleyAdjacency) MinDegree() int { return ca.deg }
 // is the caller's buffer and the stack.
 //
 // Single-bit generator sets, declared in any order, take the direct
-// ascending walk (BasisWalk); multi-bit XOR masks and mixed-radix
-// generators are generated in declaration order and insertion-sorted.
+// ascending walk (BasisWalk). A multi-bit mask topped by bit h moves u
+// to a value that agrees with u above h and differs at h, so its group
+// of masks lands where the single bit h would: the groups come in the
+// order of the walk over their top bits, and only each group is
+// insertion-sorted. Mixed-radix generators are generated in
+// declaration order and insertion-sorted.
 func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 	buf = buf[:0]
 	if ca.basis != 0 {
@@ -272,8 +298,11 @@ func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 		return buf
 	}
 	if ca.masks != nil {
-		for _, m := range ca.masks {
-			buf = insertAscending(buf, u^m)
+		for w := BasisWalk(u, ca.tops); w != 0; w &= w - 1 {
+			h, lo := walkBit(w), len(buf)
+			for _, m := range ca.masks[ca.topAt[h]:ca.topAt[h+1]] {
+				buf = insertAscending(buf, lo, u^m)
+			}
 		}
 		return buf
 	}
@@ -295,7 +324,7 @@ func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 			}
 			v += (nd - digits[di]) * ca.strides[di]
 		}
-		buf = insertAscending(buf, v)
+		buf = insertAscending(buf, 0, v)
 	}
 	return buf
 }
@@ -327,12 +356,19 @@ func BasisNeighbor(u int32, w uint64) int32 {
 	return u ^ int32(1)<<((p^(p>>5-1)&31)&31)
 }
 
-// insertAscending inserts v into the sorted slice s (insertion sort —
-// degrees are small, a few dozen at most).
-func insertAscending(s []int32, v int32) []int32 {
+// walkBit returns the bit of the basis that w's trailing set bit
+// names, as BasisNeighbor reads it.
+func walkBit(w uint64) int {
+	p := bits.TrailingZeros64(w)
+	return (p ^ (p>>5-1)&31) & 31
+}
+
+// insertAscending appends v to s and sorts it into s[lo:], which must be
+// ascending (insertion sort — degrees are small, a few dozen at most).
+func insertAscending(s []int32, lo int, v int32) []int32 {
 	s = append(s, v)
 	i := len(s) - 1
-	for i > 0 && s[i-1] > v {
+	for i > lo && s[i-1] > v {
 		s[i] = s[i-1]
 		i--
 	}
@@ -348,6 +384,7 @@ func (ca *CayleyAdjacency) FootprintBytes() int64 {
 	for _, g := range ca.gens {
 		total += int64(4 * len(g))
 	}
+	total += int64(4 * len(ca.topAt))
 	return total + 64 // struct header, slice headers
 }
 

@@ -760,10 +760,11 @@ func servedBatchCase(bits, hyps int, coalesce bool) Result {
 	})
 }
 
-// graphBuildCase measures a family's CSR construction via
-// FromAdjacency. Q_n lists its neighbours ascending, so its listing is
-// kept as the CSR; FQ_n appends the complement last, so it measures the
-// transpose path.
+// graphBuildCase measures a family's CSR construction. Q_n and FQ_n
+// build theirs from their generator sets (graph.FromXORCayley, with
+// single-bit and multi-bit masks); CQ_n has no generator set and lists
+// its neighbours out of order, so it measures FromAdjacency's transpose
+// path.
 func graphBuildCase(build func() topology.Network) Result {
 	nw := build()
 	return run("graphbuild/"+nw.Name(), nil, func(b *testing.B) {
@@ -816,6 +817,7 @@ func Suite() *Report {
 		batchDiagnoseCase(topology.NewHypercube(14), 64),
 		graphBuildCase(func() topology.Network { return topology.NewHypercube(14) }),
 		graphBuildCase(func() topology.Network { return topology.NewFoldedHypercube(14) }),
+		graphBuildCase(func() topology.Network { return topology.NewCrossedCube(14) }),
 		boundaryCase(14),
 	)
 	// Structured families served by the PR 3 kernels: engine single-shot

@@ -24,17 +24,9 @@ func NewAugmentedCube(n int) *AugmentedCube {
 	if n < 2 {
 		panic("topology: augmented cube needs n ≥ 2")
 	}
-	N := pow(2, n)
-	g := buildCSR(N, func(dst []int32, u int32) []int32 {
-		for b := 0; b < n; b++ {
-			dst = append(dst, u^int32(1<<uint(b)))
-		}
-		for i := 1; i < n; i++ {
-			dst = append(dst, u^int32((1<<uint(i+1))-1))
-		}
-		return dst
-	})
-	return &AugmentedCube{n: n, g: g}
+	a := &AugmentedCube{n: n}
+	a.g = xorCSR(n, 2*n-1, a.xorCayley)
+	return a
 }
 
 // Name implements Network.
@@ -66,7 +58,9 @@ func (a *AugmentedCube) Diagnosability() int {
 
 // CayleyStructure implements CayleyStructured: the single-bit basis
 // plus the low-run complement masks 2^(i+1)-1 — all multi-bit.
-func (a *AugmentedCube) CayleyStructure() graph.CayleyDescriptor {
+func (a *AugmentedCube) CayleyStructure() graph.CayleyDescriptor { return a.xorCayley() }
+
+func (a *AugmentedCube) xorCayley() graph.XORCayley {
 	masks := xorBasis(a.n)
 	for i := 1; i < a.n; i++ {
 		masks = append(masks, 1<<uint(i+1)-1)

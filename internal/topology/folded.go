@@ -19,15 +19,9 @@ func NewFoldedHypercube(n int) *FoldedHypercube {
 	if n < 2 {
 		panic("topology: folded hypercube needs n ≥ 2")
 	}
-	N := pow(2, n)
-	full := int32(N - 1)
-	g := buildCSR(N, func(dst []int32, u int32) []int32 {
-		for b := 0; b < n; b++ {
-			dst = append(dst, u^int32(1<<uint(b)))
-		}
-		return append(dst, u^full)
-	})
-	return &FoldedHypercube{n: n, g: g}
+	f := &FoldedHypercube{n: n}
+	f.g = xorCSR(n, n+1, f.xorCayley)
+	return f
 }
 
 // Name implements Network.
@@ -47,7 +41,9 @@ func (f *FoldedHypercube) Diagnosability() int { return f.n + 1 }
 
 // CayleyStructure implements CayleyStructured: the single-bit basis
 // plus the all-ones complement mask — a multi-bit XOR generator set.
-func (f *FoldedHypercube) CayleyStructure() graph.CayleyDescriptor {
+func (f *FoldedHypercube) CayleyStructure() graph.CayleyDescriptor { return f.xorCayley() }
+
+func (f *FoldedHypercube) xorCayley() graph.XORCayley {
 	return graph.XORCayley{Bits: f.n, Masks: append(xorBasis(f.n), 1<<uint(f.n)-1)}
 }
 
@@ -73,15 +69,9 @@ func NewEnhancedHypercube(n, f int) *EnhancedHypercube {
 	if n < 2 || f < 2 || f > n {
 		panic("topology: enhanced hypercube needs n ≥ 2 and 2 ≤ f ≤ n")
 	}
-	N := pow(2, n)
-	mask := int32(((1 << uint(f)) - 1) << uint(n-f))
-	g := buildCSR(N, func(dst []int32, u int32) []int32 {
-		for b := 0; b < n; b++ {
-			dst = append(dst, u^int32(1<<uint(b)))
-		}
-		return append(dst, u^mask)
-	})
-	return &EnhancedHypercube{n: n, f: f, g: g}
+	e := &EnhancedHypercube{n: n, f: f}
+	e.g = xorCSR(n, n+1, e.xorCayley)
+	return e
 }
 
 // Name implements Network.
@@ -101,7 +91,9 @@ func (e *EnhancedHypercube) Diagnosability() int { return e.n + 1 }
 
 // CayleyStructure implements CayleyStructured: the single-bit basis
 // plus the f-high-bits complement mask.
-func (e *EnhancedHypercube) CayleyStructure() graph.CayleyDescriptor {
+func (e *EnhancedHypercube) CayleyStructure() graph.CayleyDescriptor { return e.xorCayley() }
+
+func (e *EnhancedHypercube) xorCayley() graph.XORCayley {
 	mask := int32((1<<uint(e.f) - 1) << uint(e.n-e.f))
 	return graph.XORCayley{Bits: e.n, Masks: append(xorBasis(e.n), mask)}
 }

@@ -14,22 +14,16 @@ type Hypercube struct {
 	g *graph.Graph
 }
 
-// NewHypercube constructs Q_n (n ≥ 2).
+// NewHypercube constructs Q_n (n ≥ 2), its CSR built from its
+// single-bit generator set (graph.FromXORCayley), which lists every
+// neighbourhood ascending with graph.BasisWalk.
 func NewHypercube(n int) *Hypercube {
 	if n < 2 {
 		panic("topology: hypercube needs n ≥ 2")
 	}
-	N := pow(2, n)
-	// Listed ascending, every block is already the CSR's, so
-	// FromAdjacency keeps the listing instead of transposing it.
-	basis := uint32(N - 1)
-	g := buildCSR(N, func(dst []int32, u int32) []int32 {
-		for w := graph.BasisWalk(u, basis); w != 0; w &= w - 1 {
-			dst = append(dst, graph.BasisNeighbor(u, w))
-		}
-		return dst
-	})
-	return &Hypercube{n: n, g: g}
+	h := &Hypercube{n: n}
+	h.g = xorCSR(n, n, h.xorCayley)
+	return h
 }
 
 // Name implements Network.
@@ -49,7 +43,9 @@ func (h *Hypercube) Diagnosability() int { return h.n }
 
 // CayleyStructure implements CayleyStructured: Q_n is the Cayley graph
 // of GF(2)^n with the single-bit generators.
-func (h *Hypercube) CayleyStructure() graph.CayleyDescriptor {
+func (h *Hypercube) CayleyStructure() graph.CayleyDescriptor { return h.xorCayley() }
+
+func (h *Hypercube) xorCayley() graph.XORCayley {
 	return graph.XORCayley{Bits: h.n, Masks: xorBasis(h.n)}
 }
 

@@ -56,9 +56,10 @@ type Network interface {
 // N = n(n-1) < (δ+1)² (gap G3 in docs/algorithm.md).
 var ErrNoPartition = errors.New("topology: no partition with requested part size and count exists")
 
-// buildCSR is the CSR constructor every family builds its graph with.
-// Tests swap in an edge-by-edge graph.Builder reference to pin that the
-// one-pass build produces the identical CSR.
+// buildCSR is the CSR constructor of every family without an XOR
+// generator set (those build theirs with xorCSR). Tests swap in an
+// edge-by-edge graph.Builder reference to pin that the one-pass build
+// produces the identical CSR.
 var buildCSR = graph.FromAdjacency
 
 // rangeParts builds parts that are contiguous id ranges [i·size,
