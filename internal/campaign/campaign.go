@@ -109,6 +109,18 @@ func Sweep(nw topology.Network, cfg Config) []Point {
 	return SweepRuntime(rt, cfg)
 }
 
+// fallbackGraph materialises an implicit adjacency for the
+// verification fallback. AppendNeighbors lists each block ascending, so
+// FromAdjacency keeps the listing as the CSR and checks its symmetry in
+// one merge pass.
+func fallbackGraph(adj graph.Adjacencer) *graph.Graph {
+	var buf []int32
+	return graph.FromAdjacency(adj.N(), func(dst []int32, u int32) []int32 {
+		buf = adj.AppendNeighbors(u, buf)
+		return append(dst, buf...)
+	})
+}
+
 // SweepRuntime is Sweep against a caller-owned Runtime and its bound
 // engine. Trials are dealt to the pool in chunks by trial index and
 // every trial reseeds its worker's PRNG from (Seed, fault count,
@@ -130,12 +142,7 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 	if perr != nil && g == nil {
 		// Implicit engine with no usable partition (Q2–Q5 among
 		// hypercubes): materialise the graph the fallback scans.
-		adj := eng.Adjacency()
-		var buf []int32
-		g = graph.FromAdjacency(n, func(dst []int32, u int32) []int32 {
-			buf = adj.AppendNeighbors(u, buf)
-			return append(dst, buf...)
-		})
+		g = fallbackGraph(eng.Adjacency())
 	}
 
 	var points []Point

@@ -423,12 +423,16 @@ func deriveGrowth(b *binding, gr *graph.Growth) (*binding, *RebindReport, error)
 			}
 		}
 	}
-	if delta2 < 0 {
+	switch {
+	case nb.partsErr != nil:
+		// The anchor had no partition either: serve the ascent ceiling,
+		// as the anchor served its bound, so a full restore lands on
+		// the bind-time δ.
+		nb.delta = dmax
+	case delta2 < 0:
 		nb.delta = 0
-		if nb.partsErr == nil {
-			nb.partsErr = ErrNoSurvivingPartition
-		}
-	} else {
+		nb.partsErr = ErrNoSurvivingPartition
+	default:
 		nb.delta = delta2
 		served := parts2[:0]
 		for _, p := range parts2 {

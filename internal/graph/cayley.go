@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Algebraic adjacency descriptors. A regular interconnection network is
@@ -149,14 +151,22 @@ func (m MixedRadixCayley) String() string {
 
 // FromXORCayley builds the CSR of the graph d declares, N(u) = {u ⊕ m :
 // m ∈ d.Masks}, straight from the descriptor. Each node's block is
-// generated ascending by CayleyAdjacency.AppendNeighbors into its slot
-// of an exact-size target array and checked while it is still in
-// cache: degree len(d.Masks), strictly ascending, and every difference
-// u⊕v a mask. With the masks distinct, non-zero and in range (the
-// shape check NewCayleyAdjacency makes), those facts prove N(u) = u⊕M
-// exactly, which is symmetric (v = u⊕m gives u = v⊕m), so no merge or
-// transpose pass runs. The result is the CSR FromAdjacency builds from
-// the same listing, its target array at exact capacity.
+// generated ascending into its slot of an exact-size target array and
+// checked while it is still in cache: degree len(d.Masks), strictly
+// ascending, and every difference u⊕v a mask. With the masks distinct,
+// non-zero and in range (the shape check NewCayleyAdjacency makes),
+// those facts prove N(u) = u⊕M exactly, which is symmetric (v = u⊕m
+// gives u = v⊕m), so no merge or transpose pass runs. The result is the
+// CSR FromAdjacency builds from the same listing, its target array at
+// exact capacity.
+//
+// Blocks are independent, so the nodes are split into contiguous
+// chunks, one per P (runtime.GOMAXPROCS) and each at least
+// minChunkNodes long, built at once; at GOMAXPROCS = 1, or below two
+// chunks' worth of nodes, the build is one serial pass on the caller.
+// The CSR and any error are the same at every chunk count: each chunk
+// stops at its first failing node and the lowest chunk's error is
+// returned, which is the one a serial pass meets first.
 //
 // The graph records a copy of d, and VerifyCayley against the same bit
 // width and mask set returns nil without a scan. Graphs derived from
@@ -166,14 +176,37 @@ func (m MixedRadixCayley) String() string {
 // shape and before anything proportional to the order is allocated;
 // any failure is returned as an error.
 func FromXORCayley(d XORCayley) (*Graph, error) {
-	n := 0 // a negative width fails the shape check
+	return fromXORCayley(d, xorChunks(xorOrder(d.Bits)))
+}
+
+// minChunkNodes is the fewest nodes FromXORCayley hands one chunk, so
+// that writing a chunk's blocks outweighs starting and joining its
+// goroutine.
+const minChunkNodes = 2048
+
+// xorChunks is the number of node chunks an n-node XOR-Cayley CSR is
+// built in: at most one per P, each at least minChunkNodes nodes, and
+// at least one.
+func xorChunks(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minChunkNodes))
+}
+
+// xorOrder is 2^bits, saturated at math.MaxInt, which the int32 bounds
+// refuse; a negative width gives 0, which the shape check refuses.
+func xorOrder(b int) int {
 	switch {
-	case d.Bits >= bits.UintSize-1:
-		n = math.MaxInt
-	case d.Bits >= 0:
-		n = 1 << uint(d.Bits)
+	case b >= bits.UintSize-1:
+		return math.MaxInt
+	case b >= 0:
+		return 1 << uint(b)
 	}
-	deg := len(d.Masks)
+	return 0
+}
+
+// fromXORCayley is FromXORCayley built in exactly chunks (≥ 1) node
+// chunks.
+func fromXORCayley(d XORCayley, chunks int) (*Graph, error) {
+	n, deg := xorOrder(d.Bits), len(d.Masks)
 	if err := CheckInt32Bounds(n, deg); err != nil {
 		return nil, err
 	}
@@ -183,30 +216,80 @@ func FromXORCayley(d XORCayley) (*Graph, error) {
 	}
 	masks := slices.Clone(d.Masks)
 	slices.Sort(masks)
-	isMask := maskTable(n, masks)
-	offsets := make([]int32, n+1)
-	targets := make([]int32, n*deg)
-	for u := int32(0); int(u) < n; u++ {
-		lo, hi := offsets[u], offsets[u]+int32(deg)
-		if got := ca.AppendNeighbors(u, targets[lo:lo:hi]); len(got) != deg {
-			return nil, fmt.Errorf("graph: xor-cayley generator gave node %d %d neighbours, want %d", u, len(got), deg)
-		}
-		// The check reads the target array itself, so it proves what
-		// the CSR holds.
-		block := targets[lo:hi]
-		prev := int32(-1)
-		for _, v := range block {
-			x := uint32(u ^ v)
-			if v <= prev || x >= uint32(len(isMask)) || !isMask[x] {
-				return nil, fmt.Errorf("graph: xor-cayley block %v of node %d is not its mask set applied ascending", block, u)
-			}
-			prev = v
-		}
-		offsets[u+1] = hi
+	offsets, targets, err := buildXORCSR(ca, maskTable(n, masks), chunks)
+	if err != nil {
+		return nil, err
 	}
 	g := &Graph{n: n, offsets: offsets, targets: targets, m: len(targets) / 2}
 	g.xor = &XORCayley{Bits: d.Bits, Masks: masks}
 	return g, nil
+}
+
+// buildXORCSR writes the CSR of ca in chunks contiguous node ranges:
+// chunk 0 on the caller, each other chunk on a goroutine of its own.
+// The chunks read ca and isMask and write disjoint blocks and offsets,
+// so they share nothing mutable. Of the chunks that fail, the lowest
+// one's error is returned.
+func buildXORCSR(ca *CayleyAdjacency, isMask []bool, chunks int) ([]int32, []int32, error) {
+	n := ca.n
+	offsets := make([]int32, n+1)
+	targets := make([]int32, n*ca.deg)
+	first := func(i int) int32 { return int32(int64(n) * int64(i) / int64(chunks)) }
+	errs := make([]error, chunks)
+	var wg sync.WaitGroup
+	for i := 1; i < chunks; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = writeXORBlocks(ca, isMask, offsets, targets, first(i), first(i+1))
+		}()
+	}
+	errs[0] = writeXORBlocks(ca, isMask, offsets, targets, 0, first(1))
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return offsets, targets, nil
+}
+
+// writeXORBlocks writes the blocks and offsets of nodes [lo, hi) and
+// checks each block as it is stored: degree, strict ascent and every
+// difference u⊕v a mask, read back from the target array itself, so
+// the check proves what the CSR holds. It stops at the first failing
+// node. The arrays are parameters rather than a closure's captures,
+// which would move them to the heap behind a pointer.
+func writeXORBlocks(ca *CayleyAdjacency, isMask []bool, offsets, targets []int32, lo, hi int32) error {
+	deg, basis := int32(ca.deg), ca.basis
+	for u := lo; u < hi; u++ {
+		start := u * deg
+		block := targets[start : start+deg : start+deg]
+		got := 0
+		if basis != 0 {
+			// Single-bit masks (Q_n): the walk is ascending, written
+			// by index.
+			for w := BasisWalk(u, basis); w != 0; w &= w - 1 {
+				block[got] = BasisNeighbor(u, w)
+				got++
+			}
+		} else {
+			got = len(ca.AppendNeighbors(u, block[:0]))
+		}
+		if got != len(block) {
+			return fmt.Errorf("graph: xor-cayley generator gave node %d %d neighbours, want %d", u, got, deg)
+		}
+		prev := int32(-1)
+		for _, v := range block {
+			x := uint32(u ^ v)
+			if v <= prev || x >= uint32(len(isMask)) || !isMask[x] {
+				return fmt.Errorf("graph: xor-cayley block %v of node %d is not its mask set applied ascending", block, u)
+			}
+			prev = v
+		}
+		offsets[u+1] = start + deg
+	}
+	return nil
 }
 
 // VerifyCayley checks a descriptor against the graph's CSR adjacency:

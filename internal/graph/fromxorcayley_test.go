@@ -2,6 +2,8 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -162,28 +164,158 @@ func decodeXORCayley(bitsIn byte, data []byte) XORCayley {
 
 // FuzzFromXORCayley checks FromXORCayley against the construction it
 // replaces: FromAdjacency on the u⊕m listing followed by VerifyCayley.
-// Either both fail or both succeed with the same CSR, and then the
-// generated one is at exact capacity and verifies against its own
+// Each input is built in one node chunk and in three, which its ≤ 1,024
+// nodes would never get from GOMAXPROCS. Either every build fails, with
+// one error text, or every build succeeds with the same CSR, and then
+// the generated one is at exact capacity and verifies against its own
 // descriptor.
 func FuzzFromXORCayley(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bitsIn byte, data []byte) {
 		d := decodeXORCayley(bitsIn, data)
-		got, err := FromXORCayley(d)
+		got, err := fromXORCayley(d, 1)
+		got3, err3 := fromXORCayley(d, 3)
 		var ref *Graph
 		msg := panicMessage(func() { ref = FromAdjacency(1<<uint(d.Bits), xorListing(d.Masks)) })
 		refOK := msg == "" && VerifyCayley(ref, d) == nil
 		switch {
+		case fmt.Sprint(err) != fmt.Sprint(err3):
+			t.Fatalf("%v %v: error %v in one chunk, %v in three", d, d.Masks, err, err3)
 		case (err == nil) != refOK:
 			t.Fatalf("%v %v: FromXORCayley error %v, reference ok = %v (panic %q)", d, d.Masks, err, refOK, msg)
 		case err != nil:
 			return
-		case !sameCSR(got, ref):
+		case !sameCSR(got, ref) || !sameCSR(got3, ref):
 			t.Fatalf("%v %v: CSR differs from the reference", d, d.Masks)
-		case !exactCapacity(got):
+		case !exactCapacity(got) || !exactCapacity(got3):
 			t.Fatalf("%v %v: target array has spare capacity", d, d.Masks)
 		}
 		if err := VerifyCayley(got, d); err != nil {
 			t.Fatalf("%v %v: generated graph rejects its own descriptor: %v", d, d.Masks, err)
 		}
 	})
+}
+
+// TestFromXORCayleyChunked pins that the node-chunked build is the
+// serial one: at GOMAXPROCS 2, 3 and 8 every family's CSR is byte for
+// byte the CSR built at GOMAXPROCS 1, where the build runs in one chunk.
+func TestFromXORCayleyChunked(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ds []XORCayley
+	for n := 12; n <= 16; n++ {
+		ds = append(ds, XORCayley{Bits: n, Masks: hyperMasks(n)})
+	}
+	ds = append(ds,
+		XORCayley{Bits: 14, Masks: enhancedMasks(14, 14)},
+		XORCayley{Bits: 13, Masks: augmentedMasks(13)},
+		XORCayley{Bits: 14, Masks: enhancedMasks(14, 3)},
+	)
+	serial := make([]*Graph, len(ds))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, d := range ds {
+			if procs > 1 && xorChunks(d.Order()) < 2 {
+				t.Fatalf("%v at GOMAXPROCS %d: built in one chunk", d, procs)
+			}
+			g, err := FromXORCayley(d)
+			if err != nil {
+				t.Fatalf("%v at GOMAXPROCS %d: %v", d, procs, err)
+			}
+			if procs == 1 {
+				serial[i] = g
+				continue
+			}
+			if !sameCSR(g, serial[i]) || !exactCapacity(g) {
+				t.Errorf("%v at GOMAXPROCS %d: CSR differs from the GOMAXPROCS 1 build", d, procs)
+			}
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	if c := xorChunks(1 << 20); c != 1 {
+		t.Errorf("GOMAXPROCS 1: %d chunks, want 1", c)
+	}
+	runtime.GOMAXPROCS(8)
+	if c := xorChunks(2*minChunkNodes - 1); c != 1 {
+		t.Errorf("below two chunks' worth of nodes: %d chunks, want 1", c)
+	}
+}
+
+// TestXORChunkErrorIsSerial runs the chunk workers on mask tables that
+// fail some nodes: the build returns the serial error, naming the lowest
+// failing node, at every chunk count. A table missing one mask fails
+// every node, so each chunk stops at its own first node. A ±1-per-digit
+// torus's neighbours differ from u by node-dependent XORs, so a table
+// of only the differences its lower half meets passes the lower half
+// and fails a node past chunk 0 at every chunk count.
+func TestXORChunkErrorIsSerial(t *testing.T) {
+	type failing struct {
+		name   string
+		ca     *CayleyAdjacency
+		isMask []bool
+	}
+	var cases []failing
+	for _, d := range []XORCayley{
+		{Bits: 12, Masks: hyperMasks(12)},
+		{Bits: 12, Masks: augmentedMasks(12)},
+	} {
+		ca, err := NewCayleyAdjacency(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isMask := maskTable(d.Order(), d.Masks)
+		isMask[d.Masks[3]] = false
+		cases = append(cases, failing{fmt.Sprintf("%v without mask %#x", d, d.Masks[3]), ca, isMask})
+
+		offsets := make([]int32, d.Order()+1)
+		targets := make([]int32, d.Order()*len(d.Masks))
+		for _, lo := range []int32{1, 1000, int32(d.Order()) - 1} {
+			err := writeXORBlocks(ca, isMask, offsets, targets, lo, int32(d.Order()))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("of node %d ", lo)) {
+				t.Errorf("%v: chunk from node %d: error %v, want it to name node %d", d, lo, err, lo)
+			}
+		}
+	}
+	torus, err := NewCayleyAdjacency(AdditiveCayley{K: 3, Dims: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowerHalf := make([]bool, 1<<12) // ids are below 3^7 < 2^12, and so is any XOR of two
+	for u := int32(0); int(u) < torus.N()/2; u++ {
+		for _, v := range torus.AppendNeighbors(u, nil) {
+			lowerHalf[u^v] = true
+		}
+	}
+	cases = append(cases, failing{"3-ary 7-cube, lower half's differences", torus, lowerHalf})
+
+	for _, c := range cases {
+		first := int32(-1) // the lowest failing node, found independently
+		for u := int32(0); int(u) < c.ca.N() && first < 0; u++ {
+			for _, v := range c.ca.AppendNeighbors(u, nil) {
+				if !c.isMask[u^v] {
+					first = u
+					break
+				}
+			}
+		}
+		if first < 0 {
+			t.Fatalf("%s: no node fails", c.name)
+		}
+		if c.ca == torus && int(first) < torus.N()/2 {
+			t.Fatalf("%s: node %d fails in the lower half", c.name, first)
+		}
+		var want string
+		for _, chunks := range []int{1, 2, 3, 8} {
+			_, _, err := buildXORCSR(c.ca, c.isMask, chunks)
+			switch {
+			case err == nil:
+				t.Errorf("%s: %d chunks built a CSR", c.name, chunks)
+			case chunks == 1:
+				want = err.Error()
+				if !strings.Contains(want, fmt.Sprintf("of node %d ", first)) {
+					t.Errorf("%s: serial error %q does not name node %d", c.name, want, first)
+				}
+			case err.Error() != want:
+				t.Errorf("%s: %d chunks: error %q, serial %q", c.name, chunks, err, want)
+			}
+		}
+	}
 }

@@ -11,7 +11,8 @@
 // input's transpose, which also proves the input symmetric.
 // FromXORCayley builds the CSR of an XOR-Cayley graph (Q_n, FQ_n,
 // Q_{n,f}, AQ_n) straight from its generator set, checking each block as
-// it writes it, so no symmetry pass is needed. Builder assembles it from
+// it writes it, so no symmetry pass is needed; it writes contiguous node
+// chunks on up to GOMAXPROCS goroutines. Builder assembles it from
 // an edge list by counting sort. The package also supplies the exact
 // structural computations the diagnosis theory relies on: connectivity
 // (via Menger/max-flow), articulation points, components and BFS
