@@ -11,7 +11,6 @@ import (
 	"errors"
 
 	"comparisondiag/internal/core"
-	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -109,41 +108,24 @@ func Sweep(nw topology.Network, cfg Config) []Point {
 	return SweepRuntime(rt, cfg)
 }
 
-// fallbackGraph materialises an implicit adjacency for the
-// verification fallback. AppendNeighbors lists each block ascending, so
-// FromAdjacency keeps the listing as the CSR and checks its symmetry in
-// one merge pass.
-func fallbackGraph(adj graph.Adjacencer) *graph.Graph {
-	var buf []int32
-	return graph.FromAdjacency(adj.N(), func(dst []int32, u int32) []int32 {
-		buf = adj.AppendNeighbors(u, buf)
-		return append(dst, buf...)
-	})
-}
-
 // SweepRuntime is Sweep against a caller-owned Runtime and its bound
 // engine. Trials are dealt to the pool in chunks by trial index and
 // every trial reseeds its worker's PRNG from (Seed, fault count,
 // index), so the points are bit-identical to a sequential loop —
 // worker count and scheduling cannot change an outcome. Implicit
-// (descriptor-backed) engines are served like CSR ones; one with no
-// usable partition gets its CSR built once, for the verification
-// fallback to scan. Config.Workers and Config.OnEngine are ignored
-// here: the runtime fixes both.
+// (descriptor-backed) engines are served like CSR ones; an engine with
+// no usable partition campaigns the verification fallback on its own
+// bound adjacency, with no CSR built. Config.Workers and
+// Config.OnEngine are ignored here: the runtime fixes both.
 func SweepRuntime(rt *Runtime, cfg Config) []Point {
 	if cfg.Behavior == nil {
 		cfg.Behavior = syndrome.Mimic{}
 	}
 	eng := rt.Engine()
-	n := eng.Adjacency().N()
-	g := eng.Graph() // nil for implicit engines; only the fallback needs it
+	adj := eng.Adjacency()
+	n := adj.N()
 	delta := eng.Diagnosability()
 	perr := eng.PartsErr()
-	if perr != nil && g == nil {
-		// Implicit engine with no usable partition (Q2–Q5 among
-		// hypercubes): materialise the graph the fallback scans.
-		g = fallbackGraph(eng.Adjacency())
-	}
 
 	var points []Point
 	results := make([]Outcome, cfg.Trials)
@@ -159,7 +141,7 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 			s := syndrome.NewLazy(F, cfg.Behavior)
 			if perr != nil {
 				// No partition: campaign the verification path.
-				got, err := core.DiagnoseWithVerification(g, delta, s)
+				got, err := core.DiagnoseWithVerification(adj, delta, s)
 				results[i] = classify(got != nil && got.Equal(F), err)
 				return
 			}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"comparisondiag/internal/core"
@@ -130,31 +129,6 @@ func TestSweepVerificationPathImplicitEngine(t *testing.T) {
 		}
 		if want[1].Exact == 0 {
 			t.Fatalf("Q%d: verification path exact at no single fault: %+v", n, want[1])
-		}
-	}
-}
-
-// TestFallbackGraphMatchesHypercube pins the CSR SweepRuntime builds for
-// a partition-less implicit engine: FromAdjacency on the descriptor's
-// ascending listing gives, byte for byte and at exact capacity, the CSR
-// topology.NewHypercube binds for Q2–Q5.
-func TestFallbackGraphMatchesHypercube(t *testing.T) {
-	for n := 2; n <= 5; n++ {
-		masks := make([]int32, n)
-		for i := range masks {
-			masks[i] = 1 << uint(i)
-		}
-		eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOff, gotTgt := fallbackGraph(eng.Adjacency()).Adjacency()
-		wantOff, wantTgt := topology.NewHypercube(n).Graph().Adjacency()
-		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotTgt, wantTgt) {
-			t.Errorf("Q%d: fallback CSR differs from NewHypercube's", n)
-		}
-		if cap(gotTgt) != len(gotTgt) {
-			t.Errorf("Q%d: fallback target array has %d spare slots", n, cap(gotTgt)-len(gotTgt))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"comparisondiag/internal/bitset"
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -364,26 +365,69 @@ func TestDiagnoseDetectsFaultOverload(t *testing.T) {
 	}
 }
 
+// TestDiagnoseWithVerificationOnPartitionlessFamily runs the
+// verification fallback on gap-G3 instances, which have no Theorem 1
+// partition (S(6,2): N = 30 < (δ+1)² = 36), at sizes where the declared
+// δ is a true diagnosability bound. Every F = N(v) with
+// |N(v)| ≤ δ — the sets that isolate a healthy node — and seeded random
+// sets of at most δ faults must be diagnosed exactly under every
+// behaviour, the mimic and random adversaries included. The XOR families also run on the implicit
+// adjacency of their declared descriptor, which must give the same
+// answer from the same number of syndrome look-ups as the CSR.
 func TestDiagnoseWithVerificationOnPartitionlessFamily(t *testing.T) {
-	// S(6,2): N = 30 < (δ+1)² = 36, so Theorem 1's partition does not
-	// exist (gap G3) — but the verification fallback still solves it.
-	nk := topology.NewNKStar(6, 2)
-	g := nk.Graph()
-	delta := nk.Diagnosability()
-	if _, err := nk.Parts(delta+1, delta+1); !errors.Is(err, topology.ErrNoPartition) {
-		t.Fatalf("expected ErrNoPartition for S(6,2), got %v", err)
+	specs := []string{
+		"nkstar:6,2", "q:4", "q:5", "cq:5", "tnq:5", "fq:5", "eq:5,3",
+		"aq:5", "aq:7", "kary:9,1", "akary:3,4", "nkstar:9,2", "arr:9,2",
 	}
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 5; trial++ {
-		F := syndrome.RandomFaults(g.N(), rng.Intn(delta+1), rng)
-		for _, b := range behaviors() {
-			s := syndrome.NewLazy(F, b)
-			got, err := DiagnoseWithVerification(g, delta, s)
-			if err != nil {
-				t.Fatalf("behaviour %s: %v", b.Name(), err)
+	for _, spec := range specs {
+		nw, err := topology.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := nw.Graph()
+		delta := nw.Diagnosability()
+		if _, err := nw.Parts(delta+1, delta+1); !errors.Is(err, topology.ErrNoPartition) {
+			t.Fatalf("%s: expected ErrNoPartition, got %v", spec, err)
+		}
+		var implicit graph.Adjacencer
+		if cs, ok := nw.(topology.CayleyStructured); ok {
+			if desc, ok := cs.CayleyStructure().(graph.XORCayley); ok {
+				if implicit, err = graph.NewCayleyAdjacency(desc); err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
 			}
-			if !got.Equal(F) {
-				t.Fatalf("behaviour %s: got %v want %v", b.Name(), got, F)
+		}
+		var faultSets []*bitset.Set
+		for v := int32(0); int(v) < g.N(); v++ {
+			if g.Degree(v) > delta {
+				continue
+			}
+			F := bitset.New(g.N())
+			for _, u := range g.Neighbors(v) {
+				F.Add(int(u))
+			}
+			faultSets = append(faultSets, F)
+		}
+		rng := rand.New(rand.NewSource(77))
+		for trial := 0; trial < 10; trial++ {
+			faultSets = append(faultSets, syndrome.RandomFaults(g.N(), rng.Intn(delta+1), rng))
+		}
+		for _, F := range faultSets {
+			for _, b := range behaviors() {
+				s := syndrome.NewLazy(F, b)
+				got, err := DiagnoseWithVerification(g, delta, s)
+				if err != nil || !got.Equal(F) {
+					t.Fatalf("%s, behaviour %s: got %v, %v; want %v", spec, b.Name(), got, err, F)
+				}
+				if implicit == nil {
+					continue
+				}
+				si := syndrome.NewLazy(F, b)
+				goti, erri := DiagnoseWithVerification(implicit, delta, si)
+				if erri != nil || !goti.Equal(got) || si.Lookups() != s.Lookups() {
+					t.Fatalf("%s, behaviour %s: implicit run gave %v, %v in %d look-ups; CSR run %v in %d",
+						spec, b.Name(), goti, erri, si.Lookups(), got, s.Lookups())
+				}
 			}
 		}
 	}

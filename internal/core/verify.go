@@ -18,25 +18,29 @@ var ErrNoConsistentCandidate = errors.New("core: no consistent fault hypothesis 
 // candidate fault set N(U_r), and accepts the first candidate that is
 // fully consistent with the syndrome. Because the true fault set is the
 // unique consistent hypothesis of size ≤ δ on a δ-diagnosable graph, an
-// accepted candidate is exact.
+// accepted candidate is exact — so the answer is only as sound as δ:
+// where the family's δ overstates the graph's diagnosability, an
+// accepted candidate can be wrong.
 //
-// Among any δ+1 distinct seeds at least one is healthy, and a healthy
-// seed on a graph with κ ≥ δ yields the true fault set (Theorem 1), so
-// typically only a handful of seeds are tried. Each verification costs a
-// full syndrome sweep, so this is the expensive fallback for instances
-// whose partition precondition is unsatisfiable (gap G3: (n,2)-stars,
-// A_{n,2}, AQ_7, …); prefer Diagnose whenever a partition exists.
-func DiagnoseWithVerification(g *graph.Graph, delta int, s syndrome.Syndrome) (*bitset.Set, error) {
-	sc := getScratch(g.N())
+// Among any δ+1 distinct seeds at least one is healthy, but a healthy
+// seed need not grow a U_r whose boundary is the fault set, so the loop
+// may try up to N seeds, not just δ+1. Each verification costs a full
+// syndrome sweep, so this is the expensive fallback for instances whose
+// partition precondition is unsatisfiable (gap G3: (n,2)-stars, A_{n,2},
+// AQ_7, Q2–Q5, …); prefer Diagnose whenever a partition exists. It runs
+// on any adjacency: a CSR graph, or an implicit one generated from a
+// descriptor, with no CSR built.
+func DiagnoseWithVerification(a graph.Adjacencer, delta int, s syndrome.Syndrome) (*bitset.Set, error) {
+	sc := getScratch(a.N())
 	defer putScratch(sc)
 	cand := sc.faultsBuf()
-	for u0 := int32(0); int(u0) < g.N(); u0++ {
-		r := SetBuilderInto(sc, g, s, u0, delta, nil)
-		g.NeighborsOfSetInto(r.U, cand)
+	for u0 := int32(0); int(u0) < a.N(); u0++ {
+		r := SetBuilderInto(sc, a, s, u0, delta, nil)
+		sc.nbuf = graph.NeighborsOfSetOnInto(a, r.U, cand, sc.nbuf)
 		if cand.Count() > delta {
 			continue
 		}
-		if syndrome.Consistent(g, s, cand) {
+		if syndrome.Consistent(a, s, cand) {
 			return cand.Clone(), nil
 		}
 	}

@@ -93,8 +93,8 @@ func TestFromAdjacencyRejects(t *testing.T) {
 		{"reverse missing later", [][]int32{{1, 2}, {0}, {}}, "arc 0→2 has no reverse"},
 		{"reverse missing earlier", [][]int32{{1}, {0}, {0}}, "arc 2→0 has no reverse"},
 		{"unread entry below the prober", [][]int32{{}, {2}, {0, 1}}, "arc 2→0 has no reverse"},
-		// Strictly ascending blocks: the sorted path's merge pass must
-		// name the same arcs, and its listing pass the same bad ids.
+		// Strictly ascending blocks take the same dedup and transpose
+		// passes as any listing and must name the same arcs and bad ids.
 		{"ascending: reverse missing below the prober", [][]int32{{1}, {0, 3}, {}, {0, 1}}, "arc 3→0 has no reverse"},
 		{"ascending: reverse missing above the prober", [][]int32{{2}, {2}, {0, 3}, {2}}, "arc 1→2 has no reverse"},
 		{"ascending: over-listed node", [][]int32{{2}, {2}, {0}}, "arc 1→2 has no reverse"},
@@ -149,33 +149,6 @@ func TestFromAdjacencyRefusesInt32Overflow(t *testing.T) {
 	}
 }
 
-// TestFromAdjacencySortedFootprint pins that an ascending listing is kept
-// as the CSR: building Q12 from its BasisWalk listing allocates the
-// target array, the offsets and one scratch array of n int32s, not a
-// second copy of the targets.
-func TestFromAdjacencySortedFootprint(t *testing.T) {
-	const dim = 12
-	n, basis := 1<<dim, uint32(1<<dim-1)
-	ascending := func(dst []int32, u int32) []int32 {
-		for w := BasisWalk(u, basis); w != 0; w &= w - 1 {
-			dst = append(dst, BasisNeighbor(u, w))
-		}
-		return dst
-	}
-	FromAdjacency(n, ascending) // warm up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g := FromAdjacency(n, ascending)
-	runtime.ReadMemStats(&after)
-	if g.M() != n*dim/2 {
-		t.Fatalf("M = %d, want %d", g.M(), n*dim/2)
-	}
-	budget := 1.3 * float64(4*n*dim+8*n)
-	if grew := after.TotalAlloc - before.TotalAlloc; float64(grew) >= budget {
-		t.Errorf("ascending Q%d build allocated %d bytes, want < %.0f", dim, grew, budget)
-	}
-}
-
 func TestBuilderExactCapacity(t *testing.T) {
 	b := NewBuilder(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 0}, {0, 1}, {2, 3}, {3, 4}, {4, 3}} {
@@ -218,9 +191,9 @@ func decodeAdjacency(data []byte) (n int, lists [][]int32) {
 // the first bad entry in node order names the self-loop or range panic;
 // otherwise an asymmetric arc set panics naming an arc whose reverse is
 // truly absent, and a symmetric one yields the Builder reference CSR at
-// exact capacity. Every input runs twice: as listed, which mostly takes
-// the transpose path, and with each block sorted and deduplicated
-// first, which takes the sorted path.
+// exact capacity. Every input runs twice, for input variety: as listed,
+// and with each block sorted and deduplicated first, the shape every
+// descriptor-generated listing has.
 func FuzzFromAdjacency(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, lists := decodeAdjacency(data)

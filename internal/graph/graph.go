@@ -4,11 +4,10 @@
 // target array plus per-node offsets — so that networks with millions of
 // nodes fit comfortably in memory and neighbour scans are a single
 // contiguous read. FromAdjacency builds the structure in O(m) without
-// sorting: it calls a neighbour-appending callback once per node and,
-// when every node lists its neighbours strictly ascending, keeps that
-// listing as the target array and proves it symmetric in one merge
-// pass; otherwise it lays the target array down at exact size as the
-// input's transpose, which also proves the input symmetric.
+// sorting: it calls a neighbour-appending callback once per node,
+// deduplicates each listed block, and lays the target array down at
+// exact size as the input's transpose, which also proves the input
+// symmetric.
 // FromXORCayley builds the CSR of an XOR-Cayley graph (Q_n, FQ_n,
 // Q_{n,f}, AQ_n) straight from its generator set, checking each block as
 // it writes it, so no symmetry pass is needed; it writes contiguous node
@@ -275,18 +274,14 @@ func CheckInt32Bounds(n, deg int) error {
 // the callback writes straight into a growing arc array, so it need not
 // allocate. Neighbours may come in any order and may repeat.
 //
-// Each node's block is range- and self-loop-checked as it arrives, and
-// deduplicated unless it is already strictly ascending. When every block
-// is, the listing is the CSR itself: one merge pass proves it symmetric
-// (walking u ascending, each arc u→v with v > u must find u at v's
-// cursor, and each block's entries below u must be consumed by then),
-// and nothing else is built. Otherwise the CSR is laid down as the
-// input's transpose, since a symmetric adjacency is its own transpose:
-// scattering every arc u→v into v's block, u ascending, writes each
-// block already sorted into a target array of exact size, and a
-// membership pass then proves every block holds exactly the neighbours
-// its node listed. Either way symmetry is enforced, not assumed, and the
-// target array is returned at exact capacity.
+// Each node's block is range- and self-loop-checked and deduplicated as
+// it arrives. The CSR is then laid down as the input's transpose, since
+// a symmetric adjacency is its own transpose: scattering every arc u→v
+// into v's block, u ascending, writes each block already sorted into a
+// target array of exact size, and a membership pass then proves every
+// block holds exactly the neighbours its node listed. Symmetry is thus
+// enforced, not assumed, and the target array has exact capacity
+// whatever order the callback lists in.
 //
 // FromAdjacency panics, naming the offending node or arc, on a
 // self-loop, an out-of-range neighbour, an arc whose reverse is missing,
@@ -311,50 +306,34 @@ func FromAdjacency(n int, appendNeighbors func(dst []int32, u int32) []int32) *G
 	}
 
 	// in holds each node's listed neighbours, deduplicated; stamp[v] ==
-	// u+1 once u has listed v in a block that needed deduplicating.
+	// u+1 once u has listed v.
 	in := append(make([]int32, 0, n*deg0), first...)
 	offsets := make([]int32, n+1)
 	stamp := make([]int32, n)
-	sorted := true
-	n32 := int32(n)
-	for u := int32(0); u < n32; u++ {
+	for u := int32(0); int(u) < n; u++ {
 		start := int(offsets[u])
 		if u > 0 {
 			in = appendNeighbors(in, u)
 		}
-		// Once one block is not, every later one is deduplicated too:
-		// the transpose path then never pays for an ascent test.
-		sorted = sorted && ascendingBlock(in[start:], u, n32)
-		if !sorted {
-			kept := start
-			for _, v := range in[start:] {
-				if v == u {
-					panic(fmt.Sprintf("graph: self-loop at node %d", u))
-				}
-				if v < 0 || int(v) >= n {
-					panic(fmt.Sprintf("graph: neighbour %d of node %d out of range [0,%d)", v, u, n))
-				}
-				if stamp[v] != u+1 {
-					stamp[v] = u + 1
-					in[kept] = v
-					kept++
-				}
+		kept := start
+		for _, v := range in[start:] {
+			if v == u {
+				panic(fmt.Sprintf("graph: self-loop at node %d", u))
 			}
-			in = in[:kept]
+			if v < 0 || int(v) >= n {
+				panic(fmt.Sprintf("graph: neighbour %d of node %d out of range [0,%d)", v, u, n))
+			}
+			if stamp[v] != u+1 {
+				stamp[v] = u + 1
+				in[kept] = v
+				kept++
+			}
 		}
+		in = in[:kept]
 		if len(in) > math.MaxInt32 {
 			panic(fmt.Sprintf("graph: more than %d arcs by node %d, beyond int32 CSR offsets", math.MaxInt32, u))
 		}
 		offsets[u+1] = int32(len(in))
-	}
-	if sorted {
-		checkSymmetricSorted(in, offsets, stamp)
-		if cap(in) != len(in) {
-			// Irregular input: re-slicing would keep the spare
-			// capacity allocated, and slices.Clone may round it up.
-			in = append(make([]int32, 0, len(in)), in...)
-		}
-		return &Graph{n: n, offsets: offsets, targets: in, m: len(in) / 2}
 	}
 
 	// Scatter the transpose: cur[v] (reusing the stamp array) is the next
@@ -397,51 +376,6 @@ func FromAdjacency(n int, appendNeighbors func(dst []int32, u int32) []int32) *G
 		}
 	}
 	return &Graph{n: n, offsets: offsets, targets: targets, m: len(targets) / 2}
-}
-
-// ascendingBlock reports whether node u's listed block is strictly
-// ascending, in [0, n) and free of u, in one early-exit pass: prev
-// starts at -1, so a negative first entry fails the ascent test too.
-// A block it rejects is deduplicated with stamps instead, and that pass
-// names the first bad entry in listing order.
-func ascendingBlock(block []int32, u, n int32) bool {
-	prev := int32(-1)
-	for _, v := range block {
-		if v <= prev || v == u || v >= n {
-			return false
-		}
-		prev = v
-	}
-	return true
-}
-
-// checkSymmetricSorted proves a CSR of strictly ascending blocks
-// symmetric in one merge pass, panicking on an arc whose reverse is
-// missing. cur[v] (the caller's scratch, len n) is the first entry of
-// v's block not yet matched: walking u ascending, u consumes the entry u
-// of every block it lists above itself, so by u's turn the entries of
-// u's own block below u must all be consumed. An unconsumed entry x
-// below u therefore names the arc v→x whose reverse x never listed, and
-// any other miss names u→v.
-func checkSymmetricSorted(in, offsets, cur []int32) {
-	n := int32(len(cur))
-	copy(cur, offsets[:n])
-	for u := int32(0); u < n; u++ {
-		c, end := cur[u], offsets[u+1]
-		if c < end && in[c] < u {
-			panicAsymmetric(u, in[c])
-		}
-		for _, v := range in[c:end] {
-			p := cur[v]
-			if p == offsets[v+1] || in[p] != u {
-				if p < offsets[v+1] && in[p] < u {
-					panicAsymmetric(v, in[p])
-				}
-				panicAsymmetric(u, v)
-			}
-			cur[v] = p + 1
-		}
-	}
 }
 
 func panicAsymmetric(u, v int32) {
