@@ -61,7 +61,7 @@ func main() {
 	fmt.Printf("edges           %d\n", g.M())
 	fmt.Printf("degree          min %d, max %d\n", g.MinDegree(), g.MaxDegree())
 	fmt.Printf("connectivity κ  %d (literature)\n", nw.Connectivity())
-	fmt.Printf("diagnosable δ   %d (literature)\n", nw.Diagnosability())
+	fmt.Printf("diagnosable δ   %d (declared)\n", nw.Diagnosability())
 
 	// Algebraic structure: what the family declares (or a from-scratch
 	// probe finds), and which final-pass kernel an engine binds from it.
@@ -133,7 +133,7 @@ func main() {
 			} else {
 				match := "agrees"
 				if res.Delta != nw.Diagnosability() {
-					match = "DISAGREES with literature formula (often a small-size exception)"
+					match = "DISAGREES with the declared δ"
 				}
 				fmt.Printf("exact δ         %d (%s)\n", res.Delta, match)
 				if res.Delta < nw.Diagnosability() {

@@ -270,6 +270,44 @@ func TestIndistinguishableClassicPair(t *testing.T) {
 	}
 }
 
+// TestSmallInstanceDiagnosability proves the δ the topology package
+// declares below its families' formula ranges: Q2, Q3, S_3, P_3 and
+// every A_{n,1} = K_n. For each, every pair of distinct fault sets of
+// at most the formula's δ is tried exhaustively; the largest t at
+// which all pairs of size ≤ t are distinguishable must be exactly the
+// declared δ, and the pair that breaks t = δ+1 must be a real
+// indistinguishable pair.
+func TestSmallInstanceDiagnosability(t *testing.T) {
+	type instance struct {
+		nw      topology.Network
+		formula int // the family formula's δ, which overstates it
+	}
+	cases := []instance{
+		{topology.NewHypercube(2), 2},
+		{topology.NewHypercube(3), 3},
+		{topology.NewStar(3), 2},
+		{topology.NewPancake(3), 2},
+	}
+	for n := 3; n <= 12; n++ {
+		cases = append(cases, instance{topology.NewArrangement(n, 1), n - 1})
+	}
+	for _, c := range cases {
+		g := c.nw.Graph()
+		res, err := Diagnosability(g, c.formula)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delta != c.nw.Diagnosability() || res.Delta >= c.formula {
+			t.Fatalf("%s: exhaustive δ = %d, declared %d, formula %d", c.nw.Name(), res.Delta, c.nw.Diagnosability(), c.formula)
+		}
+		adj, _ := adjMasks(g)
+		w1, w2 := res.Witness1, res.Witness2
+		if w1 == w2 || !Indistinguishable(adj, w1, w2) || max(bits.OnesCount64(w1), bits.OnesCount64(w2)) != res.Delta+1 {
+			t.Fatalf("%s: witness %#x / %#x is not an indistinguishable pair of size δ+1", c.nw.Name(), w1, w2)
+		}
+	}
+}
+
 func TestDiagnosabilityKnownValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive diagnosability is slow")

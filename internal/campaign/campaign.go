@@ -88,12 +88,11 @@ type Config struct {
 // Sweep runs the campaign against the network through a core.Engine
 // and a persistent Runtime bound once per sweep: the partition is
 // built a single time, the worker pool outlives every sweep point
-// (no per-point goroutine spawning), every worker owns a PRNG for its
-// whole lifetime and borrows a scratch per sweep point, and each
-// worker reseeds that PRNG per trial instead of constructing one — the
-// steady-state
-// trial loop allocates only the fault set and syndrome of the trial
-// itself.
+// (no per-point goroutine spawning), every worker borrows a scratch per
+// sweep point, and each worker creates its PRNG on its first trial and
+// reseeds it on every later one instead of constructing one — the
+// steady-state trial loop allocates only the fault set and syndrome of
+// the trial itself.
 //
 // Callers that run several sweeps against one network should bind the
 // runtime themselves (core.NewEngine + NewRuntime) and call
@@ -132,12 +131,10 @@ func SweepRuntime(rt *Runtime, cfg Config) []Point {
 	for f := cfg.MinFaults; f <= cfg.MaxFaults; f++ {
 		p := Point{Faults: f, Trials: cfg.Trials}
 		rt.Run(cfg.Trials, func(w *Worker, i int) {
-			// Per-trial deterministic seed: reseeding reproduces exactly
-			// the stream a fresh rand.NewSource would give, without the
-			// per-trial allocation, and independently of which worker
+			// Per-trial deterministic seed, independent of which worker
 			// claimed the trial.
-			w.RNG.Seed(cfg.Seed + int64(f)*1_000_003 + int64(i))
-			F := syndrome.RandomFaults(n, f, w.RNG)
+			rng := w.Rand(cfg.Seed + int64(f)*1_000_003 + int64(i))
+			F := syndrome.RandomFaults(n, f, rng)
 			s := syndrome.NewLazy(F, cfg.Behavior)
 			if perr != nil {
 				// No partition: campaign the verification path.

@@ -102,17 +102,18 @@ func TestSweepVerificationPathOnGapG3Instance(t *testing.T) {
 	}
 }
 
-// TestSweepVerificationPathImplicitEngine campaigns Q2–Q5, which have
+// TestSweepVerificationPathImplicitEngine campaigns Q3–Q5, which have
 // no Theorem 1 partition, through descriptor-bound engines: with no CSR
 // bound, SweepRuntime must still take the verification fallback and
-// match the CSR-bound sweep point for point.
+// match the CSR-bound sweep point for point. (Q2's δ is 0, which an
+// implicit engine refuses to bind.)
 func TestSweepVerificationPathImplicitEngine(t *testing.T) {
-	for n := 2; n <= 5; n++ {
+	for n := 3; n <= 5; n++ {
 		masks := make([]int32, n)
 		for i := range masks {
 			masks[i] = 1 << uint(i)
 		}
-		eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, n)
+		eng, err := core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, topology.HypercubeDiagnosability(n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,13 +11,14 @@ import (
 )
 
 // Runtime is the persistent serving pool for batch diagnosis work: a
-// fixed set of long-lived workers bound to one core.Engine, each owning
-// a private PRNG for its whole lifetime. Work arrives as jobs of
-// independent trials indexed 0..n-1 and is dealt out in chunks from an
-// atomic cursor, so a runtime serves many campaigns, CLI batches and
-// replay drivers back to back without ever re-spawning goroutines or
-// re-allocating PRNGs — the per-sweep-point pool construction the
-// transient drivers paid disappears.
+// fixed set of long-lived workers bound to one core.Engine. Work
+// arrives as jobs of independent trials indexed 0..n-1 and is dealt out
+// in chunks from an atomic cursor, so a runtime serves many campaigns,
+// CLI batches and replay drivers back to back without ever re-spawning
+// goroutines — the per-sweep-point pool construction the transient
+// drivers paid disappears. A worker's private PRNG is created by its
+// first sweep trial (Worker.Rand) and kept from then on; a runtime
+// that only diagnoses batches never seeds one.
 //
 // Scratch is borrowed per job, the same rule the engine's transient
 // batch pool follows: a worker takes one from the engine pool
@@ -79,10 +80,22 @@ type Worker struct {
 	// allocation beyond the trial's own inputs. It belongs to the job —
 	// trial functions must not retain it — and is nil between jobs.
 	Scratch *core.Scratch
-	// RNG is the worker's private PRNG, kept for the worker's lifetime.
-	// Reseed it per trial from the trial index (see Sweep) to keep
-	// results independent of worker scheduling.
-	RNG *rand.Rand
+	// rng is the worker's private PRNG: nil until a trial first asks
+	// for it through Rand, then kept for the worker's lifetime.
+	rng *rand.Rand
+}
+
+// Rand returns the worker's PRNG reseeded with seed, creating it on
+// first use. Reseeding per trial from the trial index (see Sweep)
+// keeps results independent of worker scheduling, and reproduces
+// exactly the stream a fresh rand.NewSource(seed) would give.
+func (w *Worker) Rand(seed int64) *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed)
+	}
+	return w.rng
 }
 
 // NewRuntime starts a persistent pool of workers bound to the engine.
@@ -113,11 +126,10 @@ func (rt *Runtime) Engine() *core.Engine { return rt.eng }
 // Workers returns the pool size.
 func (rt *Runtime) Workers() int { return rt.workers }
 
-// worker is the persistent loop: allocate a PRNG once, then serve
-// chunked jobs until Close.
+// worker is the persistent loop: serve chunked jobs until Close.
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
-	w := &Worker{ID: id, RNG: rand.New(rand.NewSource(0))}
+	w := &Worker{ID: id}
 	for jb := range rt.jobs {
 		rt.serve(w, jb)
 	}

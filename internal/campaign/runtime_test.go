@@ -69,7 +69,10 @@ func TestSweepWithResultCacheMatches(t *testing.T) {
 
 // TestRuntimeRunChunking pins the queue mechanics: every trial index
 // runs exactly once, across job sizes that exercise single-chunk,
-// ragged and many-chunk dealing, and the stats ledger adds up.
+// ragged and many-chunk dealing, and the stats ledger adds up. It also
+// pins the lazy PRNG: a job whose trials draw none leaves every worker
+// without one, and a trial that asks for one gets it seeded as a fresh
+// rand.NewSource would be.
 func TestRuntimeRunChunking(t *testing.T) {
 	setGOMAXPROCS(t, 4)
 	rt := NewRuntime(core.NewEngine(topology.NewHypercube(5)), 4)
@@ -80,8 +83,11 @@ func TestRuntimeRunChunking(t *testing.T) {
 		hits := make([]atomic.Int32, n)
 		rt.Run(n, func(w *Worker, i int) {
 			hits[i].Add(1)
-			if w.Scratch == nil || w.RNG == nil {
-				t.Error("worker state not pinned")
+			if w.Scratch == nil {
+				t.Error("worker scratch not pinned")
+			}
+			if w.rng != nil {
+				t.Error("a job that draws no trial created a PRNG")
 			}
 		})
 		for i := range hits {
@@ -89,6 +95,17 @@ func TestRuntimeRunChunking(t *testing.T) {
 				t.Fatalf("n=%d: trial %d ran %d times", n, i, hits[i].Load())
 			}
 		}
+		jobs++
+		total += int64(n)
+	}
+	for _, n := range []int{1, 17} {
+		rt.Run(n, func(w *Worker, i int) {
+			seed := int64(1_000_003*n + i)
+			got := w.Rand(seed).Int63()
+			if want := rand.New(rand.NewSource(seed)).Int63(); got != want {
+				t.Errorf("trial %d of %d: PRNG drew %d, a fresh source %d", i, n, got, want)
+			}
+		})
 		jobs++
 		total += int64(n)
 	}

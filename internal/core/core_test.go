@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -370,7 +371,8 @@ func TestDiagnoseDetectsFaultOverload(t *testing.T) {
 // partition (S(6,2): N = 30 < (δ+1)² = 36), at sizes where the declared
 // δ is a true diagnosability bound. Every F = N(v) with
 // |N(v)| ≤ δ — the sets that isolate a healthy node — and seeded random
-// sets of at most δ faults must be diagnosed exactly under every
+// sets of at most δ faults (every such set on instances of at most 8
+// nodes) must be diagnosed exactly under every
 // behaviour, the mimic and random adversaries included. The XOR families also run on the implicit
 // adjacency of their declared descriptor, which must give the same
 // answer from the same number of syndrome look-ups as the CSR.
@@ -378,6 +380,9 @@ func TestDiagnoseWithVerificationOnPartitionlessFamily(t *testing.T) {
 	specs := []string{
 		"nkstar:6,2", "q:4", "q:5", "cq:5", "tnq:5", "fq:5", "eq:5,3",
 		"aq:5", "aq:7", "kary:9,1", "akary:3,4", "nkstar:9,2", "arr:9,2",
+		// Instances whose δ is the exhaustively computed one, not the
+		// family formula (TestSmallInstanceDiagnosability).
+		"q:2", "q:3", "star:3", "pancake:3", "arr:7,1",
 	}
 	for _, spec := range specs {
 		nw, err := topology.Parse(spec)
@@ -411,6 +416,21 @@ func TestDiagnoseWithVerificationOnPartitionlessFamily(t *testing.T) {
 		rng := rand.New(rand.NewSource(77))
 		for trial := 0; trial < 10; trial++ {
 			faultSets = append(faultSets, syndrome.RandomFaults(g.N(), rng.Intn(delta+1), rng))
+		}
+		if g.N() <= 8 {
+			// Small enough to try every fault set within the bound.
+			for m := uint(0); m < 1<<uint(g.N()); m++ {
+				if bits.OnesCount(m) > delta {
+					continue
+				}
+				F := bitset.New(g.N())
+				for v := 0; v < g.N(); v++ {
+					if m&(1<<uint(v)) != 0 {
+						F.Add(v)
+					}
+				}
+				faultSets = append(faultSets, F)
+			}
 		}
 		for _, F := range faultSets {
 			for _, b := range behaviors() {

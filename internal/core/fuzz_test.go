@@ -33,17 +33,24 @@ func fuzzMasks(data []byte) []int32 {
 	return masks
 }
 
+// xorScheduleSeeds is FuzzCompileXORSchedule's in-code seed corpus.
+var xorScheduleSeeds = [][]byte{
+	{6, 0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32},   // Q6-like
+	{7, 0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 63},   // folded
+	{11, 0, 1, 0, 3, 0, 7, 0, 15, 0, 31, 0, 63}, // augmented runs
+	{3, 9, 9, 9, 9}, // duplicates
+	{12, 255, 255, 1, 2, 3, 4, 5, 6, 7, 8},
+}
+
 // FuzzCompileXORSchedule pins compileXORSchedule: a duplicate-free
 // mask set of this size always compiles, a duplicated one never does,
 // and a compiled schedule is order-exact — for every candidate v the
 // steps whose conditions v satisfies yield exactly the testers
 // {v ⊕ m} in strictly ascending order, matching the naive sort.
 func FuzzCompileXORSchedule(f *testing.F) {
-	f.Add([]byte{6, 0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32})   // Q6-like
-	f.Add([]byte{7, 0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 63})   // folded
-	f.Add([]byte{11, 0, 1, 0, 3, 0, 7, 0, 15, 0, 31, 0, 63}) // augmented runs
-	f.Add([]byte{3, 9, 9, 9, 9})                             // duplicates
-	f.Add([]byte{12, 255, 255, 1, 2, 3, 4, 5, 6, 7, 8})
+	for _, seed := range xorScheduleSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		masks := fuzzMasks(data)
 		if masks == nil {
@@ -78,14 +85,7 @@ func FuzzCompileXORSchedule(f *testing.F) {
 			var got []int32
 			seen := map[int32]bool{}
 			for _, st := range sched {
-				ok := true
-				for _, lt := range st.lits {
-					if (v&(1<<uint(lt.bit)) != 0) != lt.val {
-						ok = false
-						break
-					}
-				}
-				if !ok {
+				if uint32(v)&st.care != st.val {
 					continue
 				}
 				if seen[st.mask] {

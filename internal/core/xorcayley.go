@@ -40,9 +40,9 @@ import (
 // PR 2 kernel (descending dimensions over v_d=1, ascending over
 // v_d=0); for FQ_n/AQ_n it interleaves the multi-bit masks at their
 // v-dependent rank. Step conditions are conjunctions of single-bit
-// literals, encoded as a word-index filter (bits ≥ 6) plus an in-word
-// pattern (bits < 6), so a step still costs a handful of ALU ops per
-// 64 candidates.
+// literals, held as two bitmasks (care, val) and encoded as a
+// word-index filter (bits ≥ 6) plus an in-word pattern (bits < 6), so
+// a step still costs a handful of ALU ops per 64 candidates.
 //
 // Admissions update U immediately, so a node admitted by one step
 // vanishes from every later step's candidate words — exactly the
@@ -96,31 +96,9 @@ func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) wordRounder 
 			return nil
 		}
 	}
-	sched := compileXORSchedule(xc.Masks)
-	if sched == nil {
+	steps := compileXORSteps(xc.Masks)
+	if steps == nil {
 		return nil
-	}
-	steps := make([]xorStep, len(sched))
-	for i, s := range sched {
-		st := xorStep{
-			mask:    s.mask,
-			wordXor: uint32(s.mask >> 6),
-			low:     uint32(s.mask & 63),
-			pat:     ^uint64(0),
-		}
-		for _, lt := range s.lits {
-			if lt.bit >= 6 {
-				st.wiMask |= 1 << uint(lt.bit-6)
-				if lt.val {
-					st.wiVal |= 1 << uint(lt.bit-6)
-				}
-			} else if lt.val {
-				st.pat &= ^deltaSwapMasks[lt.bit]
-			} else {
-				st.pat &= deltaSwapMasks[lt.bit]
-			}
-		}
-		steps[i] = st
 	}
 	// Round cost: word visits per round, each weighted by its
 	// delta-swap chain (a step conditioned on j word-index bits touches
@@ -133,18 +111,50 @@ func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) wordRounder 
 	return &xorKernel{steps: steps, multi: xc.MultiBit(), threshold: sweepThresholdFor(cost, a)}
 }
 
-// xorLit is one condition literal: node bit `bit` of the candidate must
-// equal val.
-type xorLit struct {
-	bit int
-	val bool
+// xorSched is one schedule entry before encoding: a mask plus the
+// condition gating it, a conjunction of single-bit literals on the
+// candidate v held as two bitmasks — v is tested iff v&care == val.
+type xorSched struct {
+	mask      int32
+	care, val uint32
 }
 
-// xorSched is one schedule entry before encoding: a mask plus the
-// conjunction of literals gating it.
-type xorSched struct {
-	mask int32
-	lits []xorLit
+// step encodes the entry for the kernel: the condition's bits ≥ 6 are
+// the word-index filter, its bits < 6 the in-word candidate pattern.
+func (e xorSched) step() xorStep {
+	st := xorStep{
+		mask:    e.mask,
+		wordXor: uint32(e.mask >> 6),
+		low:     uint32(e.mask & 63),
+		wiMask:  e.care >> 6,
+		wiVal:   e.val >> 6,
+		pat:     ^uint64(0),
+	}
+	for d := range deltaSwapMasks {
+		if e.care&(1<<uint(d)) == 0 {
+			continue
+		}
+		if e.val&(1<<uint(d)) != 0 {
+			st.pat &= ^deltaSwapMasks[d]
+		} else {
+			st.pat &= deltaSwapMasks[d]
+		}
+	}
+	return st
+}
+
+// compileXORSteps is compileXORSchedule encoded for the kernel, nil
+// where the schedule is refused.
+func compileXORSteps(masks []int32) []xorStep {
+	sched := compileXORSchedule(masks)
+	if sched == nil {
+		return nil
+	}
+	steps := make([]xorStep, len(sched))
+	for i, s := range sched {
+		steps[i] = s.step()
+	}
+	return steps
 }
 
 // compileXORSchedule emits the order-exact step sequence for a mask
@@ -188,14 +198,14 @@ func compileXORSchedule(masks []int32) []xorSched {
 	var out []xorSched
 	if len(sa) <= len(sb) {
 		out = make([]xorSched, 0, 2*len(sa)+len(sb))
-		out = append(out, withXORLit(sa, h, true)...)
+		out = appendXORLit(out, sa, h, true)
 		out = append(out, sb...)
-		out = append(out, withXORLit(sa, h, false)...)
+		out = appendXORLit(out, sa, h, false)
 	} else {
 		out = make([]xorSched, 0, len(sa)+2*len(sb))
-		out = append(out, withXORLit(sb, h, false)...)
+		out = appendXORLit(out, sb, h, false)
 		out = append(out, sa...)
-		out = append(out, withXORLit(sb, h, true)...)
+		out = appendXORLit(out, sb, h, true)
 	}
 	if len(out) > maxSteps {
 		return nil
@@ -203,15 +213,17 @@ func compileXORSchedule(masks []int32) []xorSched {
 	return out
 }
 
-// withXORLit copies the schedule with one literal prepended to every
-// entry's condition.
-func withXORLit(s []xorSched, bit int, val bool) []xorSched {
-	out := make([]xorSched, len(s))
-	for i, e := range s {
-		lits := make([]xorLit, 0, len(e.lits)+1)
-		lits = append(lits, xorLit{bit, val})
-		lits = append(lits, e.lits...)
-		out[i] = xorSched{mask: e.mask, lits: lits}
+// appendXORLit appends the schedule to out with the literal v_bit = val
+// added to every entry's condition.
+func appendXORLit(out, s []xorSched, bit int, val bool) []xorSched {
+	var v uint32
+	if val {
+		v = 1 << uint(bit)
+	}
+	for _, e := range s {
+		e.care |= 1 << uint(bit)
+		e.val |= v
+		out = append(out, e)
 	}
 	return out
 }

@@ -383,14 +383,7 @@ func TestXORScheduleIsOrderExact(t *testing.T) {
 			var testers []int32
 			seen := map[int32]bool{}
 			for _, st := range sched {
-				ok := true
-				for _, lt := range st.lits {
-					if (v&(1<<uint(lt.bit)) != 0) != lt.val {
-						ok = false
-						break
-					}
-				}
-				if !ok {
+				if uint32(v)&st.care != st.val {
 					continue
 				}
 				if seen[st.mask] {

@@ -26,12 +26,13 @@ func errText(err error) string {
 // TestServedHypercubeMatchesCSR is the binding differential: the engine
 // the server binds for q:n (descriptor-backed, no CSR) must be
 // observationally identical to core.NewEngine(topology.NewHypercube(n))
-// for n = 2..16 — same kernel, same partition, and per syndrome the same
-// fault set, whole-struct Stats, look-up count and error text (Q2–Q5
+// for n = 3..16 — same kernel, same partition, and per syndrome the same
+// fault set, whole-struct Stats, look-up count and error text (Q3–Q5
 // have no Theorem 1 partition and must refuse identically). Solo calls
-// sweep every behaviour under every FaultBound 1..δ; batches run with
+// sweep every behaviour under every FaultBound 1..n; batches run with
 // and without ShareHypotheses and a ResultCache, the cached ones twice
-// so the second batch resumes stored hypotheses.
+// so the second batch resumes stored hypotheses. Q2, whose δ is 0, is
+// refused with an error naming that δ.
 func TestServedHypercubeMatchesCSR(t *testing.T) {
 	behaviors := syndrome.AllBehaviors(7)
 	for n := 2; n <= 16; n++ {
@@ -39,6 +40,12 @@ func TestServedHypercubeMatchesCSR(t *testing.T) {
 			nw := topology.NewHypercube(n)
 			csr := core.NewEngine(nw)
 			desc, err := hypercubeEngine(n)
+			if csr.Diagnosability() == 0 {
+				if err == nil || !strings.Contains(err.Error(), "δ = 0") {
+					t.Fatalf("bound with error %v, want a refusal naming δ = 0", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

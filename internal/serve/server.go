@@ -84,7 +84,6 @@ type Server struct {
 	met metrics
 	reg *registry
 
-	mux      *http.ServeMux
 	closed   atomic.Bool
 	inflight sync.WaitGroup
 }
@@ -109,17 +108,40 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg}
 	s.met.start = time.Now()
 	s.reg = newRegistry(cfg.RegistryCap, s.buildEntry)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/diagnose", s.handleDiagnose)
-	mux.HandleFunc("/v1/campaign", s.handleCampaign)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux = mux
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// route is a served pattern's handler method. ServeHTTP dispatches a
+// request that routes matches to it; ServeMux's own answers (404,
+// redirects) are other http.Handler types.
+type route func(*Server, http.ResponseWriter, *http.Request)
+
+// ServeHTTP makes a route storable in routes; it is never called, since
+// Server.ServeHTTP runs a matched route itself.
+func (route) ServeHTTP(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
+
+// routes is the route table, built once per process rather than per
+// Server: registering a pattern costs more than the rest of New.
+var routes = func() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/diagnose", route((*Server).handleDiagnose))
+	mux.Handle("/v1/campaign", route((*Server).handleCampaign))
+	mux.Handle("/metrics", route((*Server).handleMetrics))
+	mux.Handle("/healthz", route((*Server).handleHealthz))
+	return mux
+}()
+
+// ServeHTTP implements http.Handler. A request no route matches gets
+// ServeMux's own answer: 404, a 301 to the cleaned path, or 400 for
+// OPTIONS *. Each handler checks its own methods (405).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h, _ := routes.Handler(r)
+	if serve, ok := h.(route); ok {
+		serve(s, w, r)
+		return
+	}
+	routes.ServeHTTP(w, r)
+}
 
 // Close gracefully drains the server: new requests are refused with
 // 503, pending coalescing windows flush immediately so every accepted
@@ -255,7 +277,8 @@ func (s *Server) buildEntry(key string) (*entry, error) {
 	return e, nil
 }
 
-// hypercubeEngine binds Q_n (δ = n) straight from its XOR descriptor:
+// hypercubeEngine binds Q_n (δ = topology.HypercubeDiagnosability(n))
+// straight from its XOR descriptor:
 // neighbours are generated in ascending order by graph.BasisWalk, so no
 // CSR is ever built, Q14 binds in tens of microseconds, and answers,
 // Stats and look-up counts are bit-identical to
@@ -263,7 +286,7 @@ func (s *Server) buildEntry(key string) (*entry, error) {
 // kernel, same error text (see docs/service.md). Sizes the CSR path
 // cannot index (n·2^n arcs beyond MaxInt32, n ≥ 27) are refused with
 // graph.CheckInt32Bounds before anything proportional to 2^n is
-// allocated.
+// allocated, and so is Q2, whose δ is 0.
 func hypercubeEngine(n int) (*core.Engine, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("serve: hypercube needs n ≥ 2, got %d", n)
@@ -272,11 +295,15 @@ func hypercubeEngine(n int) (*core.Engine, error) {
 	if err := graph.CheckInt32Bounds(1<<min(n, 62), n); err != nil {
 		return nil, fmt.Errorf("serve: q:%d: %w", n, err)
 	}
+	delta := topology.HypercubeDiagnosability(n)
+	if delta < 1 {
+		return nil, fmt.Errorf("serve: q:%d is not 1-diagnosable (δ = %d): no fault set is identifiable", n, delta)
+	}
 	masks := make([]int32, n)
 	for i := range masks {
 		masks[i] = 1 << uint(i)
 	}
-	return core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, n)
+	return core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, delta)
 }
 
 // DiagnoseRequest is the /v1/diagnose request body.

@@ -9,7 +9,8 @@ import (
 // Arrangement is the arrangement graph A_{n,k} of Day and Tripathi [11]:
 // nodes are injective k-tuples over n symbols, edges join tuples that
 // differ in exactly one position. Degree k(n-k), connectivity k(n-k)
-// [11], diagnosability k(n-k) [6].
+// [11], diagnosability k(n-k) [6] for k ≥ 2 (see Diagnosability for
+// k = 1).
 //
 // Note: the paper's Section 5.2 "proof" for arrangement graphs is a
 // copy of the pancake paragraph (gap G2 in docs/algorithm.md); the partition
@@ -61,8 +62,20 @@ func (a *Arrangement) Graph() *graph.Graph { return a.g }
 // Connectivity implements Network: κ(A_{n,k}) = k(n-k) [11].
 func (a *Arrangement) Connectivity() int { return a.k * (a.n - a.k) }
 
-// Diagnosability implements Network: δ(A_{n,k}) = k(n-k) [6].
-func (a *Arrangement) Diagnosability() int { return a.k * (a.n - a.k) }
+// Diagnosability implements Network: δ(A_{n,k}) = k(n-k) [6] for
+// k ≥ 2. A_{n,1} is the complete graph K_n, which no comparison system
+// of n nodes makes more than ⌊(n-1)/2⌋-diagnosable; an exhaustive
+// search finds exactly that δ for 4 ≤ n ≤ 12, and δ = 0 for the
+// triangle K_3, where any two single faults are indistinguishable.
+func (a *Arrangement) Diagnosability() int {
+	switch {
+	case a.k > 1:
+		return a.k * (a.n - a.k)
+	case a.n == 3:
+		return 0
+	}
+	return (a.n - 1) / 2
+}
 
 // Parts implements Network. Fixing the last j positions yields
 // n!/(n-j)! copies of A_{n-j,k-j}; A_{m,1} is the complete graph K_m.

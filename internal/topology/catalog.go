@@ -24,7 +24,7 @@ type FamilyInfo struct {
 // Catalog lists every family of the paper's Section 5.
 func Catalog() []FamilyInfo {
 	return []FamilyInfo{
-		{"q", "hypercube Q_n", "n ≥ 2", "n", "n", "n", "n ≥ 5 [23]; δ(Q4)=4, δ(Q3)=2 by exact computation", "[23]", "q:10"},
+		{"q", "hypercube Q_n", "n ≥ 2", "n", "n", "n", "n ≥ 5 [23]; δ(Q4)=4, δ(Q3)=2, δ(Q2)=0 by exact computation", "[23]", "q:10"},
 		{"cq", "crossed cube CQ_n", "n ≥ 2", "n", "n", "n", "n ≥ 4", "[12,14,16]", "cq:9"},
 		{"tq", "twisted cube TQ_n", "odd n ≥ 3", "n", "n", "n", "n ≥ 5 (odd)", "[15,7]", "tq:9"},
 		{"fq", "folded hypercube FQ_n", "n ≥ 2", "n+1", "n+1", "n+1", "n ≥ 4", "[3]", "fq:9"},
@@ -34,9 +34,9 @@ func Catalog() []FamilyInfo {
 		{"tnq", "twisted N-cube TQ'_n", "n ≥ 2", "n", "n", "n", "n ≥ 4", "[13]", "tnq:9"},
 		{"kary", "k-ary n-cube Q^k_n", "k ≥ 3, n ≥ 1", "2n", "2n", "2n", "excl. the small pairs of [6]", "[5]", "kary:4,4"},
 		{"akary", "augmented k-ary n-cube AQ_{n,k}", "k ≥ 3, n ≥ 2", "4n-2", "4n-2", "4n-2", "(n,k) ≠ (2,3); partitions need k^n ≥ (4n-1)²", "[25]", "akary:7,2"},
-		{"star", "star graph S_n", "3 ≤ n ≤ 12", "n-1", "n-1", "n-1", "n ≥ 4", "[1,28]", "star:7"},
+		{"star", "star graph S_n", "3 ≤ n ≤ 12", "n-1", "n-1", "n-1", "n ≥ 4; δ(S_3)=1 by exact computation", "[1,28]", "star:7"},
 		{"nkstar", "(n,k)-star S_{n,k}", "2 ≤ k ≤ n-1, n ≤ 12", "n-1", "n-1", "n-1", "(n,k) ≠ (3,2); k = 2 hits gap G3", "[9]", "nkstar:7,3"},
-		{"pancake", "pancake graph P_n", "3 ≤ n ≤ 12", "n-1", "n-1", "n-1", "n ≥ 4", "[2]", "pancake:7"},
-		{"arr", "arrangement graph A_{n,k}", "1 ≤ k ≤ n-1, n ≤ 12", "k(n-k)", "k(n-k)", "k(n-k)", "k = 2 hits gap G3", "[11]", "arr:7,4"},
+		{"pancake", "pancake graph P_n", "3 ≤ n ≤ 12", "n-1", "n-1", "n-1", "n ≥ 4; δ(P_3)=1 by exact computation", "[2]", "pancake:7"},
+		{"arr", "arrangement graph A_{n,k}", "1 ≤ k ≤ n-1, n ≤ 12", "k(n-k)", "k(n-k)", "k(n-k)", "k ≥ 2 (k = 2 hits gap G3); A_{n,1} = K_n has δ = ⌊(n-1)/2⌋, 0 for n = 3, by exact computation", "[11]", "arr:7,4"},
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Hypercube is the n-dimensional hypercube Q_n: nodes are bit-strings of
 // length n, edges join strings at Hamming distance 1. Degree n,
-// connectivity n, diagnosability n for n ≥ 5 [23].
+// connectivity n, diagnosability n for n ≥ 4 (see
+// HypercubeDiagnosability).
 type Hypercube struct {
 	n int
 	g *graph.Graph
@@ -38,8 +39,23 @@ func (h *Hypercube) Graph() *graph.Graph { return h.g }
 // Connectivity implements Network: κ(Q_n) = n.
 func (h *Hypercube) Connectivity() int { return h.n }
 
-// Diagnosability implements Network: δ(Q_n) = n for n ≥ 5 [23].
-func (h *Hypercube) Diagnosability() int { return h.n }
+// Diagnosability implements Network: HypercubeDiagnosability(n).
+func (h *Hypercube) Diagnosability() int { return HypercubeDiagnosability(h.n) }
+
+// HypercubeDiagnosability is δ(Q_n) under the comparison model: n for
+// n ≥ 5 [23], and below that what an exhaustive search over every pair
+// of fault sets finds: δ(Q4) = 4, but δ(Q3) = 2 and δ(Q2) = 0 (Q2 is
+// the 4-cycle, where the two neighbours of a node are indistinguishable
+// as single faults).
+func HypercubeDiagnosability(n int) int {
+	switch n {
+	case 2:
+		return 0
+	case 3:
+		return 2
+	}
+	return n
+}
 
 // CayleyStructure implements CayleyStructured: Q_n is the Cayley graph
 // of GF(2)^n with the single-bit generators.

@@ -54,8 +54,14 @@ func (p *Pancake) Graph() *graph.Graph { return p.g }
 // Connectivity implements Network: κ(P_n) = n-1 [2].
 func (p *Pancake) Connectivity() int { return p.n - 1 }
 
-// Diagnosability implements Network: δ(P_n) = n-1 for n ≥ 4 [6].
-func (p *Pancake) Diagnosability() int { return p.n - 1 }
+// Diagnosability implements Network: δ(P_n) = n-1 for n ≥ 4 [6]. P_3
+// is the 6-cycle, whose exhaustively computed δ is 1, not 2.
+func (p *Pancake) Diagnosability() int {
+	if p.n == 3 {
+		return 1
+	}
+	return p.n - 1
+}
 
 // Parts implements Network. Prefix reversals of length < n never move
 // the last symbol, so fixing the last j symbols partitions P_n into

@@ -49,8 +49,14 @@ func (s *Star) Graph() *graph.Graph { return s.g }
 // Connectivity implements Network: κ(S_n) = n-1 [1].
 func (s *Star) Connectivity() int { return s.n - 1 }
 
-// Diagnosability implements Network: δ(S_n) = n-1 for n ≥ 4 [28].
-func (s *Star) Diagnosability() int { return s.n - 1 }
+// Diagnosability implements Network: δ(S_n) = n-1 for n ≥ 4 [28]. S_3
+// is the 6-cycle, whose exhaustively computed δ is 1, not 2.
+func (s *Star) Diagnosability() int {
+	if s.n == 3 {
+		return 1
+	}
+	return s.n - 1
+}
 
 // Parts implements Network. Fixing the last j symbols partitions S_n
 // into n!/(n-j)! copies of S_{n-j} (swaps touch only position 1 and
