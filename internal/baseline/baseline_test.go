@@ -2,8 +2,10 @@ package baseline
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"comparisondiag/internal/bitset"
@@ -270,41 +272,95 @@ func TestIndistinguishableClassicPair(t *testing.T) {
 	}
 }
 
-// TestSmallInstanceDiagnosability proves the δ the topology package
-// declares below its families' formula ranges: Q2, Q3, S_3, P_3 and
-// every A_{n,1} = K_n. For each, every pair of distinct fault sets of
-// at most the formula's δ is tried exhaustively; the largest t at
-// which all pairs of size ≤ t are distinguishable must be exactly the
-// declared δ, and the pair that breaks t = δ+1 must be a real
-// indistinguishable pair.
+// smallOrder is the node count of spec family fam at arguments args —
+// a formula, so the sweep below never builds a large instance — or -1
+// for a family it does not know. Results above 64 are reported as 65.
+func smallOrder(fam string, args []int) int {
+	pow := func(b, e int) int {
+		r := 1
+		for ; e > 0 && r <= 64; e-- {
+			r *= b
+		}
+		return min(r, 65)
+	}
+	falling := func(n, k int) int { // n!/(n-k)!
+		r := 1
+		for i := 0; i < k && r <= 64; i++ {
+			r *= n - i
+		}
+		return min(r, 65)
+	}
+	switch fam {
+	case "q", "cq", "tq", "fq", "aq", "sq", "tnq", "eq":
+		return pow(2, args[0])
+	case "kary", "akary":
+		return pow(args[0], args[1])
+	case "star", "pancake":
+		return falling(args[0], args[0])
+	case "nkstar", "arr":
+		return falling(args[0], args[1])
+	}
+	return -1
+}
+
+// TestSmallInstanceDiagnosability sweeps every catalog family at every
+// parameter Parse accepts with at most 16 nodes and proves the δ each
+// declares: every pair of distinct fault sets of at most δ faults is
+// distinguishable, found by exhaustive search, and the search returns a
+// real indistinguishable pair of size δ+1. Below the formula ranges the
+// declared δ is this exhaustive value (Q_2, CQ_3, FQ_3, AQ_3, the short
+// cycles Q^k_1 and S_3, and so on).
 func TestSmallInstanceDiagnosability(t *testing.T) {
-	type instance struct {
-		nw      topology.Network
-		formula int // the family formula's δ, which overstates it
-	}
-	cases := []instance{
-		{topology.NewHypercube(2), 2},
-		{topology.NewHypercube(3), 3},
-		{topology.NewStar(3), 2},
-		{topology.NewPancake(3), 2},
-	}
-	for n := 3; n <= 12; n++ {
-		cases = append(cases, instance{topology.NewArrangement(n, 1), n - 1})
-	}
-	for _, c := range cases {
-		g := c.nw.Graph()
-		res, err := Diagnosability(g, c.formula)
-		if err != nil {
-			t.Fatal(err)
+	checked := 0
+	for _, fam := range topology.Catalog() {
+		arity := 1 + strings.Count(fam.Example, ",")
+		if smallOrder(fam.Spec, make([]int, 2)) < 0 {
+			t.Fatalf("family %q has no node-count formula", fam.Spec)
 		}
-		if res.Delta != c.nw.Diagnosability() || res.Delta >= c.formula {
-			t.Fatalf("%s: exhaustive δ = %d, declared %d, formula %d", c.nw.Name(), res.Delta, c.nw.Diagnosability(), c.formula)
+		for a := 1; a <= 16; a++ {
+			for b := 1; b <= 16; b++ {
+				if arity == 1 && b > 1 {
+					break
+				}
+				args := []int{a, b}[:arity]
+				if smallOrder(fam.Spec, args) > 16 {
+					continue
+				}
+				spec := fmt.Sprintf("%s:%d", fam.Spec, a)
+				if arity == 2 {
+					spec += fmt.Sprintf(",%d", b)
+				}
+				nw, err := topology.Parse(spec)
+				if err != nil {
+					continue // a parameter the family does not accept
+				}
+				g := nw.Graph()
+				if g.N() != smallOrder(fam.Spec, args) {
+					t.Fatalf("%s: %d nodes, formula %d", spec, g.N(), smallOrder(fam.Spec, args))
+				}
+				delta := nw.Diagnosability()
+				res, err := Diagnosability(g, delta+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Delta != delta {
+					t.Errorf("%s: exhaustive δ = %d (searched to %d), declared %d", spec, res.Delta, delta+1, delta)
+					continue
+				}
+				adj, _ := adjMasks(g)
+				w1, w2 := res.Witness1, res.Witness2
+				if w1 == w2 || !Indistinguishable(adj, w1, w2) || max(bits.OnesCount64(w1), bits.OnesCount64(w2)) != delta+1 {
+					t.Errorf("%s: witness %#x / %#x is not an indistinguishable pair of size δ+1", spec, w1, w2)
+				}
+				checked++
+			}
 		}
-		adj, _ := adjMasks(g)
-		w1, w2 := res.Witness1, res.Witness2
-		if w1 == w2 || !Indistinguishable(adj, w1, w2) || max(bits.OnesCount64(w1), bits.OnesCount64(w2)) != res.Delta+1 {
-			t.Fatalf("%s: witness %#x / %#x is not an indistinguishable pair of size δ+1", c.nw.Name(), w1, w2)
-		}
+	}
+	// q:2-4, cq:2-4, tq:3, fq:2-4, eq (6), aq:2-4, sq:2, tnq:2-4,
+	// kary:3..16,1 + 3,2 + 4,2, akary:3,2 + 4,2, star:3, nkstar:3,2 +
+	// 4,2, pancake:3, arr:n,1 for 3 ≤ n ≤ 12 + 3,2 + 4,2.
+	if want := 3 + 3 + 1 + 3 + 6 + 3 + 1 + 3 + 16 + 2 + 1 + 2 + 1 + 12; checked != want {
+		t.Fatalf("swept %d instances, want %d", checked, want)
 	}
 }
 

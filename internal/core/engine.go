@@ -64,7 +64,7 @@ type binding struct {
 
 	// baseDelta is the δ of the original bind; connBudget is the
 	// engine's remaining connectivity lower-bound budget (κ at bind
-	// time, decremented by every removal — see deriveBinding).
+	// time, decremented by every removal — see derive).
 	baseDelta  int
 	connBudget int
 
@@ -544,7 +544,11 @@ type BatchPool interface {
 
 // transientPool is the default BatchPool: goroutines spawned per call,
 // each owning a pooled engine scratch, work distributed by an atomic
-// cursor.
+// cursor. A panic in fn is isolated as campaign.Runtime.Run isolates
+// one: no further indices are handed out, the interrupted scratch is
+// dropped rather than pooled, and once every worker has stopped the
+// first panic's value is re-raised in the caller. With one worker fn
+// runs on the caller, so the panic reaches it directly.
 type transientPool struct {
 	e       *Engine
 	workers int
@@ -571,12 +575,22 @@ func (p transientPool) RunScratch(n int, fn func(sc *Scratch, i int)) {
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any] // the first panic, re-raised below
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			sc := p.e.AcquireScratch()
-			defer p.e.ReleaseScratch(sc)
+			defer func() {
+				// A panic leaves the scratch mid-diagnosis: drop it, and
+				// stop the other workers claiming indices.
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &v)
+					next.Store(int64(n))
+				} else {
+					p.e.ReleaseScratch(sc)
+				}
+				wg.Done()
+			}()
 			for {
 				i := next.Add(1)
 				if i >= int64(n) {
@@ -587,6 +601,9 @@ func (p transientPool) RunScratch(n int, fn func(sc *Scratch, i int)) {
 		}()
 	}
 	wg.Wait()
+	if v := panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // BatchOptions tunes DiagnoseBatch.

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -279,4 +282,65 @@ func TestConcurrentDiagnoseBatchSharedEngine(t *testing.T) {
 		}(int64(c))
 	}
 	wg.Wait()
+}
+
+// panicBehavior is a faulty tester whose every answer panics.
+type panicBehavior struct{ v *int }
+
+func (b panicBehavior) Result(u, v, w int32, truth int) int { panic(b.v) }
+func (panicBehavior) Name() string                          { return "panic" }
+
+// TestDefaultPoolPanicIsolation drives DiagnoseBatch on the default
+// pool with one syndrome whose faulty tester panics, at 1, 2 and 3
+// workers: the caller must recover the original panic value, every
+// worker goroutine must be gone, and the engine must serve the next
+// batch exactly.
+func TestDefaultPoolPanicIsolation(t *testing.T) {
+	setGOMAXPROCS(t, 3)
+	nw := topology.NewHypercube(8)
+	eng := NewEngine(nw)
+	rng := rand.New(rand.NewSource(5))
+	parts, err := eng.Parts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinel := new(int)
+	for workers := 1; workers <= 3; workers++ {
+		base := runtime.NumGoroutine()
+		batch := make([]syndrome.Syndrome, 24)
+		for i := range batch {
+			batch[i] = syndrome.NewLazy(syndrome.RandomFaults(nw.Graph().N(), rng.Intn(nw.Diagnosability()+1), rng), syndrome.Mimic{})
+		}
+		// The first candidate part's seed is the first tester a
+		// certification consults, so a fault there is always asked.
+		seedFault := bitset.New(nw.Graph().N())
+		seedFault.Add(int(parts[0].Seed))
+		batch[7] = syndrome.NewLazy(seedFault, panicBehavior{sentinel})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			eng.DiagnoseBatch(batch, BatchOptions{Workers: workers})
+			return nil
+		}()
+		if p, ok := got.(*int); !ok || p != sentinel {
+			t.Fatalf("%d workers: caller recovered %v, want the behaviour's panic value", workers, got)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d workers: %d goroutines after the panic, %d before", workers, n, base)
+		}
+		faults := make([]*bitset.Set, 8)
+		batch = batch[:len(faults)]
+		for i := range batch {
+			faults[i] = syndrome.RandomFaults(nw.Graph().N(), rng.Intn(nw.Diagnosability()+1), rng)
+			batch[i] = syndrome.NewLazy(faults[i], syndrome.Mimic{})
+		}
+		for i, r := range eng.DiagnoseBatch(batch, BatchOptions{Workers: workers}) {
+			if r.Err != nil || !r.Faults.Equal(faults[i]) {
+				t.Fatalf("%d workers: batch after the panic diagnosed %v (%v), want %v", workers, r.Faults, r.Err, faults[i])
+			}
+		}
+	}
 }

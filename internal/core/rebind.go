@@ -216,114 +216,20 @@ func deriveBinding(b *binding, rr *graph.Removal) (*binding, *RebindReport, erro
 	if len(rr.OldToNew) != b.g.N() {
 		return nil, nil, fmt.Errorf("core: removal maps %d nodes but the engine's graph has %d (removal must be produced from Engine.Graph())", len(rr.OldToNew), b.g.N())
 	}
-	g2 := rr.G
-	if g2 == nil || g2.N() == 0 {
+	if rr.G == nil || rr.G.N() == 0 {
 		return nil, nil, errors.New("core: removal left no surviving component to rebind to")
 	}
-	rep := &RebindReport{
-		OldN: b.g.N(), NewN: g2.N(),
-		RemovedNodes: rr.RemovedNodes, RemovedEdges: rr.RemovedEdges, Stranded: rr.Stranded,
-		BaseDelta:    b.baseDelta,
-		KernelBefore: kernelName(b.kernel),
-	}
-	nb := &binding{
-		nw:        b.nw,
-		g:         g2,
-		adj:       g2,
-		baseDelta: b.baseDelta,
-		epoch:     b.epoch + 1,
-		prev:      b, // the world a later graph.Restore regrows toward
-	}
-
-	// Connectivity budget: each removed node or edge can lower κ by at
-	// most one, so the budget is a sound lower bound on κ(g2) as long
-	// as the original bind's bound was (κ for NewEngine, δ itself for
-	// NewGraphEngine). Stranded nodes left with the removed ones.
-	nb.connBudget = b.connBudget - (rr.RemovedNodes + rr.Stranded) - rr.RemovedEdges
+	rep := &RebindReport{RemovedNodes: rr.RemovedNodes, RemovedEdges: rr.RemovedEdges, Stranded: rr.Stranded}
 
 	// Partition survival: remap untouched parts, re-validate touched
 	// ones. The whole partition survives, not just the candidates b
 	// keeps (see binding.fullParts). A pre-churn partition error
 	// carries over — there is nothing to survive.
-	var parts2 []topology.Part
-	if parts, err := b.fullParts(); err != nil {
-		nb.partsErr = err
-	} else {
-		var kept, repaired, dropped int
-		parts2, _, kept, repaired, dropped = topology.SurviveParts(g2, parts, rr.OldToNew, rr.GoneEdges, nil)
-		rep.PartsKept, rep.PartsRepaired, rep.PartsDropped = kept, repaired, dropped
+	parts, err := b.fullParts()
+	if err == nil {
+		parts, _, rep.PartsKept, rep.PartsRepaired, rep.PartsDropped = topology.SurviveParts(rr.G, parts, rr.OldToNew, rr.GoneEdges, nil)
 	}
-
-	// Degraded bound δ′: the largest d not exceeding the connectivity
-	// budget and the surviving minimum degree for which Theorem 1 still
-	// has enough material — at least d+1 surviving parts of at least
-	// d+1 nodes. (Part sizes need only exceed the bound actually
-	// served, which is why SurviveParts leaves the size filter to us.)
-	dmax := b.delta
-	if nb.connBudget < dmax {
-		dmax = nb.connBudget
-	}
-	if md := g2.MinDegree(); md < dmax {
-		dmax = md
-	}
-	if dmax < 0 {
-		// The survivor is a single connected component, so the bound
-		// δ′ = 0 (diagnose under "no faults survive") is always sound
-		// even after the budget is exhausted.
-		dmax = 0
-	}
-	delta2 := -1
-	if nb.partsErr == nil {
-		for d := dmax; d >= 0; d-- {
-			cnt := 0
-			for _, p := range parts2 {
-				if len(p.Nodes) >= d+1 {
-					cnt++
-				}
-			}
-			if cnt >= d+1 {
-				delta2 = d
-				break
-			}
-		}
-	}
-	if delta2 < 0 {
-		nb.delta = 0
-		if nb.partsErr == nil {
-			nb.partsErr = ErrNoSurvivingPartition
-		}
-	} else {
-		nb.delta = delta2
-		served := parts2[:0] // parts2 owns its backing; filter in place
-		for _, p := range parts2 {
-			if len(p.Nodes) >= delta2+1 {
-				served = append(served, p)
-			}
-		}
-		nb.parts = served
-	}
-	rep.EffectiveDelta = nb.delta
-	rep.PartsErr = nb.partsErr
-
-	// Kernel survival: the bound descriptor described the old
-	// adjacency; trust it on the survivor only if it verifies there.
-	// The descriptor itself is carried through a fallback — it still
-	// describes the pre-churn structure, which is exactly what a growth
-	// rebind needs to re-verify for the generic→kernel promotion.
-	if b.desc != nil {
-		nb.desc = b.desc
-		if err := graph.VerifyCayley(g2, b.desc); err == nil {
-			nb.kernel = bindFinalKernel(b.desc, g2)
-		} else {
-			rep.KernelFallbackReason = fmt.Sprintf("bound %s descriptor no longer verifies on the surviving component (%v); final pass falls back to the generic kernel", kernelName(b.kernel), err)
-		}
-	}
-	rep.KernelAfter = kernelName(nb.kernel)
-
-	nb.degraded = b.degraded || nb.delta < b.delta ||
-		rr.RemovedNodes+rr.RemovedEdges+rr.Stranded > 0
-	nb.compact()
-	return nb, rep, nil
+	return derive(b, b, rr, parts, err, rep), rep, nil
 }
 
 // deriveGrowth computes the recovered binding for a growth applied to
@@ -344,38 +250,11 @@ func deriveGrowth(b *binding, gr *graph.Growth) (*binding, *RebindReport, error)
 	if anchor.g == nil || len(gr.OldToNew) != anchor.g.N() {
 		return nil, nil, fmt.Errorf("core: growth is anchored at a %d-node graph but the engine's pre-churn graph has %d nodes", len(gr.OldToNew), anchor.g.N())
 	}
-	g2 := gr.G
-	if g2 == nil || g2.N() == 0 {
+	if gr.G == nil || gr.G.N() == 0 {
 		return nil, nil, errors.New("core: growth carries no component to rebind to")
 	}
 	rm := gr.Remaining
-	rep := &RebindReport{
-		OldN: b.g.N(), NewN: g2.N(),
-		Grew:       true,
-		Readmitted: gr.Readmitted, Reconnected: gr.Reconnected, StillGone: gr.StillGone,
-		BaseDelta:    b.baseDelta,
-		KernelBefore: kernelName(b.kernel),
-	}
-	nb := &binding{
-		nw:        b.nw,
-		g:         g2,
-		adj:       g2,
-		baseDelta: b.baseDelta,
-		epoch:     b.epoch + 1,
-		prev:      anchor, // further growths keep regrowing toward the same world
-	}
-	if gr.StillGone == 0 && len(rm.GoneEdges) == 0 {
-		// Full restore: the new binding is the anchor's world, ids and
-		// all, so its recovery frame is whatever the anchor's was. This
-		// is what lets stacked removals unwind — fully regrowing the
-		// latest removal re-exposes the one beneath it.
-		nb.prev = anchor.prev
-	}
-
-	// The budget formula run in reverse: re-derive it from the anchor's
-	// budget and what is still gone, so restored structure hands its
-	// decrement back. A full restore recovers the anchor budget exactly.
-	nb.connBudget = anchor.connBudget - (rm.RemovedNodes + rm.Stranded) - rm.RemovedEdges
+	rep := &RebindReport{Grew: true, Readmitted: gr.Readmitted, Reconnected: gr.Reconnected, StillGone: gr.StillGone}
 
 	// Partition re-growth: re-admit the anchor partition as far as the
 	// growth allows, falling back per part to the currently served
@@ -384,89 +263,120 @@ func deriveGrowth(b *binding, gr *graph.Growth) (*binding, *RebindReport, error)
 	// error carries over; a post-removal ErrNoSurvivingPartition does
 	// not — re-growth is exactly what can lift it. Both partitions are
 	// whole (see binding.fullParts).
-	var parts2 []topology.Part
-	if anchorParts, err := anchor.fullParts(); err != nil {
-		nb.partsErr = err
-	} else {
+	parts, err := anchor.fullParts()
+	if err == nil {
 		prevParts, _ := b.fullParts() // nil while b serves no partition
-		var kept, regrown, readmitted, dropped int
-		parts2, _, kept, regrown, readmitted, dropped = topology.RegrowParts(g2, anchorParts, gr.OldToNew, rm.GoneEdges, prevParts, gr.SurvivorToNew, nil)
-		rep.PartsKept, rep.PartsRepaired, rep.PartsReadmitted, rep.PartsDropped = kept, regrown, readmitted, dropped
+		parts, _, rep.PartsKept, rep.PartsRepaired, rep.PartsReadmitted, rep.PartsDropped = topology.RegrowParts(gr.G, parts, gr.OldToNew, rm.GoneEdges, prevParts, gr.SurvivorToNew, nil)
+	}
+	nb := derive(b, anchor, rm, parts, err, rep)
+	if gr.StillGone == 0 && len(rm.GoneEdges) == 0 {
+		// Full restore: the new binding is the anchor's world, ids and
+		// all, so its recovery frame is whatever the anchor's was. This
+		// is what lets stacked removals unwind — fully regrowing the
+		// latest removal re-exposes the one beneath it.
+		nb.prev = anchor.prev
+	}
+	return nb, rep, nil
+}
+
+// derive is the churn rule both directions share. from is the world rm
+// removes from: b itself for a removal, the recovery anchor for a
+// growth, whose residual removal (graph.Growth.Remaining) reaches the
+// re-grown component — so a growth runs the descent's formulas in
+// reverse, from the anchor. parts is from's partition mapped onto rm.G
+// (nil with partsErr set when there was none to map); rep.Grew picks
+// the direction. derive fills the rest of rep.
+func derive(b, from *binding, rm *graph.Removal, parts []topology.Part, partsErr error, rep *RebindReport) *binding {
+	g2 := rm.G
+	rep.OldN, rep.NewN = b.g.N(), g2.N()
+	rep.BaseDelta, rep.KernelBefore = b.baseDelta, kernelName(b.kernel)
+	nb := &binding{
+		nw:        b.nw,
+		g:         g2,
+		adj:       g2,
+		baseDelta: b.baseDelta,
+		partsErr:  partsErr,
+		desc:      b.desc,
+		epoch:     b.epoch + 1,
+		prev:      from, // the world a later graph.Restore regrows toward
 	}
 
-	// δ′ ascent: the same bound search as the descent, ceilinged by the
-	// anchor's δ instead of the degraded one. With full structure back
-	// the budget, minimum degree and part census all recover, so δ′
-	// lands on δ.
-	dmax := anchor.delta
-	if nb.connBudget < dmax {
-		dmax = nb.connBudget
-	}
-	if md := g2.MinDegree(); md < dmax {
-		dmax = md
-	}
-	if dmax < 0 {
-		dmax = 0
-	}
+	// Connectivity budget: each removed node or edge can lower κ by at
+	// most one, so the budget is a sound lower bound on κ(g2) as long
+	// as the original bind's bound was (κ for NewEngine, δ itself for
+	// NewGraphEngine). Stranded nodes left with the removed ones. On a
+	// growth only what is still gone counts, so restored structure
+	// hands its decrement back and a full restore recovers the anchor
+	// budget exactly.
+	nb.connBudget = from.connBudget - (rm.RemovedNodes + rm.Stranded) - rm.RemovedEdges
+
+	// Fault bound δ′: the largest d not exceeding from's δ, the
+	// connectivity budget and the minimum degree for which Theorem 1
+	// still has enough material — at least d+1 parts of at least d+1
+	// nodes (part sizes need only exceed the bound actually served,
+	// which is why the mapping leaves the size filter to us). The
+	// survivor is a single connected component, so δ′ = 0 ("no faults
+	// survive") is always sound even after the budget is exhausted.
+	// With full structure back every input recovers and δ′ lands on δ.
+	dmax := max(0, min(from.delta, nb.connBudget, g2.MinDegree()))
 	delta2 := -1
-	if nb.partsErr == nil {
-		for d := dmax; d >= 0; d-- {
-			cnt := 0
-			for _, p := range parts2 {
-				if len(p.Nodes) >= d+1 {
-					cnt++
-				}
+	for d := dmax; partsErr == nil && d >= 0 && delta2 < 0; d-- {
+		cnt := 0
+		for _, p := range parts {
+			if len(p.Nodes) >= d+1 {
+				cnt++
 			}
-			if cnt >= d+1 {
-				delta2 = d
-				break
-			}
+		}
+		if cnt >= d+1 {
+			delta2 = d
 		}
 	}
 	switch {
-	case nb.partsErr != nil:
+	case partsErr != nil && rep.Grew:
 		// The anchor had no partition either: serve the ascent ceiling,
 		// as the anchor served its bound, so a full restore lands on
-		// the bind-time δ.
+		// the bind-time δ. A removal serves δ′ = 0.
 		nb.delta = dmax
+	case partsErr != nil:
 	case delta2 < 0:
-		nb.delta = 0
 		nb.partsErr = ErrNoSurvivingPartition
 	default:
 		nb.delta = delta2
-		served := parts2[:0]
-		for _, p := range parts2 {
+		served := parts[:0] // parts owns its backing; filter in place
+		for _, p := range parts {
 			if len(p.Nodes) >= delta2+1 {
 				served = append(served, p)
 			}
 		}
 		nb.parts = served
 	}
-	rep.EffectiveDelta = nb.delta
-	rep.PartsErr = nb.partsErr
+	rep.EffectiveDelta, rep.PartsErr = nb.delta, nb.partsErr
 
-	// Kernel recovery: re-verify the kept descriptor against the
-	// re-grown component. Once the full structure is back this
-	// succeeds and the specialised kernel re-binds — the
-	// generic→kernel promotion the fallback path was holding the
-	// descriptor for.
+	// Kernel: the bound descriptor described the pre-churn adjacency;
+	// trust it on g2 only if it verifies there. The descriptor itself is
+	// carried through a fallback, so once a growth brings the full
+	// structure back it verifies again and the specialised kernel
+	// re-binds — the generic→kernel promotion.
 	if b.desc != nil {
-		nb.desc = b.desc
-		if err := graph.VerifyCayley(g2, b.desc); err == nil {
+		switch err := graph.VerifyCayley(g2, b.desc); {
+		case err == nil:
 			nb.kernel = bindFinalKernel(b.desc, g2)
-			if b.kernel == nil && nb.kernel != nil {
+			if rep.Grew && b.kernel == nil && nb.kernel != nil {
 				rep.KernelPromotion = fmt.Sprintf("bound descriptor verifies again on the re-grown component; final pass promoted from the generic kernel to %s", kernelName(nb.kernel))
 			}
-		} else {
+		case rep.Grew:
 			rep.KernelFallbackReason = fmt.Sprintf("bound descriptor still does not verify on the re-grown component (%v); final pass stays on the generic kernel", err)
+		default:
+			rep.KernelFallbackReason = fmt.Sprintf("bound %s descriptor no longer verifies on the surviving component (%v); final pass falls back to the generic kernel", kernelName(b.kernel), err)
 		}
 	}
 	rep.KernelAfter = kernelName(nb.kernel)
 
-	// The degraded stamp clears exactly when the pre-churn structure is
-	// fully back: nothing still gone means the re-grown graph is the
-	// anchor graph, ids and all.
-	nb.degraded = anchor.degraded || gr.StillGone > 0 || len(rm.GoneEdges) > 0
+	// The degraded stamp clears exactly when from's structure is fully
+	// back — nothing still gone means g2 is from's graph, ids and all —
+	// while a removal also stamps any bound it lowered.
+	nb.degraded = from.degraded || rm.RemovedNodes+rm.RemovedEdges+rm.Stranded > 0 ||
+		!rep.Grew && nb.delta < b.delta
 	nb.compact()
-	return nb, rep, nil
+	return nb
 }

@@ -63,12 +63,15 @@ func (a *Arrangement) Graph() *graph.Graph { return a.g }
 func (a *Arrangement) Connectivity() int { return a.k * (a.n - a.k) }
 
 // Diagnosability implements Network: δ(A_{n,k}) = k(n-k) [6] for
-// k ≥ 2. A_{n,1} is the complete graph K_n, which no comparison system
+// k ≥ 2, except A_{3,2}, the 6-cycle, whose exhaustively computed δ is
+// 1. A_{n,1} is the complete graph K_n, which no comparison system
 // of n nodes makes more than ⌊(n-1)/2⌋-diagnosable; an exhaustive
 // search finds exactly that δ for 4 ≤ n ≤ 12, and δ = 0 for the
 // triangle K_3, where any two single faults are indistinguishable.
 func (a *Arrangement) Diagnosability() int {
 	switch {
+	case a.n == 3 && a.k == 2:
+		return 1
 	case a.k > 1:
 		return a.k * (a.n - a.k)
 	case a.n == 3:

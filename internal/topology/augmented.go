@@ -47,11 +47,16 @@ func (a *AugmentedCube) Connectivity() int {
 	return 2*a.n - 1
 }
 
-// Diagnosability implements Network: δ(AQ_n) = 2n-1 for n ≥ 5 [6]. For
-// n = 3 the connectivity exception caps the usable fault bound at 4.
+// Diagnosability implements Network: δ(AQ_n) = 2n-1 for n ≥ 5 [6] and,
+// by exhaustive search over every pair of fault sets, for n = 4. Below
+// that the search finds δ(AQ_3) = 3, under the connectivity exception
+// κ = 4, and δ(AQ_2) = 1 (AQ_2 is K_4).
 func (a *AugmentedCube) Diagnosability() int {
-	if a.n == 3 {
-		return 4
+	switch a.n {
+	case 2:
+		return 1
+	case 3:
+		return 3
 	}
 	return 2*a.n - 1
 }
@@ -119,8 +124,18 @@ func (t *TwistedNCube) Graph() *graph.Graph { return t.g }
 // Connectivity implements Network: κ(TQ'_n) = n [13].
 func (t *TwistedNCube) Connectivity() int { return t.n }
 
-// Diagnosability implements Network: δ(TQ'_n) = n for n ≥ 4 [6].
-func (t *TwistedNCube) Diagnosability() int { return t.n }
+// Diagnosability implements Network: δ(TQ'_n) = n for n ≥ 4 [6], and
+// below that what an exhaustive search over every pair of fault sets
+// finds: δ(TQ'_3) = 2 and δ(TQ'_2) = 0 (TQ'_2 is the 4-cycle).
+func (t *TwistedNCube) Diagnosability() int {
+	switch t.n {
+	case 2:
+		return 0
+	case 3:
+		return 2
+	}
+	return t.n
+}
 
 // Parts implements Network. The twisted face sits inside the part with
 // prefix 0 (for any m ≥ 2), which therefore induces TQ'_m; every other

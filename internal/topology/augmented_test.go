@@ -51,7 +51,8 @@ func TestAugmentedCubePrefixRecursion(t *testing.T) {
 }
 
 // TestAugmentedCubeConnectivityException pins the n = 3 special case:
-// κ(AQ3) = 4 < 2n-1, verified exactly (the library must not claim 5).
+// κ(AQ3) = 4 < 2n-1, verified exactly (the library must not claim 5),
+// and δ(AQ3) = 3, the exhaustively computed value below κ.
 func TestAugmentedCubeConnectivityException(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact connectivity")
@@ -60,7 +61,7 @@ func TestAugmentedCubeConnectivityException(t *testing.T) {
 	if got := a.Graph().VertexConnectivity(); got != 4 {
 		t.Fatalf("κ(AQ3) = %d, want 4", got)
 	}
-	if a.Connectivity() != 4 || a.Diagnosability() != 4 {
+	if a.Connectivity() != 4 || a.Diagnosability() != 3 {
 		t.Fatal("claimed values must reflect the exception")
 	}
 }

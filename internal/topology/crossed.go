@@ -62,8 +62,18 @@ func (c *CrossedCube) Graph() *graph.Graph { return c.g }
 // Connectivity implements Network: κ(CQ_n) = n [16].
 func (c *CrossedCube) Connectivity() int { return c.n }
 
-// Diagnosability implements Network: δ(CQ_n) = n for n ≥ 4 [14].
-func (c *CrossedCube) Diagnosability() int { return c.n }
+// Diagnosability implements Network: δ(CQ_n) = n for n ≥ 4 [14], and
+// below that what an exhaustive search over every pair of fault sets
+// finds: δ(CQ_3) = 2 and δ(CQ_2) = 0 (CQ_2 is the 4-cycle).
+func (c *CrossedCube) Diagnosability() int {
+	switch c.n {
+	case 2:
+		return 0
+	case 3:
+		return 2
+	}
+	return c.n
+}
 
 // Parts implements Network. Fixing the high n-m bits of CQ_n induces
 // CQ_m (the definition is prefix-recursive: levels below m only read

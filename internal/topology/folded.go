@@ -36,8 +36,15 @@ func (f *FoldedHypercube) Graph() *graph.Graph { return f.g }
 // Connectivity implements Network: κ(FQ_n) = n+1 [3].
 func (f *FoldedHypercube) Connectivity() int { return f.n + 1 }
 
-// Diagnosability implements Network: δ(FQ_n) = n+1 for n ≥ 4 [6].
-func (f *FoldedHypercube) Diagnosability() int { return f.n + 1 }
+// Diagnosability implements Network: δ(FQ_n) = n+1 for n ≥ 4 [6], and
+// below that what an exhaustive search over every pair of fault sets
+// finds: δ(FQ_3) = 2 and δ(FQ_2) = 1 (FQ_2 is K_4).
+func (f *FoldedHypercube) Diagnosability() int {
+	if f.n <= 3 {
+		return f.n - 1
+	}
+	return f.n + 1
+}
 
 // CayleyStructure implements CayleyStructured: the single-bit basis
 // plus the all-ones complement mask — a multi-bit XOR generator set.
@@ -86,8 +93,21 @@ func (e *EnhancedHypercube) Graph() *graph.Graph { return e.g }
 // Connectivity implements Network: κ(Q_{n,f}) = n+1 [22].
 func (e *EnhancedHypercube) Connectivity() int { return e.n + 1 }
 
-// Diagnosability implements Network: δ(Q_{n,f}) = n+1 for n ≥ 4 [6].
-func (e *EnhancedHypercube) Diagnosability() int { return e.n + 1 }
+// Diagnosability implements Network: δ(Q_{n,f}) = n+1 for n ≥ 4 [6],
+// and below that what an exhaustive search over every pair of fault
+// sets finds: δ(Q_{3,2}) = 3, δ(Q_{3,3}) = 2 (Q_{3,3} is FQ_3) and
+// δ(Q_{2,2}) = 1 (K_4).
+func (e *EnhancedHypercube) Diagnosability() int {
+	switch {
+	case e.n == 2:
+		return 1
+	case e.n == 3 && e.f == 2:
+		return 3
+	case e.n == 3:
+		return 2
+	}
+	return e.n + 1
+}
 
 // CayleyStructure implements CayleyStructured: the single-bit basis
 // plus the f-high-bits complement mask.

@@ -60,8 +60,18 @@ func (q *KAryNCube) Graph() *graph.Graph { return q.g }
 func (q *KAryNCube) Connectivity() int { return 2 * q.n }
 
 // Diagnosability implements Network: δ(Q^k_n) = 2n outside the small
-// exceptions of [6].
-func (q *KAryNCube) Diagnosability() int { return 2 * q.n }
+// exceptions of [6]. Q^k_1 is the k-cycle, where an exhaustive search
+// over every pair of fault sets finds δ = 0 for k ≤ 4 and δ = 1 for
+// 5 ≤ k ≤ 8.
+func (q *KAryNCube) Diagnosability() int {
+	switch {
+	case q.n == 1 && q.k <= 4:
+		return 0
+	case q.n == 1 && q.k <= 8:
+		return 1
+	}
+	return 2 * q.n
+}
 
 // CayleyStructure implements CayleyStructured: Q^k_n is the Cayley
 // graph of Z_k^n with the ±1-per-digit generators. (The augmented
@@ -171,8 +181,14 @@ func (a *AugmentedKAryNCube) Graph() *graph.Graph { return a.g }
 func (a *AugmentedKAryNCube) Connectivity() int { return 4*a.n - 2 }
 
 // Diagnosability implements Network: δ(AQ_{n,k}) = 4n-2 for
-// (n,k) ≠ (2,3) [6].
-func (a *AugmentedKAryNCube) Diagnosability() int { return 4*a.n - 2 }
+// (n,k) ≠ (2,3) [6]. For (2,3) an exhaustive search over every pair of
+// fault sets finds δ = 4.
+func (a *AugmentedKAryNCube) Diagnosability() int {
+	if a.n == 2 && a.k == 3 {
+		return 4
+	}
+	return 4*a.n - 2
+}
 
 // Parts implements Network. Run edges over i ≤ m low digits stay inside
 // a high-digit part, so each part induces AQ_{m,k} (or the torus cycle

@@ -69,8 +69,14 @@ func (s *ShuffleCube) Graph() *graph.Graph { return s.g }
 // Connectivity implements Network: κ(SQ_n) = n [17].
 func (s *ShuffleCube) Connectivity() int { return s.n }
 
-// Diagnosability implements Network: δ(SQ_n) = n for n ≥ 4 [6].
-func (s *ShuffleCube) Diagnosability() int { return s.n }
+// Diagnosability implements Network: δ(SQ_n) = n for n ≥ 4 [6]. SQ_2
+// is the 4-cycle, whose exhaustively computed δ is 0.
+func (s *ShuffleCube) Diagnosability() int {
+	if s.n == 2 {
+		return 0
+	}
+	return s.n
+}
 
 // Parts implements Network. The recursion step is 16-way, so natural
 // part sizes are 2^{n-4b}; when the natural size is too small (SQ_6

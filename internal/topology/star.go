@@ -156,8 +156,15 @@ func (s *NKStar) Graph() *graph.Graph { return s.g }
 // Connectivity implements Network: κ(S_{n,k}) = n-1 [9].
 func (s *NKStar) Connectivity() int { return s.n - 1 }
 
-// Diagnosability implements Network: δ(S_{n,k}) = n-1 [6].
-func (s *NKStar) Diagnosability() int { return s.n - 1 }
+// Diagnosability implements Network: δ(S_{n,k}) = n-1 [6] for
+// (n,k) ≠ (3,2). S_{3,2} is the 6-cycle, whose exhaustively computed δ
+// is 1.
+func (s *NKStar) Diagnosability() int {
+	if s.n == 3 && s.k == 2 {
+		return 1
+	}
+	return s.n - 1
+}
 
 // Parts implements Network. Fixing the last j positions partitions
 // S_{n,k} into n!/(n-j)! copies of S_{n-j,k-j}; S_{m,1} is the complete

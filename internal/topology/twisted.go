@@ -63,8 +63,14 @@ func (t *TwistedCube) Graph() *graph.Graph { return t.g }
 func (t *TwistedCube) Connectivity() int { return t.n }
 
 // Diagnosability implements Network: δ(TQ_n) = n for n ≥ 4 [6]; for the
-// odd dimensions we construct this means n ≥ 5.
-func (t *TwistedCube) Diagnosability() int { return t.n }
+// odd dimensions we construct this means n ≥ 5. An exhaustive search
+// over every pair of fault sets gives δ(TQ_3) = 2.
+func (t *TwistedCube) Diagnosability() int {
+	if t.n == 3 {
+		return 2
+	}
+	return t.n
+}
 
 // Parts implements Network. Pair levels below m only read bits below m,
 // so fixing the high bits in steps of two yields 4^b copies of TQ_{n-2b};
