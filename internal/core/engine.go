@@ -167,10 +167,13 @@ func candidateParts(parts []topology.Part, count int) []topology.Part {
 // δ+1 candidate parts, the ones a diagnosis scans, rather than all n
 // node ids (on hypercubes the candidates hold O(δ²)).
 // The full partition is derived again from the network when Rebind or
-// Parts needs it. Construction never fails: on gap-G3 instances with
-// no Theorem 1 partition the error is recorded and returned by
-// PartsErr and by every Diagnose call, so callers can route to
-// DiagnoseWithVerification once instead of handling errors per
+// Parts needs it. A network whose graph is descriptor-backed
+// (graph.FromXORCayley: Q_n, FQ_n, Q_{n,f}, AQ_n) is served from its
+// generator, so the engine holds no CSR while it is healthy; only a
+// degraded survivor holds one. Construction never fails: on gap-G3
+// instances with no Theorem 1 partition the error is recorded and
+// returned by PartsErr and by every Diagnose call, so callers can route
+// to DiagnoseWithVerification once instead of handling errors per
 // syndrome.
 func NewEngine(nw topology.Network) *Engine {
 	b := &binding{
@@ -179,11 +182,11 @@ func NewEngine(nw topology.Network) *Engine {
 		delta:      nw.Diagnosability(),
 		connBudget: nw.Connectivity(),
 	}
-	b.adj = b.g
+	b.adj = servedAdjacency(b.g)
 	b.baseDelta = b.delta
 	b.parts, b.partsErr = nw.Parts(b.delta+1, b.delta+1)
 	b.compact()
-	b.kernel, b.desc = bindStructure(nw, b.g)
+	b.kernel, b.desc = bindStructure(nw, b.g, b.adj)
 	e := &Engine{name: nw.Name()}
 	e.bnd.Store(b)
 	return e
@@ -194,22 +197,23 @@ func NewEngine(nw topology.Network) *Engine {
 // graph.VerifyCayley, so a buggy declaration degrades to the generic
 // kernel instead of corrupting results), then the from-scratch XOR
 // probe for networks that declare nothing. Both run once per engine
-// and are O(m), except that a CSR graph.FromXORCayley built from the
-// declared descriptor was checked as it was written and verifies
-// without a scan. The verified descriptor is returned alongside the
-// kernel so a later Rebind can re-verify it on the surviving component.
-func bindStructure(nw topology.Network, g *graph.Graph) (wordRounder, graph.CayleyDescriptor) {
+// and are O(m), except that a graph graph.FromXORCayley built verifies
+// against its own descriptor without a scan. The kernel is sized for a,
+// the adjacency the binding serves. The verified descriptor is returned
+// alongside the kernel so a later Rebind can re-verify it on the
+// surviving component.
+func bindStructure(nw topology.Network, g *graph.Graph, a graph.Adjacencer) (wordRounder, graph.CayleyDescriptor) {
 	if cs, ok := nw.(topology.CayleyStructured); ok {
 		if desc := cs.CayleyStructure(); desc != nil && graph.VerifyCayley(g, desc) == nil {
 			// A verified declaration is the whole truth about the
 			// adjacency; when no kernel covers it (e.g. below the
 			// 64-node floor), re-probing from scratch could only
 			// rediscover the same structure.
-			return bindFinalKernel(desc, g), desc
+			return bindFinalKernel(desc, a), desc
 		}
 	}
 	if desc, ok := graph.DetectXORCayley(g); ok {
-		return bindFinalKernel(desc, g), desc
+		return bindFinalKernel(desc, a), desc
 	}
 	return nil, nil
 }
@@ -249,7 +253,7 @@ func (e *Engine) BindCayley(desc graph.CayleyDescriptor) error {
 		return err
 	}
 	nb := *b
-	nb.kernel = bindFinalKernel(desc, b.g)
+	nb.kernel = bindFinalKernel(desc, b.adj)
 	nb.desc = desc
 	e.bnd.Store(&nb)
 	return nil
@@ -265,8 +269,20 @@ func (e *Engine) BindCayley(desc graph.CayleyDescriptor) error {
 // with BindCayley, which verifies the claim before trusting it.
 func NewGraphEngine(g *graph.Graph, delta int, parts []topology.Part) *Engine {
 	e := &Engine{name: "graph"}
-	e.bnd.Store(&binding{g: g, adj: g, delta: delta, baseDelta: delta, connBudget: delta, parts: parts})
+	e.bnd.Store(&binding{g: g, adj: servedAdjacency(g), delta: delta, baseDelta: delta, connBudget: delta, parts: parts})
 	return e
+}
+
+// servedAdjacency is the adjacency a binding over g serves: the
+// generator of a descriptor-backed graph (graph.FromXORCayley), so that
+// a healthy Q_n, FQ_n, Q_{n,f} or AQ_n binding never writes its CSR, and
+// g itself otherwise. Both list every neighbourhood ascending, so
+// results and look-ups do not depend on which one is served.
+func servedAdjacency(g *graph.Graph) graph.Adjacencer {
+	if ca := g.CayleyAdjacency(); ca != nil {
+		return ca
+	}
+	return g
 }
 
 // NewCayleyEngine binds an engine directly from a Cayley descriptor —
@@ -290,8 +306,11 @@ func NewGraphEngine(g *graph.Graph, delta int, parts []topology.Part) *Engine {
 //
 // Implicit engines serve Diagnose/DiagnoseOpts/DiagnoseBatch in full
 // (including FaultBound tightening, sharing and result caches). They do
-// not support Rebind/Survivor (churn removal is defined against a CSR)
-// or BindCayley (the structure is the binding), and Graph() returns nil.
+// not support Rebind/Survivor, which take deltas of the *graph.Graph an
+// engine is bound to (NewEngine on Q_n, FQ_n, Q_{n,f} or AQ_n binds a
+// graph backed by the same generator set, which holds no CSR until a
+// removal is compacted), or BindCayley (the structure is the binding),
+// and Graph() returns nil.
 func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 	ca, err := graph.NewCayleyAdjacency(desc)
 	if err != nil {

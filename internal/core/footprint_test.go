@@ -94,3 +94,28 @@ func TestTightPartitionFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestDescriptorGraphEngineFootprint pins what a network engine over a
+// descriptor-backed graph keeps: parsing q:14 and binding it with
+// NewEngine retains under 64 KiB — the generator set, the kernel and the
+// δ+1 candidate parts — and writes no CSR, which alone would be 0.94 MB.
+func TestDescriptorGraphEngineFootprint(t *testing.T) {
+	before := liveHeap()
+	nw, err := topology.Parse("q:14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(nw)
+	retained := liveHeap() - before
+	if err := eng.PartsErr(); err != nil {
+		t.Fatal(err)
+	}
+	if retained >= 64<<10 {
+		t.Fatalf("parsing and binding q:14 retains %d bytes, want < 64 KiB", retained)
+	}
+	if nw.Graph().Materialized() {
+		t.Fatal("binding q:14 wrote its CSR")
+	}
+	t.Logf("q:14 parsed and bound: %d bytes retained", retained)
+	runtime.KeepAlive(eng)
+}

@@ -45,7 +45,8 @@ type wordRounder interface {
 // dense small graphs (augmented cubes: deg ≈ word count) cross over
 // much later than big sparse ones, which is what the old flat
 // words-count gate got wrong. The word floor stays: below one word per
-// frontier node the permutes cannot pay for themselves.
+// frontier node the permutes cannot pay for themselves. a is the
+// adjacency the engine serves, whose neighbourhoods the sweep reads.
 func sweepThresholdFor(roundCost int, a graph.Adjacencer) int {
 	words := (a.N() + 63) / 64
 	deg := a.MaxDegree()
@@ -53,6 +54,13 @@ func sweepThresholdFor(roundCost int, a graph.Adjacencer) int {
 		return words
 	}
 	t := 2 * roundCost / deg
+	if graph.CSR(a) == nil && graph.XORBasis(a) == 0 {
+		// A neighbourhood generated from multi-bit masks or mixed
+		// radices costs the sweep several probes' worth per arc, where
+		// a CSR row or a hypercube's inlined basis walk costs one; on
+		// FQ12 and AQ10 the word rounds win down to the word floor.
+		t /= 8
+	}
 	if t < words {
 		t = words
 	}

@@ -293,7 +293,7 @@ func derive(b, from *binding, rm *graph.Removal, parts []topology.Part, partsErr
 	nb := &binding{
 		nw:        b.nw,
 		g:         g2,
-		adj:       g2,
+		adj:       servedAdjacency(g2),
 		baseDelta: b.baseDelta,
 		partsErr:  partsErr,
 		desc:      b.desc,
@@ -360,7 +360,7 @@ func derive(b, from *binding, rm *graph.Removal, parts []topology.Part, partsErr
 	if b.desc != nil {
 		switch err := graph.VerifyCayley(g2, b.desc); {
 		case err == nil:
-			nb.kernel = bindFinalKernel(b.desc, g2)
+			nb.kernel = bindFinalKernel(b.desc, nb.adj)
 			if rep.Grew && b.kernel == nil && nb.kernel != nil {
 				rep.KernelPromotion = fmt.Sprintf("bound descriptor verifies again on the re-grown component; final pass promoted from the generic kernel to %s", kernelName(nb.kernel))
 			}

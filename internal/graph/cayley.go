@@ -149,28 +149,31 @@ func (m MixedRadixCayley) String() string {
 	return sb.String()
 }
 
-// FromXORCayley builds the CSR of the graph d declares, N(u) = {u ⊕ m :
-// m ∈ d.Masks}, straight from the descriptor. Each node's block is
-// generated ascending into its slot of an exact-size target array and
-// checked while it is still in cache: degree len(d.Masks), strictly
-// ascending, and every difference u⊕v a mask. With the masks distinct,
-// non-zero and in range (the shape check NewCayleyAdjacency makes),
-// those facts prove N(u) = u⊕M exactly, which is symmetric (v = u⊕m
-// gives u = v⊕m), so no merge or transpose pass runs. The result is the
-// CSR FromAdjacency builds from the same listing, its target array at
-// exact capacity.
+// FromXORCayley returns the graph d declares, N(u) = {u ⊕ m : m ∈
+// d.Masks}, backed by the descriptor: it holds the generator set and no
+// offset or target arrays. N, M, Degree, MaxDegree, MinDegree,
+// IsRegular, HasEdge, AppendNeighbors, Connected, Remove and Restore
+// answer from the masks; the CSR is written only when a caller first
+// reads it (Neighbors, Adjacency, or an analysis that walks the table).
 //
-// Blocks are independent, so the nodes are split into contiguous
-// chunks, one per P (runtime.GOMAXPROCS) and each at least
-// minChunkNodes long, built at once; at GOMAXPROCS = 1, or below two
-// chunks' worth of nodes, the build is one serial pass on the caller.
-// The CSR and any error are the same at every chunk count: each chunk
-// stops at its first failing node and the lowest chunk's error is
-// returned, which is the one a serial pass meets first.
+// That write generates each node's block ascending into its slot of an
+// exact-size target array and checks it while it is still in cache:
+// degree len(d.Masks), strictly ascending, and every difference u⊕v a
+// mask. With the masks distinct, non-zero and in range (the shape check
+// NewCayleyAdjacency makes), those facts prove N(u) = u⊕M exactly, which
+// is symmetric (v = u⊕m gives u = v⊕m), so no merge or transpose pass
+// runs. The result is the CSR FromAdjacency builds from the same
+// listing, its target array at exact capacity. Blocks are independent,
+// so the nodes are split into contiguous chunks, one per P
+// (runtime.GOMAXPROCS at construction) and each at least minChunkNodes
+// long, written at once; at GOMAXPROCS = 1, or below two chunks' worth
+// of nodes, the write is one serial pass. The CSR is the same at every
+// chunk count.
 //
 // The graph records a copy of d, and VerifyCayley against the same bit
-// width and mask set returns nil without a scan. Graphs derived from
-// it (Remove, Restore) record nothing and are scanned as any other.
+// width and mask set returns nil without a scan. Removal survivors carry
+// no descriptor and are scanned as any other graph; a full Restore gives
+// back this graph itself.
 //
 // The int32 bounds (CheckInt32Bounds) are checked first, before the
 // shape and before anything proportional to the order is allocated;
@@ -203,8 +206,8 @@ func xorOrder(b int) int {
 	return 0
 }
 
-// fromXORCayley is FromXORCayley built in exactly chunks (≥ 1) node
-// chunks.
+// fromXORCayley is FromXORCayley whose CSR, once read, is written in
+// exactly chunks (≥ 1) node chunks.
 func fromXORCayley(d XORCayley, chunks int) (*Graph, error) {
 	n, deg := xorOrder(d.Bits), len(d.Masks)
 	if err := CheckInt32Bounds(n, deg); err != nil {
@@ -216,13 +219,29 @@ func fromXORCayley(d XORCayley, chunks int) (*Graph, error) {
 	}
 	masks := slices.Clone(d.Masks)
 	slices.Sort(masks)
-	offsets, targets, err := buildXORCSR(ca, maskTable(n, masks), chunks)
-	if err != nil {
-		return nil, err
+	return &Graph{n: n, m: n * deg / 2, xor: &XORCayley{Bits: d.Bits, Masks: masks}, gen: ca, chunks: chunks}, nil
+}
+
+// xorConnected reports whether the XOR-Cayley graph on width-bit ids
+// over masks is connected: the component of 0 is the span of the masks
+// over GF(2), so the graph is connected exactly when they have rank
+// width.
+func xorConnected(width int, masks []int32) bool {
+	var basis [32]uint32 // basis[h]: the reduced mask whose top bit is h
+	rank := 0
+	for _, m := range masks {
+		x := uint32(m)
+		for x != 0 {
+			h := bits.Len32(x) - 1
+			if basis[h] == 0 {
+				basis[h] = x
+				rank++
+				break
+			}
+			x ^= basis[h]
+		}
 	}
-	g := &Graph{n: n, offsets: offsets, targets: targets, m: len(targets) / 2}
-	g.xor = &XORCayley{Bits: d.Bits, Masks: masks}
-	return g, nil
+	return rank == width
 }
 
 // buildXORCSR writes the CSR of ca in chunks contiguous node ranges:

@@ -16,7 +16,8 @@ import (
 // adjacency or part stays ascending — the compaction never needs a sort.
 type Removal struct {
 	// G is the induced subgraph on the largest surviving component,
-	// compacted to node ids [0, G.N()).
+	// compacted to node ids [0, G.N()): a fresh CSR, or the graph the
+	// removal was applied to when nothing left it.
 	G *Graph
 	// OldToNew maps old node ids to new ones; -1 for removed nodes and
 	// for survivors stranded outside the largest component.
@@ -56,9 +57,12 @@ func (g *Graph) RemoveEdges(edges [][2]int32) *Removal { return g.Remove(nil, ed
 // Remove applies a combined node/edge delta: the given nodes disappear
 // with all incident edges, the given edges disappear, and the largest
 // connected component of what is left (ties broken towards the component
-// containing the smallest node id) is compacted into a fresh CSR graph.
-// The whole operation is O(n + m). Out-of-range ids panic; removing an
-// absent edge is a no-op.
+// containing the smallest node id) is compacted into a fresh CSR graph;
+// when nothing is gone and g is connected, the survivor is g itself,
+// with identity id maps. The whole operation is O(n + m). Out-of-range
+// ids panic; removing an absent edge is a no-op. A descriptor-backed
+// graph (FromXORCayley) is walked and compacted from its generator set
+// and never writes its own CSR.
 func (g *Graph) Remove(nodes []int32, edges [][2]int32) *Removal {
 	return g.remove(nodes, edges, -1)
 }
@@ -107,16 +111,6 @@ func (g *Graph) remove(nodes []int32, edges [][2]int32, anchor int32) *Removal {
 			removedEdges++
 		}
 	}
-	edgeGone := func(u, v int32) bool {
-		if gone == nil {
-			return false
-		}
-		if u > v {
-			u, v = v, u
-		}
-		_, ok := gone[int64(u)<<32|int64(v)]
-		return ok
-	}
 
 	// Label surviving components and keep the largest; scanning sources
 	// in ascending id order with a strict size comparison makes the tie
@@ -129,6 +123,10 @@ func (g *Graph) remove(nodes []int32, edges [][2]int32, anchor int32) *Removal {
 	bestComp, bestSize := int32(-1), 0
 	nextComp := int32(0)
 	var sizes []int
+	// Neighbourhoods come from AppendNeighbors: a view of the CSR, or
+	// generated into nb on a descriptor-backed graph, which then never
+	// writes its own table.
+	var nb []int32
 	for s := int32(0); int(s) < g.n; s++ {
 		if comp[s] >= 0 || removed.Contains(int(s)) {
 			continue
@@ -141,8 +139,9 @@ func (g *Graph) remove(nodes []int32, edges [][2]int32, anchor int32) *Removal {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range g.Neighbors(u) {
-				if comp[v] >= 0 || removed.Contains(int(v)) || edgeGone(u, v) {
+			nb = g.AppendNeighbors(u, nb)
+			for _, v := range nb {
+				if comp[v] >= 0 || removed.Contains(int(v)) || gone != nil && edgeGone(gone, u, v) {
 					continue
 				}
 				comp[v] = id
@@ -171,31 +170,8 @@ func (g *Graph) remove(nodes []int32, edges [][2]int32, anchor int32) *Removal {
 		}
 	}
 
-	// Count surviving arcs, then lay the compacted CSR down directly:
-	// survivors keep their relative order, so each remapped neighbour
-	// block is already ascending.
-	arcs := 0
-	for _, u := range newToOld {
-		for _, v := range g.Neighbors(u) {
-			if oldToNew[v] >= 0 && !edgeGone(u, v) {
-				arcs++
-			}
-		}
-	}
-	offsets := make([]int32, bestSize+1)
-	targets := make([]int32, 0, arcs)
-	for nu, u := range newToOld {
-		offsets[nu] = int32(len(targets))
-		for _, v := range g.Neighbors(u) {
-			if nv := oldToNew[v]; nv >= 0 && !edgeGone(u, v) {
-				targets = append(targets, nv)
-			}
-		}
-	}
-	offsets[bestSize] = int32(len(targets))
-
-	return &Removal{
-		G:            &Graph{n: bestSize, offsets: offsets, targets: targets, m: len(targets) / 2},
+	rr := &Removal{
+		G:            g,
 		OldToNew:     oldToNew,
 		NewToOld:     newToOld,
 		RemovedNodes: removedNodes,
@@ -205,4 +181,65 @@ func (g *Graph) remove(nodes []int32, edges [][2]int32, anchor int32) *Removal {
 		orig:         g,
 		removed:      removed,
 	}
+	if bestSize < g.n || len(goneEdges) > 0 {
+		rr.G = g.induced(newToOld, oldToNew, gone, goneEdges, nb)
+	}
+	// Otherwise nothing is gone and every node is in one component: the
+	// survivor is g itself, ids and all, and no copy is made.
+	return rr
+}
+
+// induced lays down the CSR of the subgraph on the nodes newToOld lists
+// (ascending), minus the edges in goneEdges (also keyed in gone, see
+// edgeGone), in the compacted ids oldToNew assigns. Survivors keep their
+// relative order, so each remapped neighbour block is already ascending.
+// The target array is allocated at exact size: the survivors' degrees,
+// less the arcs into the nodes left out and the arcs of gone edges
+// between survivors, which costs the left-out nodes' neighbourhoods
+// rather than a second pass over every arc. nb is the neighbour buffer
+// of a descriptor-backed graph.
+func (g *Graph) induced(newToOld, oldToNew []int32, gone map[int64]struct{}, goneEdges [][2]int32, nb []int32) *Graph {
+	arcs := 0
+	for _, u := range newToOld {
+		arcs += g.Degree(u)
+	}
+	for w, id := range oldToNew {
+		if id >= 0 {
+			continue
+		}
+		nb = g.AppendNeighbors(int32(w), nb)
+		for _, v := range nb {
+			if oldToNew[v] >= 0 {
+				arcs--
+			}
+		}
+	}
+	for _, e := range goneEdges {
+		if oldToNew[e[0]] >= 0 && oldToNew[e[1]] >= 0 {
+			arcs -= 2
+		}
+	}
+	offsets := make([]int32, len(newToOld)+1)
+	targets := make([]int32, 0, arcs)
+	for nu, u := range newToOld {
+		offsets[nu] = int32(len(targets))
+		nb = g.AppendNeighbors(u, nb)
+		for _, v := range nb {
+			if nv := oldToNew[v]; nv >= 0 && (gone == nil || !edgeGone(gone, u, v)) {
+				targets = append(targets, nv)
+			}
+		}
+	}
+	offsets[len(newToOld)] = int32(len(targets))
+	return &Graph{n: len(newToOld), offsets: offsets, targets: targets, m: len(targets) / 2}
+}
+
+// edgeGone reports whether the removed-edge set gone, keyed u<<32|v
+// with u < v, holds the edge {u, v}.
+func edgeGone(gone map[int64]struct{}, u, v int32) bool {
+	if u > v {
+		u, v = v, u
+	}
+	_, ok := gone[int64(u)<<32|int64(v)]
+	return ok
 }

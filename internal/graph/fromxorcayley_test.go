@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,8 +71,9 @@ func TestFromXORCayleyMatchesFromAdjacency(t *testing.T) {
 
 // TestVerifyCayleyScansGeneratedGraphs pins that a graph FromXORCayley
 // built accepts only its own mask set without a scan: every other
-// descriptor is scanned and rejected exactly as on a listed graph, and
-// the graphs Remove and Restore derive from it record no descriptor.
+// descriptor is scanned and rejected exactly as on a listed graph, the
+// graphs Remove and a partial Restore derive from it record no
+// descriptor, and a full Restore gives back the graph itself.
 func TestVerifyCayleyScansGeneratedGraphs(t *testing.T) {
 	q8, err := FromXORCayley(XORCayley{Bits: 8, Masks: hyperMasks(8)})
 	if err != nil {
@@ -109,12 +111,15 @@ func TestVerifyCayleyScansGeneratedGraphs(t *testing.T) {
 	if err := VerifyCayley(rr.G, XORCayley{Bits: 8, Masks: hyperMasks(8)}); err == nil {
 		t.Fatal("Q8 minus an edge verified as Q8")
 	}
+	if partial := Restore(rr, nil, nil); partial.G.xor != nil {
+		t.Fatal("a Restore with the edge still gone carried a recorded descriptor")
+	}
 	gr := Restore(rr, nil, [][2]int32{{0, 1}})
-	if gr.G.xor != nil {
-		t.Fatal("Restore carried a recorded descriptor")
+	if gr.G != q8 {
+		t.Fatal("a full Restore did not give back the original graph")
 	}
 	if err := VerifyCayley(gr.G, XORCayley{Bits: 8, Masks: hyperMasks(8)}); err != nil {
-		t.Fatalf("restored Q8 rejected on its scan: %v", err)
+		t.Fatalf("restored Q8 rejected: %v", err)
 	}
 }
 
@@ -168,7 +173,8 @@ func decodeXORCayley(bitsIn byte, data []byte) XORCayley {
 // nodes would never get from GOMAXPROCS. Either every build fails, with
 // one error text, or every build succeeds with the same CSR, and then
 // the generated one is at exact capacity and verifies against its own
-// descriptor.
+// descriptor, and a fresh build answers from its generator exactly as
+// the reference table does (checkLazyAnswers) without writing its CSR.
 func FuzzFromXORCayley(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bitsIn byte, data []byte) {
 		d := decodeXORCayley(bitsIn, data)
@@ -192,7 +198,123 @@ func FuzzFromXORCayley(f *testing.F) {
 		if err := VerifyCayley(got, d); err != nil {
 			t.Fatalf("%v %v: generated graph rejects its own descriptor: %v", d, d.Masks, err)
 		}
+		lazy, _ := fromXORCayley(d, 3)
+		checkLazyAnswers(t, fmt.Sprint(d, d.Masks), lazy, ref, data)
 	})
+}
+
+// checkLazyAnswers holds every answer a descriptor-backed graph gives
+// from its generator to the table graph ref built from the same
+// listing: order, size, degrees, edges, neighbourhoods, connectivity,
+// and a removal of the nodes picks names (each byte an id mod n) plus
+// one edge, with its partial and full restores. None of them may write
+// the CSR.
+func checkLazyAnswers(t *testing.T, name string, lazy, ref *Graph, picks []byte) {
+	t.Helper()
+	n, deg := ref.N(), ref.MaxDegree()
+	if lazy.N() != n || lazy.M() != ref.M() || lazy.MaxDegree() != deg || lazy.MinDegree() != ref.MinDegree() ||
+		!lazy.IsRegular(deg) || lazy.IsRegular(deg+1) || lazy.Connected() != ref.Connected() {
+		t.Fatalf("%s: lazy N %d M %d Δ %d δ %d connected %v, table N %d M %d Δ %d δ %d connected %v", name,
+			lazy.N(), lazy.M(), lazy.MaxDegree(), lazy.MinDegree(), lazy.Connected(),
+			n, ref.M(), deg, ref.MinDegree(), ref.Connected())
+	}
+	var buf []int32
+	for u := int32(0); int(u) < n; u++ {
+		buf = lazy.AppendNeighbors(u, buf)
+		if lazy.Degree(u) != ref.Degree(u) || !slices.Equal(buf, ref.Neighbors(u)) {
+			t.Fatalf("%s: node %d: lazy degree %d, neighbours %v; table %d, %v", name, u, lazy.Degree(u), buf, ref.Degree(u), ref.Neighbors(u))
+		}
+		for k := int32(0); k < 8; k++ {
+			if v := (u + k) % int32(n); lazy.HasEdge(u, v) != ref.HasEdge(u, v) {
+				t.Fatalf("%s: HasEdge(%d, %d) = %v, table %v", name, u, v, lazy.HasEdge(u, v), ref.HasEdge(u, v))
+			}
+		}
+		for _, v := range ref.Neighbors(u) {
+			if !lazy.HasEdge(u, v) {
+				t.Fatalf("%s: HasEdge(%d, %d) = false on a table edge", name, u, v)
+			}
+		}
+	}
+
+	var nodes []int32
+	for _, b := range picks[:min(len(picks), 6)] {
+		nodes = append(nodes, int32(b)%int32(n))
+	}
+	edges := [][2]int32{{0, ref.Neighbors(0)[0]}}
+	rl, rt := lazy.Remove(nodes, edges), ref.Remove(nodes, edges)
+	pl, pt := Restore(rl, nodes, nil), Restore(rt, nodes, nil)
+	fl, ft := Restore(rl, nodes, edges), Restore(rt, nodes, edges)
+	if lazy.Materialized() {
+		t.Fatalf("%s: answering from the generator wrote the CSR", name)
+	}
+	if !sameRemoval(rl, rt) || rl.G.xor != nil || !exactCapacity(rl.G) {
+		t.Fatalf("%s: removal of %v and %v differs from the table's", name, nodes, edges)
+	}
+	for _, c := range []struct {
+		what     string
+		lazy, tb *Growth
+	}{{"partial", pl, pt}, {"full", fl, ft}} {
+		l, r := c.lazy, c.tb
+		if !sameCSR(l.G, r.G) || !slices.Equal(l.OldToNew, r.OldToNew) || !slices.Equal(l.NewToOld, r.NewToOld) ||
+			!slices.Equal(l.SurvivorToNew, r.SurvivorToNew) || l.Readmitted != r.Readmitted || l.Reconnected != r.Reconnected ||
+			l.StillGone != r.StillGone || l.RestoredEdges != r.RestoredEdges || !sameRemoval(l.Remaining, r.Remaining) {
+			t.Fatalf("%s: %s restore differs from the table's", name, c.what)
+		}
+	}
+	if ref.Connected() && (fl.G != lazy || ft.G != ref) {
+		t.Fatalf("%s: a full restore of a connected graph did not give back the graph itself", name)
+	}
+}
+
+// sameRemoval reports whether two removals keep the same CSR through
+// the same id maps with the same census.
+func sameRemoval(a, b *Removal) bool {
+	return sameCSR(a.G, b.G) && slices.Equal(a.OldToNew, b.OldToNew) && slices.Equal(a.NewToOld, b.NewToOld) &&
+		a.RemovedNodes == b.RemovedNodes && a.RemovedEdges == b.RemovedEdges && a.Stranded == b.Stranded &&
+		slices.Equal(a.GoneEdges, b.GoneEdges)
+}
+
+// TestNeighborsConcurrentFirstRead races the first readers of a
+// descriptor-backed graph's CSR: eight goroutines read Neighbors,
+// Adjacency and Validate at once, and every one must see the CSR the
+// table build gives, written once.
+func TestNeighborsConcurrentFirstRead(t *testing.T) {
+	d := XORCayley{Bits: 13, Masks: augmentedMasks(13)}
+	ref := FromAdjacency(d.Order(), xorListing(d.Masks))
+	g, err := fromXORCayley(d, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	targets := make([][]int32, 8)
+	for i := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			u := int32(i * 1000)
+			if !slices.Equal(g.Neighbors(u), ref.Neighbors(u)) {
+				t.Errorf("reader %d: neighbours of %d differ from the table's", i, u)
+			}
+			if i%2 == 0 {
+				if err := g.Validate(); err != nil {
+					t.Errorf("reader %d: %v", i, err)
+				}
+			}
+			_, targets[i] = g.Adjacency()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, tg := range targets {
+		if &tg[0] != &targets[0][0] {
+			t.Fatalf("reader %d saw a second CSR", i)
+		}
+	}
+	if !g.Materialized() || !sameCSR(g, ref) {
+		t.Fatal("the CSR the readers raced to write is not the table build's")
+	}
 }
 
 // TestFromXORCayleyChunked pins that the node-chunked build is the

@@ -8,14 +8,15 @@
 // deduplicates each listed block, and lays the target array down at
 // exact size as the input's transpose, which also proves the input
 // symmetric.
-// FromXORCayley builds the CSR of an XOR-Cayley graph (Q_n, FQ_n,
-// Q_{n,f}, AQ_n) straight from its generator set, checking each block as
-// it writes it, so no symmetry pass is needed; it writes contiguous node
-// chunks on up to GOMAXPROCS goroutines. Builder assembles it from
-// an edge list by counting sort. The package also supplies the exact
-// structural computations the diagnosis theory relies on: connectivity
-// (via Menger/max-flow), articulation points, components and BFS
-// layers.
+// FromXORCayley returns an XOR-Cayley graph (Q_n, FQ_n, Q_{n,f}, AQ_n)
+// backed by its generator set: degrees, edges, neighbourhoods, removals
+// and connectivity are answered from the masks, and the CSR is written
+// only when a caller first reads the arrays, each block checked as it is
+// written, in contiguous node chunks on up to GOMAXPROCS goroutines.
+// Builder assembles a graph from an edge list by counting sort. The
+// package also supplies the exact structural computations the diagnosis
+// theory relies on: connectivity (via Menger/max-flow), articulation
+// points, components and BFS layers.
 package graph
 
 import (
@@ -23,12 +24,20 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Graph is a simple undirected graph over nodes 0..N-1 in CSR layout:
 // the neighbours of u are targets[offsets[u]:offsets[u+1]], ascending.
 // Build one with FromAdjacency, FromXORCayley or NewBuilder; a finished
 // Graph is immutable and safe for concurrent readers.
+//
+// A graph FromXORCayley built is descriptor-backed: it holds its
+// generator set and no arrays until Neighbors, Adjacency or an analysis
+// that walks the table (Validate, BFSFrom, Components, connectivity)
+// first needs them; that first read writes the CSR once, whichever
+// goroutines race to it.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; offsets[u] is the start of u's block
@@ -37,6 +46,13 @@ type Graph struct {
 	// xor is the generator set FromXORCayley checked every block
 	// against, masks ascending; nil on every other graph.
 	xor *XORCayley
+	// gen generates the neighbourhoods of a descriptor-backed graph;
+	// nil on every other graph. Its CSR is written by the first
+	// materialise, in chunks node chunks, and written records that it was.
+	gen     *CayleyAdjacency
+	chunks  int
+	once    sync.Once
+	written atomic.Bool
 }
 
 // N returns the number of nodes.
@@ -47,23 +63,76 @@ func (g *Graph) M() int { return g.m }
 
 // Neighbors returns the adjacency list of u in ascending order, as a
 // view into the CSR target array. The caller must not modify the
-// returned slice.
+// returned slice. On a descriptor-backed graph the first call writes
+// the CSR; AppendNeighbors generates a neighbourhood without it.
 func (g *Graph) Neighbors(u int32) []int32 {
+	if g.gen != nil {
+		return g.lazyNeighbors(u)
+	}
+	return g.targets[g.offsets[u]:g.offsets[u+1]]
+}
+
+// lazyNeighbors is Neighbors on a descriptor-backed graph. Kept out of
+// Neighbors so that it stays within the inlining budget: the hot
+// Set_Builder and certification loops call it once per node.
+func (g *Graph) lazyNeighbors(u int32) []int32 {
+	g.materialise()
 	return g.targets[g.offsets[u]:g.offsets[u+1]]
 }
 
 // Degree returns the degree of u.
-func (g *Graph) Degree(u int32) int { return int(g.offsets[u+1] - g.offsets[u]) }
+func (g *Graph) Degree(u int32) int {
+	if g.gen != nil {
+		return g.gen.deg
+	}
+	return int(g.offsets[u+1] - g.offsets[u])
+}
 
 // Adjacency exposes the raw CSR arrays: the neighbours of u are
 // targets[offsets[u]:offsets[u+1]], ascending. Callers must treat both
 // slices as read-only; the accessor exists so hot kernels (the engine's
 // final Set_Builder pass) can walk adjacency without constructing a
 // slice header per node — the same escape hatch bitset.Words provides.
-func (g *Graph) Adjacency() (offsets, targets []int32) { return g.offsets, g.targets }
+// On a descriptor-backed graph the first call writes the CSR.
+func (g *Graph) Adjacency() (offsets, targets []int32) {
+	if g.gen != nil {
+		g.materialise()
+	}
+	return g.offsets, g.targets
+}
+
+// CayleyAdjacency returns the generator of a descriptor-backed graph
+// (one FromXORCayley built), which answers every neighbourhood without
+// the CSR, or nil for a graph that is its table.
+func (g *Graph) CayleyAdjacency() *CayleyAdjacency { return g.gen }
+
+// Materialized reports whether the CSR arrays exist: always for a graph
+// built as a table, and for a descriptor-backed graph once a caller has
+// read them.
+func (g *Graph) Materialized() bool { return g.gen == nil || g.written.Load() }
+
+// materialise writes a descriptor-backed graph's CSR exactly once; the
+// sync.Once orders the write before every reader that passes it.
+func (g *Graph) materialise() { g.once.Do(g.writeCSR) }
+
+// writeCSR builds the CSR of the generator set with the per-block check
+// of writeXORBlocks. FromXORCayley refused every malformed set, and a
+// well-formed one passes its check by construction, so a failure here is
+// a bug.
+func (g *Graph) writeCSR() {
+	offsets, targets, err := buildXORCSR(g.gen, maskTable(g.n, g.xor.Masks), g.chunks)
+	if err != nil {
+		panic(err.Error())
+	}
+	g.offsets, g.targets = offsets, targets
+	g.written.Store(true)
+}
 
 // MaxDegree returns the maximum node degree (Δ in the paper).
 func (g *Graph) MaxDegree() int {
+	if g.gen != nil {
+		return g.gen.deg
+	}
 	d := int32(0)
 	for u := 0; u < g.n; u++ {
 		if w := g.offsets[u+1] - g.offsets[u]; w > d {
@@ -75,6 +144,9 @@ func (g *Graph) MaxDegree() int {
 
 // MinDegree returns the minimum node degree.
 func (g *Graph) MinDegree() int {
+	if g.gen != nil {
+		return g.gen.deg
+	}
 	if g.n == 0 {
 		return 0
 	}
@@ -87,15 +159,23 @@ func (g *Graph) MinDegree() int {
 	return int(d)
 }
 
-// HasEdge reports whether {u, v} is an edge, by binary search on u's
-// (sorted) adjacency block.
+// HasEdge reports whether {u, v} is an edge: by binary search on u's
+// (sorted) adjacency block, or on a descriptor-backed graph by whether
+// u⊕v is a mask.
 func (g *Graph) HasEdge(u, v int32) bool {
+	if g.gen != nil {
+		_, ok := slices.BinarySearch(g.xor.Masks, u^v)
+		return ok
+	}
 	_, ok := slices.BinarySearch(g.Neighbors(u), v)
 	return ok
 }
 
 // IsRegular reports whether every node has degree d.
 func (g *Graph) IsRegular(d int) bool {
+	if g.gen != nil {
+		return g.gen.deg == d
+	}
 	for u := 0; u < g.n; u++ {
 		if int(g.offsets[u+1]-g.offsets[u]) != d {
 			return false
@@ -108,6 +188,7 @@ func (g *Graph) IsRegular(d int) bool {
 // edges, symmetric adjacency, sorted lists, consistent CSR offsets.
 // Topology constructors call this in tests to catch wiring mistakes.
 func (g *Graph) Validate() error {
+	g.Adjacency()
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d for %d nodes", len(g.offsets), g.n)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"comparisondiag/internal/bitset"
 )
@@ -26,8 +27,8 @@ func (*Growth) churnDelta()  {}
 // ascending adjacency or part stays ascending.
 type Growth struct {
 	// G is the re-grown component, compacted to node ids [0, G.N()).
-	// After a full restore of a connected original it is CSR-byte-
-	// identical to the pre-churn graph.
+	// After a full restore of a connected original it is the pre-churn
+	// graph itself.
 	G *Graph
 	// OldToNew maps pre-churn (original-graph) node ids to re-grown ones;
 	// -1 for nodes still gone.
@@ -61,8 +62,11 @@ type Growth struct {
 // out-of-range ids panic, mirroring Remove. The whole operation is
 // O(n + m) on the pre-churn graph.
 //
-// Restoring every removed node and edge of a connected original yields a
-// G that is CSR-byte-identical to it (see Flap).
+// Restoring every removed node and edge of a connected original yields
+// the original graph itself as G, with identity id maps (see Flap): a
+// descriptor-backed original knows it is connected from its mask rank
+// and runs no walk, and a table-backed one proves it with the component
+// walk and copies nothing.
 func Restore(rr *Removal, nodes []int32, edges [][2]int32) *Growth {
 	g := rr.orig
 	if g == nil {
@@ -110,12 +114,19 @@ func Restore(rr *Removal, nodes []int32, edges [][2]int32) *Growth {
 
 	// Re-run the removal with only the residual churn, anchored at the
 	// smallest currently served survivor: its component is the one the
-	// engine's clients live in, so that is the component to grow.
-	anchor := int32(-1)
-	if len(rr.NewToOld) > 0 {
-		anchor = rr.NewToOld[0]
+	// engine's clients live in, so that is the component to grow. With
+	// nothing still gone from a descriptor-backed graph the mask rank
+	// already says whether that component is the whole graph.
+	var res *Removal
+	if len(stillNodes) == 0 && len(stillEdges) == 0 && g.gen != nil && g.Connected() {
+		res = g.whole(still)
+	} else {
+		anchor := int32(-1)
+		if len(rr.NewToOld) > 0 {
+			anchor = rr.NewToOld[0]
+		}
+		res = g.remove(stillNodes, stillEdges, anchor)
 	}
-	res := g.remove(stillNodes, stillEdges, anchor)
 
 	gr := &Growth{
 		G:         res.G,
@@ -151,12 +162,22 @@ func Restore(rr *Removal, nodes []int32, edges [][2]int32) *Growth {
 	return gr
 }
 
+// whole is the removal of nothing from a connected g: g itself, with
+// identity id maps. removed is the (empty) removed-node set it records.
+func (g *Graph) whole(removed *bitset.Set) *Removal {
+	oldToNew := make([]int32, g.n)
+	for i := range oldToNew {
+		oldToNew[i] = int32(i)
+	}
+	return &Removal{G: g, OldToNew: oldToNew, NewToOld: slices.Clone(oldToNew), orig: g, removed: removed}
+}
+
 // Flap removes the given nodes and edges and immediately restores them —
 // the round-trip churn event of a node leaving and rejoining. For a
-// connected graph the returned Growth's G is CSR-byte-identical to g:
-// the removal compacts survivors in ascending id order and the full
-// restore re-admits everything in the same order, so the round trip is
-// the identity on the CSR bytes, not merely an isomorphism.
+// connected graph the returned Growth's G is g itself: the removal
+// compacts survivors in ascending id order and the full restore
+// re-admits everything, so the round trip is the identity on ids, not
+// merely an isomorphism.
 func (g *Graph) Flap(nodes []int32, edges [][2]int32) (*Removal, *Growth) {
 	rr := g.Remove(nodes, edges)
 	return rr, Restore(rr, nodes, edges)

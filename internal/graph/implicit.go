@@ -36,17 +36,24 @@ type Adjacencer interface {
 	AppendNeighbors(u int32, buf []int32) []int32
 }
 
-// AppendNeighbors implements Adjacencer for the CSR graph: the returned
-// slice is the usual read-only view into the target array (buf is
-// ignored — no copy is ever made on the table-backed path).
+// AppendNeighbors implements Adjacencer for the graph: a table-backed
+// graph returns the usual read-only view into the target array (buf is
+// ignored — no copy is ever made on that path), and a descriptor-backed
+// one generates the neighbourhood into buf without writing its CSR.
 func (g *Graph) AppendNeighbors(u int32, buf []int32) []int32 {
+	if g.gen != nil {
+		return g.gen.AppendNeighbors(u, buf)
+	}
 	return g.targets[g.offsets[u]:g.offsets[u+1]]
 }
 
 // CSR asserts an Adjacencer down to its CSR-backed implementation,
 // returning nil for implicit (generator-backed) adjacency. Hot paths
 // use this to keep the flat offset/target walk when a table exists and
-// fall back to AppendNeighbors generation when it does not.
+// fall back to AppendNeighbors generation when it does not. A
+// descriptor-backed *Graph is returned too and writes its table when
+// the walk first reads it; to run without one, serve its
+// CayleyAdjacency instead.
 func CSR(a Adjacencer) *Graph {
 	g, _ := a.(*Graph)
 	return g
@@ -297,10 +304,10 @@ func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 		}
 		return buf
 	}
-	if ca.masks != nil {
+	if masks, topAt := ca.masks, ca.topAt; masks != nil {
 		for w := BasisWalk(u, ca.tops); w != 0; w &= w - 1 {
 			h, lo := walkBit(w), len(buf)
-			for _, m := range ca.masks[ca.topAt[h]:ca.topAt[h+1]] {
+			for _, m := range masks[topAt[h]:topAt[h+1]] {
 				buf = insertAscending(buf, lo, u^m)
 			}
 		}

@@ -40,8 +40,12 @@ func (g *Graph) BFSFrom(src int32, restrict *bitset.Set) []int32 {
 }
 
 // Connected reports whether the whole graph is connected (true for the
-// empty and single-node graph).
+// empty and single-node graph). A descriptor-backed graph answers from
+// the rank of its masks.
 func (g *Graph) Connected() bool {
+	if g.gen != nil {
+		return xorConnected(g.xor.Bits, g.xor.Masks)
+	}
 	if g.n <= 1 {
 		return true
 	}
@@ -64,10 +68,12 @@ func (g *Graph) componentSizeFrom(src int32, restrict *bitset.Set) int {
 	seen.Add(int(src))
 	queue := []int32{src}
 	size := 1
+	var buf []int32
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
+		buf = g.AppendNeighbors(u, buf)
+		for _, v := range buf {
 			if seen.Contains(int(v)) {
 				continue
 			}
@@ -146,6 +152,7 @@ func (g *Graph) NeighborsOfSetInto(set, out *bitset.Set) {
 	if set.Len() != g.n {
 		panic("graph: NeighborsOfSet capacity mismatch with graph size")
 	}
+	offsets, targets := g.Adjacency()
 	out.Clear()
 	words := set.Words()
 	if 2*set.Count() > g.n {
@@ -159,7 +166,7 @@ func (g *Graph) NeighborsOfSetInto(set, out *bitset.Set) {
 			for inv != 0 {
 				v := int32(wi<<6 + bits.TrailingZeros64(inv))
 				inv &= inv - 1
-				for _, u := range g.targets[g.offsets[v]:g.offsets[v+1]] {
+				for _, u := range targets[offsets[v]:offsets[v+1]] {
 					if set.Contains(int(u)) {
 						out.Add(int(v))
 						break
@@ -173,7 +180,7 @@ func (g *Graph) NeighborsOfSetInto(set, out *bitset.Set) {
 		for w != 0 {
 			u := int32(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			for _, v := range g.targets[g.offsets[u]:g.offsets[u+1]] {
+			for _, v := range targets[offsets[u]:offsets[u+1]] {
 				out.Add(int(v))
 			}
 		}

@@ -530,8 +530,9 @@ func churnNodes(n, k int) []int32 {
 }
 
 // fullBindCase measures the from-scratch alternative to incremental
-// rebinding: constructing Q_n and binding a fresh engine (graph build,
-// partition, structure detection). The churnrebind case on the same
+// rebinding: constructing Q_n and binding a fresh engine (the
+// descriptor-backed graph, which writes no CSR, the partition and the
+// structure check). The churnrebind case on the same
 // topology is gated against a fraction of this.
 func fullBindCase(n int) Result {
 	return run(fmt.Sprintf("fullbind/Q%d", n), nil, func(b *testing.B) {
@@ -761,16 +762,18 @@ func servedBatchCase(bits, hyps int, coalesce bool) Result {
 }
 
 // graphBuildCase measures a family's CSR construction. Q_n and FQ_n
-// build theirs from their generator sets (graph.FromXORCayley, with
-// single-bit and multi-bit masks); CQ_n has no generator set and lists
-// its neighbours out of order, so it measures FromAdjacency's transpose
-// path.
+// are backed by their generator sets (graph.FromXORCayley, with
+// single-bit and multi-bit masks) and write their CSR when it is first
+// read, so the case reads it (Adjacency); CQ_n has no generator set and
+// lists its neighbours out of order, so it measures FromAdjacency's
+// transpose path.
 func graphBuildCase(build func() topology.Network) Result {
 	nw := build()
+	_, want := nw.Graph().Adjacency()
 	return run("graphbuild/"+nw.Name(), nil, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if build().Graph().N() != nw.Graph().N() {
+			if _, targets := build().Graph().Adjacency(); len(targets) != len(want) {
 				b.Fatal("bad size")
 			}
 		}

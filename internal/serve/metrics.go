@@ -87,10 +87,11 @@ type EngineSnapshot struct {
 	Kernel   string
 	Delta    int
 	Degraded bool
-	// Binding is "descriptor" for engines bound from a Cayley
-	// descriptor (every hypercube) and "csr" for engines over a
-	// materialised graph; AdjacencyBytes estimates what that adjacency
-	// keeps resident.
+	// Binding is "descriptor" for engines that serve a Cayley generator
+	// (every hypercube, and the other XOR-Cayley families while no
+	// churn has degraded them) and "csr" for engines serving a CSR
+	// table; AdjacencyBytes estimates what that adjacency keeps
+	// resident.
 	Binding        string
 	AdjacencyBytes int64
 	Cache          core.CacheStats

@@ -194,9 +194,10 @@ func (s *Server) Snapshot() Snapshot {
 }
 
 // adjacencyFootprint names how an engine holds its adjacency —
-// "csr" for a materialised graph, "descriptor" for a generator — and
-// estimates its resident bytes (graph.CSRFootprintBytes or
-// CayleyAdjacency.FootprintBytes).
+// "descriptor" for a generator, which a network engine over a
+// descriptor-backed graph (fq:8, say) serves too, and "csr" for a
+// table — and estimates its resident bytes (CayleyAdjacency's
+// FootprintBytes, or graph.CSRFootprintBytes of the table).
 func adjacencyFootprint(eng *core.Engine) (string, int64) {
 	if ca, ok := eng.Adjacency().(*graph.CayleyAdjacency); ok {
 		return "descriptor", ca.FootprintBytes()

@@ -740,13 +740,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEngineBindingSnapshot pins the binding report: hypercubes are
-// descriptor-bound with the descriptor's footprint, every other family
+// TestEngineBindingSnapshot pins the binding report: hypercubes, and
+// the other XOR-Cayley families a network engine binds over a
+// descriptor-backed graph (fq:8), are descriptor-bound with the
+// generator's footprint and write no CSR; every other family is
 // CSR-bound with its arrays' footprint, and /metrics labels both.
 func TestEngineBindingSnapshot(t *testing.T) {
 	srv := New(Config{NoCoalesce: true})
 	defer srv.Close()
-	for _, spec := range []string{"q:8", "star:5"} {
+	for _, spec := range []string{"q:8", "fq:8", "star:5"} {
 		if err := srv.Preload(spec); err != nil {
 			t.Fatalf("preload %s: %v", spec, err)
 		}
@@ -761,8 +763,14 @@ func TestEngineBindingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	descBytes := eng.Adjacency().(*graph.CayleyAdjacency).FootprintBytes()
+	fq, err := topology.Parse("fq:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fqBytes := fq.Graph().CayleyAdjacency().FootprintBytes()
 	want := map[string]EngineSnapshot{
 		"q:8":    {Binding: "descriptor", AdjacencyBytes: descBytes},
+		"fq:8":   {Binding: "descriptor", AdjacencyBytes: fqBytes},
 		"star:5": {Binding: "csr", AdjacencyBytes: csrBytes},
 	}
 	snap := srv.Snapshot()
@@ -775,10 +783,19 @@ func TestEngineBindingSnapshot(t *testing.T) {
 			t.Errorf("%s: binding %q, %d bytes; want %q, %d bytes", es.Key, es.Binding, es.AdjacencyBytes, w.Binding, w.AdjacencyBytes)
 		}
 	}
+	ent, err := srv.reg.get("fq:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ent.release()
+	if ent.eng.Graph().Materialized() {
+		t.Error("fq:8 engine wrote its CSR")
+	}
 	var buf bytes.Buffer
 	writePrometheus(&buf, snap)
 	for _, line := range []string{
 		fmt.Sprintf("diagnosed_engine_adjacency_bytes{engine=\"q:8\",binding=\"descriptor\"} %d\n", descBytes),
+		fmt.Sprintf("diagnosed_engine_adjacency_bytes{engine=\"fq:8\",binding=\"descriptor\"} %d\n", fqBytes),
 		fmt.Sprintf("diagnosed_engine_adjacency_bytes{engine=\"star:5\",binding=\"csr\"} %d\n", csrBytes),
 	} {
 		if !strings.Contains(buf.String(), line) {

@@ -6,7 +6,7 @@
 # concurrent syndrome views, Diagnose-during-Rebind churn, graph
 # probes, the serve coalescer and its observability pollers), and the
 # perf-trajectory gate: every committed
-# BENCH_<n>.json — BENCH_26 being the latest — must not regress
+# BENCH_<n>.json — BENCH_27 being the latest — must not regress
 # lookups/op on any case shared with its predecessor, nor start
 # allocating on a case its predecessor ran at 0 allocs/op (both are
 # deterministic; ns/op and bytes/op are reported but not gated).
