@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"comparisondiag/internal/graph"
@@ -100,6 +101,72 @@ func TestCSRCandidatesMatchDerivedPartition(t *testing.T) {
 		}
 		checkHealthyCandidates(t, "after a flap", nw, eng)
 	}
+}
+
+// TestBindPartitionSource pins where a network engine's partition comes
+// from. fq:7 and aq:9 reach δ+1 only by padding, which their coset
+// structure refuses, so their engines bind the family's padded
+// candidates. A network that declares no descriptor binds its own Parts
+// at every bound, even when DetectXORCayley recognises its graph and
+// binds the kernel from it.
+func TestBindPartitionSource(t *testing.T) {
+	for _, spec := range []string{"fq:7", "aq:9"} {
+		nw, err := topology.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := nw.Diagnosability()
+		desc := nw.(topology.CayleyStructured).CayleyStructure()
+		if _, err := topology.CayleyCandidates(desc, delta+1, delta+1); !errors.Is(err, topology.ErrNoPartition) {
+			t.Fatalf("%s: the descriptor partitions δ+1 = %d (err %v), want it to refuse the padded level", spec, delta+1, err)
+		}
+		want, err := nw.Parts(delta+1, delta+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(nw)
+		if b := eng.bnd.Load(); b.partsErr != nil || !reflect.DeepEqual(b.parts, want[:delta+1]) {
+			t.Fatalf("%s: engine binds %d parts (err %v), want the family's %d padded candidates", spec, len(b.parts), b.partsErr, delta+1)
+		}
+		if got, err := eng.Parts(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Parts() = %d parts (err %v), want the family's padded partition", spec, len(got), err)
+		}
+	}
+
+	nw := reversedParts{topology.NewHypercube(8)}
+	if _, ok := graph.DetectXORCayley(nw.Graph()); !ok {
+		t.Fatal("Q8 is not detected as XOR-Cayley")
+	}
+	eng := NewEngine(nw)
+	if eng.KernelName() != "xor-cayley" {
+		t.Fatalf("kernel %s, want the detected xor-cayley", eng.KernelName())
+	}
+	b := eng.bnd.Load()
+	for bound := 1; bound <= b.delta; bound++ {
+		want, err := nw.Parts(bound+1, bound+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.partsFor(b, bound)
+		if err != nil || !reflect.DeepEqual(got, want[:bound+1]) {
+			t.Fatalf("bound %d: engine serves %d parts (err %v), want the network's %d candidates", bound, len(got), err, bound+1)
+		}
+		if bound == b.delta {
+			if full, err := eng.Parts(); err != nil || !reflect.DeepEqual(full, want) {
+				t.Fatalf("Parts() = %d parts (err %v), want the network's own %d", len(full), err, len(want))
+			}
+		}
+	}
+}
+
+// reversedParts hides its network's Cayley declaration and lists the
+// network's parts last first, a partition no coset derivation gives.
+type reversedParts struct{ topology.Network }
+
+func (r reversedParts) Parts(minSize, minCount int) ([]topology.Part, error) {
+	p, err := r.Network.Parts(minSize, minCount)
+	slices.Reverse(p)
+	return p, err
 }
 
 // churnDelta draws three nodes to remove and one edge between two

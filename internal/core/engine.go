@@ -69,11 +69,10 @@ type binding struct {
 	connBudget int
 
 	// parts is the default partition for delta. Where fullParts can
-	// derive the whole partition again (implicit bindings, and healthy
-	// bindings of a network) it holds only the delta+1 candidate parts,
-	// the prefix diagnoseInto scans; degraded and graph-bound bindings
-	// hold the whole partition, which churn maps forward. nil iff
-	// partsErr != nil.
+	// derive the whole partition again (derivable bindings) it holds
+	// only the delta+1 candidate parts, the prefix diagnoseInto scans;
+	// degraded and graph-bound bindings hold the whole partition, which
+	// churn maps forward. nil iff partsErr != nil.
 	parts    []topology.Part
 	partsErr error
 
@@ -84,6 +83,14 @@ type binding struct {
 	// a rebind can re-verify it against the surviving component.
 	kernel wordRounder
 	desc   graph.CayleyDescriptor
+
+	// declared is the descriptor deriveParts derives the partition
+	// from: an implicit binding's own, or the network's declaration
+	// when it verified at bind. nil on every other binding: a
+	// descriptor DetectXORCayley found, or BindCayley bound, routes the
+	// final pass only, because only the declared families have their
+	// coset partition pinned equal to their Parts.
+	declared graph.CayleyDescriptor
 
 	// degraded marks a binding produced by churn (Rebind/Survivor):
 	// diagnoses are stamped Stats.Degraded with EffectiveDelta = delta.
@@ -108,28 +115,52 @@ type binding struct {
 }
 
 // fullParts returns the binding's whole default partition, the one
-// Rebind maps through churn and Engine.Parts reports. Where that
-// partition is a pure function of the binding's origin it is derived
-// again, O(n) per call: an implicit binding rebuilds it from its
-// descriptor, and a healthy network binding from its network — the
+// Rebind maps through churn and Engine.Parts reports. A derivable
+// binding derives it again, O(n) per call, with deriveParts: the
 // bind-time partition, which a full restore also returns element for
 // element (topology.RegrowParts). A degraded binding's partition
-// describes a graph the network does not, and a graph-bound engine has
-// no network, so those return the partition they store.
+// describes a graph its origin does not, and a graph-bound engine has
+// no origin, so those return the partition they store.
 func (b *binding) fullParts() ([]topology.Part, error) {
-	switch {
-	case b.implicit():
-		return topology.CayleyParts(b.desc, b.delta+1, b.delta+1)
-	case b.derivable():
-		return b.nw.Parts(b.delta+1, b.delta+1)
+	if b.derivable() {
+		return b.deriveParts(b.delta, true)
 	}
 	return b.parts, b.partsErr
 }
 
-// derivable reports a network binding serving the network's own graph
-// at its own bound, whose partition fullParts derives from the network.
+// derivable reports a binding whose partition deriveParts derives from
+// its origin, a declared descriptor or a network (an implicit binding
+// is a descriptor with no network), while it serves that origin's own
+// graph at its own bound.
 func (b *binding) derivable() bool {
-	return b.nw != nil && !b.degraded && b.delta == b.baseDelta
+	return (b.nw != nil || b.declared != nil) && !b.degraded && b.delta == b.baseDelta
+}
+
+// deriveParts is the one rule by which a binding derives a partition
+// for a fault bound: its declared descriptor's coset blocks first
+// (topology.CayleyCandidates for the bound+1 candidates a diagnosis
+// scans, topology.CayleyParts for the whole partition), and the
+// network's own Parts only where the descriptor refuses the level (one
+// the family reaches only by padding, such as FQ_7 or AQ_9 at δ+1) or
+// where none was declared. Both give the same parts wherever both
+// succeed, so the rule picks the cost, not the partition: the
+// candidates are O(δ²) ids where the network's Parts fills all n.
+func (b *binding) deriveParts(bound int, whole bool) ([]topology.Part, error) {
+	if b.declared != nil {
+		derive := topology.CayleyCandidates
+		if whole {
+			derive = topology.CayleyParts
+		}
+		p, err := derive(b.declared, bound+1, bound+1)
+		if err == nil || b.nw == nil {
+			return p, err
+		}
+	}
+	p, err := b.nw.Parts(bound+1, bound+1)
+	if !whole {
+		p = candidateParts(p, bound+1)
+	}
+	return p, err
 }
 
 // compact drops every part but the delta+1 candidates from a binding
@@ -162,12 +193,15 @@ func candidateParts(parts []topology.Part, count int) []topology.Part {
 	return out
 }
 
-// NewEngine binds an engine to the network, eagerly building the
-// default partition for δ = nw.Diagnosability() and keeping only its
-// δ+1 candidate parts, the ones a diagnosis scans, rather than all n
-// node ids (on hypercubes the candidates hold O(δ²)).
-// The full partition is derived again from the network when Rebind or
-// Parts needs it. A network whose graph is descriptor-backed
+// NewEngine binds an engine to the network, building only the δ+1
+// candidate parts of the default partition for δ = nw.Diagnosability(),
+// the ones a diagnosis scans, never all n node ids (on hypercubes the
+// candidates hold O(δ²)). A network whose declared Cayley descriptor
+// verifies (topology.CayleyStructured) has them resolved from its coset
+// structure (topology.CayleyCandidates), and any other network, or a
+// level the descriptor refuses, from the network's Parts. The full
+// partition is derived again by the same rule when Rebind or Parts
+// needs it. A network whose graph is descriptor-backed
 // (graph.FromXORCayley: Q_n, FQ_n, Q_{n,f}, AQ_n) is served from its
 // generator, so the engine holds no CSR while it is healthy; only a
 // degraded survivor holds one. Construction never fails: on gap-G3
@@ -184,9 +218,8 @@ func NewEngine(nw topology.Network) *Engine {
 	}
 	b.adj = servedAdjacency(b.g)
 	b.baseDelta = b.delta
-	b.parts, b.partsErr = nw.Parts(b.delta+1, b.delta+1)
-	b.compact()
-	b.kernel, b.desc = bindStructure(nw, b.g, b.adj)
+	b.kernel, b.desc, b.declared = bindStructure(nw, b.g, b.adj)
+	b.parts, b.partsErr = b.deriveParts(b.delta, false)
 	e := &Engine{name: nw.Name()}
 	e.bnd.Store(b)
 	return e
@@ -201,21 +234,22 @@ func NewEngine(nw topology.Network) *Engine {
 // against its own descriptor without a scan. The kernel is sized for a,
 // the adjacency the binding serves. The verified descriptor is returned
 // alongside the kernel so a later Rebind can re-verify it on the
-// surviving component.
-func bindStructure(nw topology.Network, g *graph.Graph, a graph.Adjacencer) (wordRounder, graph.CayleyDescriptor) {
+// surviving component, and a verified declaration is returned a second
+// time as declared, the binding's partition source (see deriveParts).
+func bindStructure(nw topology.Network, g *graph.Graph, a graph.Adjacencer) (wordRounder, graph.CayleyDescriptor, graph.CayleyDescriptor) {
 	if cs, ok := nw.(topology.CayleyStructured); ok {
 		if desc := cs.CayleyStructure(); desc != nil && graph.VerifyCayley(g, desc) == nil {
 			// A verified declaration is the whole truth about the
 			// adjacency; when no kernel covers it (e.g. below the
 			// 64-node floor), re-probing from scratch could only
 			// rediscover the same structure.
-			return bindFinalKernel(desc, a), desc
+			return bindFinalKernel(desc, a), desc, desc
 		}
 	}
 	if desc, ok := graph.DetectXORCayley(g); ok {
-		return bindFinalKernel(desc, a), desc
+		return bindFinalKernel(desc, a), desc, nil
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // kernelName is the observability tag for a (possibly nil) kernel.
@@ -325,7 +359,10 @@ func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 		baseDelta:  delta,
 		connBudget: delta,
 		desc:       desc,
+		declared:   desc,
 	}
+	// deriveParts' rule for a descriptor with no network, inlined: the
+	// served bind path keeps its one direct call.
 	b.parts, b.partsErr = topology.CayleyCandidates(desc, delta+1, delta+1)
 	b.kernel = bindFinalKernel(desc, ca)
 	e := &Engine{name: cayleyEngineName(desc)}
@@ -372,15 +409,13 @@ func (e *Engine) Degraded() bool { return e.bnd.Load().degraded }
 // Parts returns the default partition (or the recorded construction
 // error). An engine bound to a network or a descriptor stores only the
 // δ+1 candidate parts it scans, so while it is healthy Parts derives
-// the full partition again on every call (from the network, or
-// topology.CayleyParts) — O(n) node ids, the memory the binding itself
-// avoids. A degraded or graph-bound engine returns the partition it
-// stores. It is meant for inspection and tests, not the serving path.
+// the full partition again on every call, by the rule it bound its
+// candidates with (topology.CayleyParts from a declared descriptor,
+// the network's Parts otherwise): O(n) node ids, the memory the binding
+// itself avoids. A degraded or graph-bound engine returns the partition
+// it stores. It is meant for inspection and tests, not the serving
+// path.
 func (e *Engine) Parts() ([]topology.Part, error) { return e.bnd.Load().fullParts() }
-
-// implicit reports a descriptor-bound binding (NewCayleyEngine): no
-// network, no CSR.
-func (b *binding) implicit() bool { return b.nw == nil && b.g == nil && b.desc != nil }
 
 // PartsErr reports whether the engine holds a valid Theorem 1 partition;
 // non-nil means every Diagnose call will fail the same way and the
@@ -389,19 +424,20 @@ func (e *Engine) PartsErr() error { return e.bnd.Load().partsErr }
 
 // partsFor returns a partition valid for the given fault bound. The
 // default bound returns the bind-time partition without locking (the
-// allocation-free hot path). Tighter bounds are built once per distinct
-// value and cached — successes and failures alike, so the engine
-// returns exactly what the free DiagnoseOpts would have (same parts or
-// the same construction error), preserving the documented equivalence.
-// Degraded bindings always serve their δ′ partition: the network's
-// partition generator describes the pre-churn graph, and the δ′ parts
-// remain valid for every tighter bound (sizes and count only need to
-// reach bound+1 ≤ δ′+1). Only the bound+1 candidates of each tightened
-// partition are cached, like the default one, so a distinct bound
-// costs bound+1 parts at rest rather than another whole partition.
+// allocation-free hot path). Tighter bounds are derived by deriveParts
+// once per distinct value and cached — successes and failures alike, so
+// the engine returns exactly what the free DiagnoseOpts would have (same
+// parts or the same construction error), preserving the documented
+// equivalence. Bindings that are not derivable always serve their
+// stored partition: a degraded binding's origin describes the
+// pre-churn graph, and its δ′ parts remain valid for every tighter
+// bound (sizes and count only need to reach bound+1 ≤ δ′+1); a
+// graph-bound engine has only the partition it was given. Only the
+// bound+1 candidates of each tightened partition are cached, like the
+// default one, so a distinct bound costs bound+1 parts at rest rather
+// than another whole partition.
 func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
-	implicit := b.implicit()
-	if bound >= b.delta || (b.nw == nil && !implicit) || b.degraded {
+	if bound >= b.delta || !b.derivable() {
 		return b.parts, b.partsErr
 	}
 	e.mu.Lock()
@@ -409,14 +445,7 @@ func (e *Engine) partsFor(b *binding, bound int) ([]topology.Part, error) {
 	if p, ok := b.tight[bound]; ok {
 		return p, b.tightErr[bound]
 	}
-	var p []topology.Part
-	var err error
-	if implicit {
-		p, err = topology.CayleyCandidates(b.desc, bound+1, bound+1)
-	} else {
-		p, err = b.nw.Parts(bound+1, bound+1)
-		p = candidateParts(p, bound+1)
-	}
+	p, err := b.deriveParts(bound, false)
 	if b.tight == nil {
 		b.tight = make(map[int][]topology.Part)
 		b.tightErr = make(map[int]error)

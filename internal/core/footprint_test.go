@@ -119,3 +119,29 @@ func TestDescriptorGraphEngineFootprint(t *testing.T) {
 	t.Logf("q:14 parsed and bound: %d bytes retained", retained)
 	runtime.KeepAlive(eng)
 }
+
+// TestNetworkBindAllocs pins that binding a declared-Cayley network
+// builds no O(n) partition: NewEngine on a parsed q:14, fq:12 or eq:12,3
+// allocates under 16 KiB per bind, where the network's own Parts alone
+// fills all n node ids (64 KiB on Q14, 16 KiB on the others).
+func TestNetworkBindAllocs(t *testing.T) {
+	for _, spec := range []string{"q:14", "fq:12", "eq:12,3"} {
+		nw, err := topology.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := NewEngine(nw).PartsErr(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+			t.Errorf("binding %s allocates %d bytes, want < 16 KiB", spec, got)
+		} else {
+			t.Logf("binding %s: %d B, %d allocs", spec, got, res.AllocsPerOp())
+		}
+	}
+}

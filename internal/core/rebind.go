@@ -297,6 +297,7 @@ func derive(b, from *binding, rm *graph.Removal, parts []topology.Part, partsErr
 		baseDelta: b.baseDelta,
 		partsErr:  partsErr,
 		desc:      b.desc,
+		declared:  b.declared,
 		epoch:     b.epoch + 1,
 		prev:      from, // the world a later graph.Restore regrows toward
 	}

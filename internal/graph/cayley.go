@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Algebraic adjacency descriptors. A regular interconnection network is
@@ -163,12 +161,8 @@ func (m MixedRadixCayley) String() string {
 // NewCayleyAdjacency makes), those facts prove N(u) = u⊕M exactly, which
 // is symmetric (v = u⊕m gives u = v⊕m), so no merge or transpose pass
 // runs. The result is the CSR FromAdjacency builds from the same
-// listing, its target array at exact capacity. Blocks are independent,
-// so the nodes are split into contiguous chunks, one per P
-// (runtime.GOMAXPROCS at construction) and each at least minChunkNodes
-// long, written at once; at GOMAXPROCS = 1, or below two chunks' worth
-// of nodes, the write is one serial pass. The CSR is the same at every
-// chunk count.
+// listing, its target array at exact capacity, written in one serial
+// pass.
 //
 // The graph records a copy of d, and VerifyCayley against the same bit
 // width and mask set returns nil without a scan. Removal survivors carry
@@ -179,19 +173,17 @@ func (m MixedRadixCayley) String() string {
 // shape and before anything proportional to the order is allocated;
 // any failure is returned as an error.
 func FromXORCayley(d XORCayley) (*Graph, error) {
-	return fromXORCayley(d, xorChunks(xorOrder(d.Bits)))
-}
-
-// minChunkNodes is the fewest nodes FromXORCayley hands one chunk, so
-// that writing a chunk's blocks outweighs starting and joining its
-// goroutine.
-const minChunkNodes = 2048
-
-// xorChunks is the number of node chunks an n-node XOR-Cayley CSR is
-// built in: at most one per P, each at least minChunkNodes nodes, and
-// at least one.
-func xorChunks(n int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), n/minChunkNodes))
+	n, deg := xorOrder(d.Bits), len(d.Masks)
+	if err := CheckInt32Bounds(n, deg); err != nil {
+		return nil, err
+	}
+	ca, err := NewCayleyAdjacency(d)
+	if err != nil {
+		return nil, err
+	}
+	masks := slices.Clone(d.Masks)
+	slices.Sort(masks)
+	return &Graph{n: n, m: n * deg / 2, xor: &XORCayley{Bits: d.Bits, Masks: masks}, gen: ca}, nil
 }
 
 // xorOrder is 2^bits, saturated at math.MaxInt, which the int32 bounds
@@ -204,22 +196,6 @@ func xorOrder(b int) int {
 		return 1 << uint(b)
 	}
 	return 0
-}
-
-// fromXORCayley is FromXORCayley whose CSR, once read, is written in
-// exactly chunks (≥ 1) node chunks.
-func fromXORCayley(d XORCayley, chunks int) (*Graph, error) {
-	n, deg := xorOrder(d.Bits), len(d.Masks)
-	if err := CheckInt32Bounds(n, deg); err != nil {
-		return nil, err
-	}
-	ca, err := NewCayleyAdjacency(d)
-	if err != nil {
-		return nil, err
-	}
-	masks := slices.Clone(d.Masks)
-	slices.Sort(masks)
-	return &Graph{n: n, m: n * deg / 2, xor: &XORCayley{Bits: d.Bits, Masks: masks}, gen: ca, chunks: chunks}, nil
 }
 
 // xorConnected reports whether the XOR-Cayley graph on width-bit ids
@@ -244,44 +220,15 @@ func xorConnected(width int, masks []int32) bool {
 	return rank == width
 }
 
-// buildXORCSR writes the CSR of ca in chunks contiguous node ranges:
-// chunk 0 on the caller, each other chunk on a goroutine of its own.
-// The chunks read ca and isMask and write disjoint blocks and offsets,
-// so they share nothing mutable. Of the chunks that fail, the lowest
-// one's error is returned.
-func buildXORCSR(ca *CayleyAdjacency, isMask []bool, chunks int) ([]int32, []int32, error) {
-	n := ca.n
+// buildXORCSR writes the CSR of ca and checks each block as it is
+// stored: degree, strict ascent and every difference u⊕v a mask, read
+// back from the target array itself, so the check proves what the CSR
+// holds. It stops at the first failing node.
+func buildXORCSR(ca *CayleyAdjacency, isMask []bool) ([]int32, []int32, error) {
+	n, deg, basis := ca.n, int32(ca.deg), ca.basis
 	offsets := make([]int32, n+1)
 	targets := make([]int32, n*ca.deg)
-	first := func(i int) int32 { return int32(int64(n) * int64(i) / int64(chunks)) }
-	errs := make([]error, chunks)
-	var wg sync.WaitGroup
-	for i := 1; i < chunks; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = writeXORBlocks(ca, isMask, offsets, targets, first(i), first(i+1))
-		}()
-	}
-	errs[0] = writeXORBlocks(ca, isMask, offsets, targets, 0, first(1))
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return offsets, targets, nil
-}
-
-// writeXORBlocks writes the blocks and offsets of nodes [lo, hi) and
-// checks each block as it is stored: degree, strict ascent and every
-// difference u⊕v a mask, read back from the target array itself, so
-// the check proves what the CSR holds. It stops at the first failing
-// node. The arrays are parameters rather than a closure's captures,
-// which would move them to the heap behind a pointer.
-func writeXORBlocks(ca *CayleyAdjacency, isMask []bool, offsets, targets []int32, lo, hi int32) error {
-	deg, basis := int32(ca.deg), ca.basis
-	for u := lo; u < hi; u++ {
+	for u := int32(0); int(u) < n; u++ {
 		start := u * deg
 		block := targets[start : start+deg : start+deg]
 		got := 0
@@ -296,19 +243,19 @@ func writeXORBlocks(ca *CayleyAdjacency, isMask []bool, offsets, targets []int32
 			got = len(ca.AppendNeighbors(u, block[:0]))
 		}
 		if got != len(block) {
-			return fmt.Errorf("graph: xor-cayley generator gave node %d %d neighbours, want %d", u, got, deg)
+			return nil, nil, fmt.Errorf("graph: xor-cayley generator gave node %d %d neighbours, want %d", u, got, deg)
 		}
 		prev := int32(-1)
 		for _, v := range block {
 			x := uint32(u ^ v)
 			if v <= prev || x >= uint32(len(isMask)) || !isMask[x] {
-				return fmt.Errorf("graph: xor-cayley block %v of node %d is not its mask set applied ascending", block, u)
+				return nil, nil, fmt.Errorf("graph: xor-cayley block %v of node %d is not its mask set applied ascending", block, u)
 			}
 			prev = v
 		}
 		offsets[u+1] = start + deg
 	}
-	return nil
+	return offsets, targets, nil
 }
 
 // VerifyCayley checks a descriptor against the graph's CSR adjacency:

@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -47,6 +46,11 @@ func TestFromXORCayleyMatchesFromAdjacency(t *testing.T) {
 		{Bits: 8, Masks: enhancedMasks(8, 3)},
 		{Bits: 6, Masks: augmentedMasks(6)},
 		{Bits: 5, Masks: []int32{31, 4, 1, 6}},
+		{Bits: 12, Masks: hyperMasks(12)},
+		{Bits: 16, Masks: hyperMasks(16)},
+		{Bits: 14, Masks: enhancedMasks(14, 14)},
+		{Bits: 14, Masks: enhancedMasks(14, 3)},
+		{Bits: 13, Masks: augmentedMasks(13)},
 	} {
 		g, err := FromXORCayley(d)
 		if err != nil {
@@ -169,36 +173,31 @@ func decodeXORCayley(bitsIn byte, data []byte) XORCayley {
 
 // FuzzFromXORCayley checks FromXORCayley against the construction it
 // replaces: FromAdjacency on the u⊕m listing followed by VerifyCayley.
-// Each input is built in one node chunk and in three, which its ≤ 1,024
-// nodes would never get from GOMAXPROCS. Either every build fails, with
-// one error text, or every build succeeds with the same CSR, and then
-// the generated one is at exact capacity and verifies against its own
-// descriptor, and a fresh build answers from its generator exactly as
-// the reference table does (checkLazyAnswers) without writing its CSR.
+// Either both fail, or the build succeeds with the reference's CSR at
+// exact capacity, verifies against its own descriptor, and a fresh
+// build answers from its generator exactly as the reference table does
+// (checkLazyAnswers) without writing its CSR.
 func FuzzFromXORCayley(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bitsIn byte, data []byte) {
 		d := decodeXORCayley(bitsIn, data)
-		got, err := fromXORCayley(d, 1)
-		got3, err3 := fromXORCayley(d, 3)
+		got, err := FromXORCayley(d)
 		var ref *Graph
 		msg := panicMessage(func() { ref = FromAdjacency(1<<uint(d.Bits), xorListing(d.Masks)) })
 		refOK := msg == "" && VerifyCayley(ref, d) == nil
 		switch {
-		case fmt.Sprint(err) != fmt.Sprint(err3):
-			t.Fatalf("%v %v: error %v in one chunk, %v in three", d, d.Masks, err, err3)
 		case (err == nil) != refOK:
 			t.Fatalf("%v %v: FromXORCayley error %v, reference ok = %v (panic %q)", d, d.Masks, err, refOK, msg)
 		case err != nil:
 			return
-		case !sameCSR(got, ref) || !sameCSR(got3, ref):
+		case !sameCSR(got, ref):
 			t.Fatalf("%v %v: CSR differs from the reference", d, d.Masks)
-		case !exactCapacity(got) || !exactCapacity(got3):
+		case !exactCapacity(got):
 			t.Fatalf("%v %v: target array has spare capacity", d, d.Masks)
 		}
 		if err := VerifyCayley(got, d); err != nil {
 			t.Fatalf("%v %v: generated graph rejects its own descriptor: %v", d, d.Masks, err)
 		}
-		lazy, _ := fromXORCayley(d, 3)
+		lazy, _ := FromXORCayley(d)
 		checkLazyAnswers(t, fmt.Sprint(d, d.Masks), lazy, ref, data)
 	})
 }
@@ -281,7 +280,7 @@ func sameRemoval(a, b *Removal) bool {
 func TestNeighborsConcurrentFirstRead(t *testing.T) {
 	d := XORCayley{Bits: 13, Masks: augmentedMasks(13)}
 	ref := FromAdjacency(d.Order(), xorListing(d.Masks))
-	g, err := fromXORCayley(d, 3)
+	g, err := FromXORCayley(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,58 +316,13 @@ func TestNeighborsConcurrentFirstRead(t *testing.T) {
 	}
 }
 
-// TestFromXORCayleyChunked pins that the node-chunked build is the
-// serial one: at GOMAXPROCS 2, 3 and 8 every family's CSR is byte for
-// byte the CSR built at GOMAXPROCS 1, where the build runs in one chunk.
-func TestFromXORCayleyChunked(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var ds []XORCayley
-	for n := 12; n <= 16; n++ {
-		ds = append(ds, XORCayley{Bits: n, Masks: hyperMasks(n)})
-	}
-	ds = append(ds,
-		XORCayley{Bits: 14, Masks: enhancedMasks(14, 14)},
-		XORCayley{Bits: 13, Masks: augmentedMasks(13)},
-		XORCayley{Bits: 14, Masks: enhancedMasks(14, 3)},
-	)
-	serial := make([]*Graph, len(ds))
-	for _, procs := range []int{1, 2, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		for i, d := range ds {
-			if procs > 1 && xorChunks(d.Order()) < 2 {
-				t.Fatalf("%v at GOMAXPROCS %d: built in one chunk", d, procs)
-			}
-			g, err := FromXORCayley(d)
-			if err != nil {
-				t.Fatalf("%v at GOMAXPROCS %d: %v", d, procs, err)
-			}
-			if procs == 1 {
-				serial[i] = g
-				continue
-			}
-			if !sameCSR(g, serial[i]) || !exactCapacity(g) {
-				t.Errorf("%v at GOMAXPROCS %d: CSR differs from the GOMAXPROCS 1 build", d, procs)
-			}
-		}
-	}
-	runtime.GOMAXPROCS(1)
-	if c := xorChunks(1 << 20); c != 1 {
-		t.Errorf("GOMAXPROCS 1: %d chunks, want 1", c)
-	}
-	runtime.GOMAXPROCS(8)
-	if c := xorChunks(2*minChunkNodes - 1); c != 1 {
-		t.Errorf("below two chunks' worth of nodes: %d chunks, want 1", c)
-	}
-}
-
-// TestXORChunkErrorIsSerial runs the chunk workers on mask tables that
-// fail some nodes: the build returns the serial error, naming the lowest
-// failing node, at every chunk count. A table missing one mask fails
-// every node, so each chunk stops at its own first node. A ±1-per-digit
-// torus's neighbours differ from u by node-dependent XORs, so a table
-// of only the differences its lower half meets passes the lower half
-// and fails a node past chunk 0 at every chunk count.
-func TestXORChunkErrorIsSerial(t *testing.T) {
+// TestXORBlockErrorNamesFirstNode runs the CSR write on mask tables
+// that fail some nodes: the build returns the error of the lowest
+// failing node. A table missing one mask fails every node, so the
+// error names node 0. A ±1-per-digit torus's neighbours differ from u
+// by node-dependent XORs, so a table of only the differences its lower
+// half meets passes the lower half and fails a node past it.
+func TestXORBlockErrorNamesFirstNode(t *testing.T) {
 	type failing struct {
 		name   string
 		ca     *CayleyAdjacency
@@ -386,15 +340,6 @@ func TestXORChunkErrorIsSerial(t *testing.T) {
 		isMask := maskTable(d.Order(), d.Masks)
 		isMask[d.Masks[3]] = false
 		cases = append(cases, failing{fmt.Sprintf("%v without mask %#x", d, d.Masks[3]), ca, isMask})
-
-		offsets := make([]int32, d.Order()+1)
-		targets := make([]int32, d.Order()*len(d.Masks))
-		for _, lo := range []int32{1, 1000, int32(d.Order()) - 1} {
-			err := writeXORBlocks(ca, isMask, offsets, targets, lo, int32(d.Order()))
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("of node %d ", lo)) {
-				t.Errorf("%v: chunk from node %d: error %v, want it to name node %d", d, lo, err, lo)
-			}
-		}
 	}
 	torus, err := NewCayleyAdjacency(AdditiveCayley{K: 3, Dims: 7})
 	if err != nil {
@@ -424,20 +369,11 @@ func TestXORChunkErrorIsSerial(t *testing.T) {
 		if c.ca == torus && int(first) < torus.N()/2 {
 			t.Fatalf("%s: node %d fails in the lower half", c.name, first)
 		}
-		var want string
-		for _, chunks := range []int{1, 2, 3, 8} {
-			_, _, err := buildXORCSR(c.ca, c.isMask, chunks)
-			switch {
-			case err == nil:
-				t.Errorf("%s: %d chunks built a CSR", c.name, chunks)
-			case chunks == 1:
-				want = err.Error()
-				if !strings.Contains(want, fmt.Sprintf("of node %d ", first)) {
-					t.Errorf("%s: serial error %q does not name node %d", c.name, want, first)
-				}
-			case err.Error() != want:
-				t.Errorf("%s: %d chunks: error %q, serial %q", c.name, chunks, err, want)
-			}
+		switch _, _, err := buildXORCSR(c.ca, c.isMask); {
+		case err == nil:
+			t.Errorf("%s: built a CSR", c.name)
+		case !strings.Contains(err.Error(), fmt.Sprintf("of node %d ", first)):
+			t.Errorf("%s: error %q does not name node %d", c.name, err, first)
 		}
 	}
 }

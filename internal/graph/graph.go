@@ -12,7 +12,7 @@
 // backed by its generator set: degrees, edges, neighbourhoods, removals
 // and connectivity are answered from the masks, and the CSR is written
 // only when a caller first reads the arrays, each block checked as it is
-// written, in contiguous node chunks on up to GOMAXPROCS goroutines.
+// written.
 // Builder assembles a graph from an edge list by counting sort. The
 // package also supplies the exact structural computations the diagnosis
 // theory relies on: connectivity (via Menger/max-flow), articulation
@@ -48,9 +48,8 @@ type Graph struct {
 	xor *XORCayley
 	// gen generates the neighbourhoods of a descriptor-backed graph;
 	// nil on every other graph. Its CSR is written by the first
-	// materialise, in chunks node chunks, and written records that it was.
+	// materialise, and written records that it was.
 	gen     *CayleyAdjacency
-	chunks  int
 	once    sync.Once
 	written atomic.Bool
 }
@@ -116,11 +115,11 @@ func (g *Graph) Materialized() bool { return g.gen == nil || g.written.Load() }
 func (g *Graph) materialise() { g.once.Do(g.writeCSR) }
 
 // writeCSR builds the CSR of the generator set with the per-block check
-// of writeXORBlocks. FromXORCayley refused every malformed set, and a
+// of buildXORCSR. FromXORCayley refused every malformed set, and a
 // well-formed one passes its check by construction, so a failure here is
 // a bug.
 func (g *Graph) writeCSR() {
-	offsets, targets, err := buildXORCSR(g.gen, maskTable(g.n, g.xor.Masks), g.chunks)
+	offsets, targets, err := buildXORCSR(g.gen, maskTable(g.n, g.xor.Masks))
 	if err != nil {
 		panic(err.Error())
 	}

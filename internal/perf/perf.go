@@ -531,9 +531,10 @@ func churnNodes(n, k int) []int32 {
 
 // fullBindCase measures the from-scratch alternative to incremental
 // rebinding: constructing Q_n and binding a fresh engine (the
-// descriptor-backed graph, which writes no CSR, the partition and the
-// structure check). The churnrebind case on the same
-// topology is gated against a fraction of this.
+// descriptor-backed graph, which writes no CSR, the structure check and
+// the δ+1 candidate parts, resolved from the descriptor without an
+// O(n) partition). The churnrebind case on the same topology is gated
+// against a fraction of this.
 func fullBindCase(n int) Result {
 	return run(fmt.Sprintf("fullbind/Q%d", n), nil, func(b *testing.B) {
 		b.ReportAllocs()

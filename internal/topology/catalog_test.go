@@ -40,11 +40,12 @@ func TestCatalogFieldsNonEmpty(t *testing.T) {
 
 // TestPartsDeterministic turns the Parts contract into a check: repeated
 // calls with the same arguments return the same parts in the same order,
-// seeds included, on one network and on a second parse of its spec. The
-// engine relies on it twice: a healthy binding derives its full
-// partition again from Parts(δ+1, δ+1), and a tightened bound b takes
-// its candidates from Parts(b+1, b+1). Families that cannot partition
-// at a bound must refuse it the same way every time.
+// seeds included, on one network and on a second parse of its spec.
+// Wherever no declared descriptor partitions the level, the engine
+// relies on it twice: a healthy binding derives its full partition
+// again from Parts(δ+1, δ+1), and a tightened bound b takes its
+// candidates from Parts(b+1, b+1). Families that cannot partition at a
+// bound must refuse it the same way every time.
 func TestPartsDeterministic(t *testing.T) {
 	for _, fam := range Catalog() {
 		nw, err := Parse(fam.Example)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -54,14 +55,57 @@ func TestCayleyAdjacencyMatchesFamilies(t *testing.T) {
 	}
 }
 
+// parsedDeclaredFamilies parses every declared-Cayley instance the
+// parser accepts with at most 2^14 nodes: q, fq and aq at n = 2..14,
+// eq:n,f at every 2 ≤ f ≤ n, and kary:k,n and akary:k,n (n ≥ 2) at
+// every k ≥ 3 with k^n ≤ 2^14. The k-cycles kary:k,1 stop at k = 64,
+// which spans their three diagnosabilities (0, 1 and 2): one digit
+// gives neither partition path a level below the whole graph at any k,
+// and the 16,320 longer cycles would take seconds to build.
+func parsedDeclaredFamilies(t *testing.T) []CayleyStructured {
+	t.Helper()
+	const maxNodes, maxCycle = 1 << 14, 64
+	var specs []string
+	for n := 2; n <= 14; n++ {
+		specs = append(specs, fmt.Sprintf("q:%d", n), fmt.Sprintf("fq:%d", n), fmt.Sprintf("aq:%d", n))
+		for f := 2; f <= n; f++ {
+			specs = append(specs, fmt.Sprintf("eq:%d,%d", n, f))
+		}
+	}
+	for k := 3; k <= maxNodes; k++ {
+		if k <= maxCycle {
+			specs = append(specs, fmt.Sprintf("kary:%d,1", k))
+		}
+		for n := 2; pow(k, n) <= maxNodes; n++ {
+			specs = append(specs, fmt.Sprintf("kary:%d,%d", k, n), fmt.Sprintf("akary:%d,%d", k, n))
+		}
+	}
+	nws := make([]CayleyStructured, len(specs))
+	for i, spec := range specs {
+		nw, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		cs, ok := nw.(CayleyStructured)
+		if !ok || cs.CayleyStructure() == nil {
+			t.Fatalf("%s declares no descriptor", spec)
+		}
+		nws[i] = cs
+	}
+	return nws
+}
+
 // TestCayleyPartsMatchesFamilyParts pins the Theorem 1 partition derived
-// from the coset structure against the family's own Parts across the
+// from the coset structure against the family's own Parts, for every
+// declared instance the parser accepts up to 2^14 nodes, across the
 // request range an engine actually issues (every tightened bound from 1
 // up to δ+1): part-for-part identical node ranges and seeds whenever
-// the CSR path succeeds without padding, and ErrNoPartition only when
-// the CSR path also fails.
+// both succeed. The descriptor may refuse, with ErrNoPartition, only
+// where the family refuses too or pads, donating nodes between parts
+// so that its parts no longer cover the graph; it never refuses a level
+// the family fills outright.
 func TestCayleyPartsMatchesFamilyParts(t *testing.T) {
-	for _, nw := range declaredFamilies() {
+	for _, nw := range parsedDeclaredFamilies(t) {
 		t.Run(nw.Name(), func(t *testing.T) {
 			desc := nw.CayleyStructure()
 			for bound := 1; bound <= nw.Diagnosability()+1; bound++ {
@@ -74,11 +118,11 @@ func TestCayleyPartsMatchesFamilyParts(t *testing.T) {
 					continue
 				}
 				if gotErr != nil {
-					// The descriptor path may refuse a level the CSR path
-					// only reaches by padding; it must say so with the
-					// canonical sentinel, and never invent a partition.
 					if !errors.Is(gotErr, ErrNoPartition) {
 						t.Fatalf("bound %d: unexpected error %v", bound, gotErr)
+					}
+					if isLevel(want, nw.Graph().N()) {
+						t.Fatalf("bound %d: descriptor refused a level the family fills without padding", bound)
 					}
 					continue
 				}
@@ -94,6 +138,24 @@ func TestCayleyPartsMatchesFamilyParts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// isLevel reports whether parts are one granularity level: the n node
+// ids cut into contiguous equal ranges, as rangeParts builds them. A
+// padded partition is not, because padding donates nodes between parts.
+func isLevel(parts []Part, n int) bool {
+	size := len(parts[0].Nodes)
+	if size*len(parts) != n {
+		return false
+	}
+	for i, p := range parts {
+		for j, u := range p.Nodes {
+			if int(u) != i*size+j {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestCayleyCandidatesArePartsPrefix pins the candidate-only build an
