@@ -46,11 +46,6 @@ func TestFromXORCayleyMatchesFromAdjacency(t *testing.T) {
 		{Bits: 8, Masks: enhancedMasks(8, 3)},
 		{Bits: 6, Masks: augmentedMasks(6)},
 		{Bits: 5, Masks: []int32{31, 4, 1, 6}},
-		{Bits: 12, Masks: hyperMasks(12)},
-		{Bits: 16, Masks: hyperMasks(16)},
-		{Bits: 14, Masks: enhancedMasks(14, 14)},
-		{Bits: 14, Masks: enhancedMasks(14, 3)},
-		{Bits: 13, Masks: augmentedMasks(13)},
 	} {
 		g, err := FromXORCayley(d)
 		if err != nil {
@@ -69,6 +64,34 @@ func TestFromXORCayleyMatchesFromAdjacency(t *testing.T) {
 		slices.Reverse(reversed)
 		if err := VerifyCayley(g, XORCayley{Bits: d.Bits, Masks: reversed}); err != nil {
 			t.Errorf("%v %v: own masks reversed rejected: %v", d, d.Masks, err)
+		}
+	}
+}
+
+// TestFromXORCayleyChunked pins the build on the families large enough
+// to have been written in parallel node chunks, which it no longer is:
+// Q12 to Q16, FQ14, Q(14,3) and AQ13 each give, in the one serial pass,
+// FromAdjacency's CSR for the u⊕m listing at exact capacity.
+func TestFromXORCayleyChunked(t *testing.T) {
+	var ds []XORCayley
+	for n := 12; n <= 16; n++ {
+		ds = append(ds, XORCayley{Bits: n, Masks: hyperMasks(n)})
+	}
+	ds = append(ds,
+		XORCayley{Bits: 14, Masks: enhancedMasks(14, 14)},
+		XORCayley{Bits: 13, Masks: augmentedMasks(13)},
+		XORCayley{Bits: 14, Masks: enhancedMasks(14, 3)},
+	)
+	for _, d := range ds {
+		g, err := FromXORCayley(d)
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if ref := FromAdjacency(d.Order(), xorListing(d.Masks)); !sameCSR(g, ref) {
+			t.Errorf("%v: CSR differs from FromAdjacency's", d)
+		}
+		if !exactCapacity(g) {
+			t.Errorf("%v: target array has spare capacity", d)
 		}
 	}
 }
