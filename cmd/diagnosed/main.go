@@ -69,7 +69,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "flush a window early at this many distinct pending requests")
 	workers := flag.Int("workers", 0, "worker-pool size per engine (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache", 1024, "per-engine result-cache capacity (0 disables caching)")
-	preload := flag.String("preload", "", "comma-separated specs to bind at startup; hypercubes (q:<n>) bind from their XOR descriptor, with or without the implicit: prefix, and are refused from q:27 up (n·2^n arcs beyond int32); fq, eq and aq serve their generator set and write no CSR; other families build their CSR")
+	preload := flag.String("preload", "", "comma-separated specs to bind at startup, every family the same way (topology.Parse + core.NewEngine); q, fq, eq and aq serve their generator set and write no CSR, other families build their CSR; an implicit: prefix binds the same entry and is refused where that entry serves a CSR; specs an int32 CSR cannot index (q:27 up) are refused")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {

@@ -42,8 +42,7 @@ import (
 // loads exactly one snapshot up front, so diagnoses racing a Rebind see
 // either the old world or the new one, never a mixture.
 type Engine struct {
-	name string
-	bnd  atomic.Pointer[binding]
+	bnd atomic.Pointer[binding]
 
 	// mu serialises Rebind/BindCayley against each other and guards the
 	// lazily built tightened-partition maps of whichever binding is
@@ -126,6 +125,19 @@ func (b *binding) fullParts() ([]topology.Part, error) {
 		return b.deriveParts(b.delta, true)
 	}
 	return b.parts, b.partsErr
+}
+
+// name names the binding in error texts: by its network (Q14), else by
+// its declared descriptor's String (a NewCayleyEngine binding), else
+// "graph" (NewGraphEngine).
+func (b *binding) name() string {
+	switch {
+	case b.nw != nil:
+		return b.nw.Name()
+	case b.declared != nil:
+		return b.declared.String()
+	}
+	return "graph"
 }
 
 // derivable reports a binding whose partition deriveParts derives from
@@ -220,7 +232,7 @@ func NewEngine(nw topology.Network) *Engine {
 	b.baseDelta = b.delta
 	b.kernel, b.desc, b.declared = bindStructure(nw, b.g, b.adj)
 	b.parts, b.partsErr = b.deriveParts(b.delta, false)
-	e := &Engine{name: nw.Name()}
+	e := &Engine{}
 	e.bnd.Store(b)
 	return e
 }
@@ -302,7 +314,7 @@ func (e *Engine) BindCayley(desc graph.CayleyDescriptor) error {
 // that know their graph's algebraic structure can opt in afterwards
 // with BindCayley, which verifies the claim before trusting it.
 func NewGraphEngine(g *graph.Graph, delta int, parts []topology.Part) *Engine {
-	e := &Engine{name: "graph"}
+	e := &Engine{}
 	e.bnd.Store(&binding{g: g, adj: servedAdjacency(g), delta: delta, baseDelta: delta, connBudget: delta, parts: parts})
 	return e
 }
@@ -336,7 +348,8 @@ func servedAdjacency(g *graph.Graph) graph.Adjacencer {
 // validated (graph.NewCayleyAdjacency); a malformed descriptor returns
 // an error. A coset partition that cannot be derived for the requested
 // bound is recorded exactly like NewEngine records a partition error —
-// construction still succeeds and every Diagnose reports it.
+// construction still succeeds and every Diagnose reports it, naming the
+// engine by the descriptor's String.
 //
 // Implicit engines serve Diagnose/DiagnoseOpts/DiagnoseBatch in full
 // (including FaultBound tightening, sharing and result caches). They do
@@ -361,24 +374,11 @@ func NewCayleyEngine(desc graph.CayleyDescriptor, delta int) (*Engine, error) {
 		desc:       desc,
 		declared:   desc,
 	}
-	// deriveParts' rule for a descriptor with no network, inlined: the
-	// served bind path keeps its one direct call.
-	b.parts, b.partsErr = topology.CayleyCandidates(desc, delta+1, delta+1)
+	b.parts, b.partsErr = b.deriveParts(delta, false)
 	b.kernel = bindFinalKernel(desc, ca)
-	e := &Engine{name: cayleyEngineName(desc)}
+	e := &Engine{}
 	e.bnd.Store(b)
 	return e, nil
-}
-
-// cayleyEngineName names a descriptor-bound engine in its error text.
-// A single-bit XOR descriptor with one generator per bit is Q_n, and
-// takes the hypercube network's name, so the two bindings of Q_n fail
-// with the same message; any other descriptor is named by its String.
-func cayleyEngineName(desc graph.CayleyDescriptor) string {
-	if x, ok := desc.(graph.XORCayley); ok && !x.MultiBit() && len(x.Masks) == x.Bits {
-		return fmt.Sprintf("Q%d", x.Bits)
-	}
-	return desc.String()
 }
 
 // Graph returns the bound graph (the surviving component after a
@@ -524,7 +524,7 @@ func (e *Engine) diagnose(b *binding, s syndrome.Syndrome, opt Options) (*bitset
 		var err error
 		parts, err = e.partsFor(b, delta)
 		if err != nil {
-			return nil, nil, fmt.Errorf("diagnosing %s: %w", e.name, err)
+			return nil, nil, fmt.Errorf("diagnosing %s: %w", b.name(), err)
 		}
 	}
 	opt.fastFinal = true

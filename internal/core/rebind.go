@@ -178,7 +178,7 @@ func (e *Engine) Survivor(d graph.Delta) (*Engine, *RebindReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ne := &Engine{name: e.name}
+	ne := &Engine{}
 	ne.bnd.Store(nb)
 	return ne, rep, nil
 }

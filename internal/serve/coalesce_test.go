@@ -12,6 +12,7 @@ import (
 	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/core"
 	"comparisondiag/internal/syndrome"
+	"comparisondiag/internal/topology"
 )
 
 // panicPool is a core.BatchPool whose every batch panics.
@@ -38,10 +39,7 @@ func awaitOutcome(t *testing.T, ch <-chan Outcome) Outcome {
 // flushed by close. Every waiter of a poisoned batch — deduplicated
 // ones included — receives an errBatchPanic outcome, and close returns.
 func TestCoalescerBatchPanicAnswersWaiters(t *testing.T) {
-	eng, err := hypercubeEngine(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := core.NewEngine(topology.NewHypercube(6))
 	var met metrics
 	c := newCoalescer(eng, panicPool{}, nil, time.Hour, 3, &met)
 	submit := func(key string, fault int) <-chan Outcome {

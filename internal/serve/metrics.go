@@ -88,10 +88,9 @@ type EngineSnapshot struct {
 	Delta    int
 	Degraded bool
 	// Binding is "descriptor" for engines that serve a Cayley generator
-	// (every hypercube, and the other XOR-Cayley families while no
-	// churn has degraded them) and "csr" for engines serving a CSR
-	// table; AdjacencyBytes estimates what that adjacency keeps
-	// resident.
+	// (the XOR-Cayley families, hypercubes included, while no churn has
+	// degraded them) and "csr" for engines serving a CSR table;
+	// AdjacencyBytes estimates what that adjacency keeps resident.
 	Binding        string
 	AdjacencyBytes int64
 	Cache          core.CacheStats

@@ -5,8 +5,10 @@
 // machinery was built for.
 //
 // The request path is: an engine registry keyed by topology spec
-// (lazy bind — hypercubes from their XOR descriptor, every other family
-// through its CSR — bounded LRU of bound engines) →
+// (lazy bind of every spec through topology.Parse and core.NewEngine —
+// the XOR-Cayley families, hypercubes included, serve their generator
+// set and never write a CSR, every other family serves its CSR table —
+// bounded LRU of bound engines) →
 // a per-engine request coalescer (concurrent /v1/diagnose requests
 // within a short window become one Engine.DiagnoseBatch call, grouped
 // by fault hypothesis) → the engine's persistent worker pool. Answers
@@ -22,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,10 +160,11 @@ func (s *Server) Close() {
 
 // Preload binds a topology spec ahead of traffic (cmd/diagnosed
 // -preload): the bind cost is paid at startup instead of on the first
-// request. The spec may carry the "implicit:" prefix, which a
-// hypercube spec ignores and any other spec is refused for.
+// request. The spec may carry the "implicit:" prefix, which binds the
+// same entry as the bare spec and is refused if that entry serves a
+// CSR table (see acquire).
 func (s *Server) Preload(spec string) error {
-	e, err := s.reg.get(normalizeKey(spec))
+	e, err := s.acquire(spec, false)
 	if err != nil {
 		return err
 	}
@@ -195,7 +197,7 @@ func (s *Server) Snapshot() Snapshot {
 
 // adjacencyFootprint names how an engine holds its adjacency —
 // "descriptor" for a generator, which a network engine over a
-// descriptor-backed graph (fq:8, say) serves too, and "csr" for a
+// descriptor-backed graph (q:14 or fq:8, say) serves, and "csr" for a
 // table — and estimates its resident bytes (CayleyAdjacency's
 // FootprintBytes, or graph.CSRFootprintBytes of the table).
 func adjacencyFootprint(eng *core.Engine) (string, int64) {
@@ -206,114 +208,61 @@ func adjacencyFootprint(eng *core.Engine) (string, int64) {
 	return "csr", graph.CSRFootprintBytes(g.N(), g.M())
 }
 
-// normalizeKey canonicalises a spec so "Q:14", " q:14 " and "q:\t14"
-// share one engine: every Unicode space is dropped, a superset of what
-// topology.Parse trims from its arguments, so no spelling Parse accepts
-// as a hypercube escapes the descriptor binding. Every hypercube spec
-// ("q:<n>", "hypercube:<n>", with or without the "implicit:" prefix)
-// folds to "q:<n>": hypercubes are always descriptor-bound, so there is
-// one entry per hypercube. The prefix stays on any other spec, whose
-// bind then refuses it.
-func normalizeKey(spec string) string {
-	key := strings.ToLower(strings.Join(strings.Fields(spec), ""))
-	if n, ok := hypercubeDim(strings.TrimPrefix(key, "implicit:")); ok {
-		return "q:" + strconv.Itoa(n)
-	}
-	return key
+// normalizeKey canonicalises a spec into its registry key, so "Q:14",
+// " q:14 " and "q:\t14" share one engine: case is folded and every
+// Unicode space dropped, a superset of what topology.Parse trims from
+// its arguments. An "implicit:" prefix is cut from the key and reported
+// instead. Nothing else is folded: an alias ("hypercube:14" for "q:14")
+// binds the same network under its own key.
+func normalizeKey(spec string) (key string, implicit bool) {
+	return strings.CutPrefix(strings.ToLower(strings.Join(strings.Fields(spec), "")), "implicit:")
 }
 
-// registryKey is the registry key of a request's topology and
-// Implicit flag.
-func registryKey(topology string, implicit bool) string {
-	if implicit {
-		topology = "implicit:" + topology
-	}
-	return normalizeKey(topology)
-}
-
-// hypercubeDim parses a hypercube spec ("q:<n>" or "hypercube:<n>",
-// lower case, no spaces) into its dimension.
-func hypercubeDim(spec string) (int, bool) {
-	name, arg, ok := strings.Cut(spec, ":")
-	if !ok || (name != "q" && name != "hypercube") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(arg)
-	return n, err == nil
-}
-
-// buildEntry binds the engine for a registry key and assembles its
-// serving apparatus (pool, cache, coalescer). Hypercubes bind from
-// their XOR descriptor (hypercubeEngine); every other family builds
-// its CSR through topology.Parse.
-func (s *Server) buildEntry(key string) (*entry, error) {
-	spec, implicit := strings.CutPrefix(key, "implicit:")
-	var eng *core.Engine
-	var err error
-	if n, ok := hypercubeDim(spec); ok {
-		eng, err = hypercubeEngine(n)
-	} else if implicit {
-		err = fmt.Errorf("serve: implicit mode supports hypercube specs (q:<n>), got %q", spec)
-	} else {
-		var nw topology.Network
-		nw, err = topology.Parse(spec)
-		if err == nil {
-			eng = core.NewEngine(nw)
-		}
-	}
+// acquire returns the entry for a topology spec, binding it on first
+// use; the caller owns one reference (see registry.get). A request made
+// implicit by the flag or by the spec's "implicit:" prefix shares the
+// bare spec's entry, and is refused once that entry is bound if its
+// engine serves a CSR table rather than a generator.
+func (s *Server) acquire(spec string, implicit bool) (*entry, error) {
+	key, prefixed := normalizeKey(spec)
+	e, err := s.reg.get(key)
 	if err != nil {
 		return nil, err
 	}
+	if (implicit || prefixed) && graph.CSR(e.eng.Adjacency()) != nil {
+		e.release()
+		return nil, fmt.Errorf("serve: implicit mode needs a descriptor-backed binding, but %s is served from its CSR", key)
+	}
+	return e, nil
+}
+
+// buildEntry binds the engine for a registry key through
+// topology.Parse and core.NewEngine, the one bind path of every family,
+// and assembles its serving apparatus (pool, cache, coalescer).
+func (s *Server) buildEntry(key string) (*entry, error) {
+	nw, err := topology.Parse(key)
+	if err != nil {
+		return nil, err
+	}
+	eng := core.NewEngine(nw)
 	var cache *core.ResultCache
 	if s.cfg.CacheCap > 0 {
 		cache = core.NewResultCache(s.cfg.CacheCap)
 	}
 	rt := campaign.NewRuntime(eng, s.cfg.Workers)
 	e := &entry{key: key, eng: eng, cache: cache, rt: rt}
-	window := s.cfg.Window
-	if s.cfg.NoCoalesce {
-		window = 0
-	}
-	e.co = newCoalescer(eng, rt, cache, window, s.cfg.MaxBatch, &s.met)
+	e.co = newCoalescer(eng, rt, cache, s.cfg.Window, s.cfg.MaxBatch, &s.met)
 	return e, nil
-}
-
-// hypercubeEngine binds Q_n (δ = topology.HypercubeDiagnosability(n))
-// straight from its XOR descriptor:
-// neighbours are generated in ascending order by graph.BasisWalk, so no
-// CSR is ever built, Q14 binds in tens of microseconds, and answers,
-// Stats and look-up counts are bit-identical to
-// core.NewEngine(topology.NewHypercube(n)) — same partition, same
-// kernel, same error text (see docs/service.md). Sizes the CSR path
-// cannot index (n·2^n arcs beyond MaxInt32, n ≥ 27) are refused with
-// graph.CheckInt32Bounds before anything proportional to 2^n is
-// allocated, and so is Q2, whose δ is 0.
-func hypercubeEngine(n int) (*core.Engine, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("serve: hypercube needs n ≥ 2, got %d", n)
-	}
-	// 2^62 stands for every order past it: all are refused alike.
-	if err := graph.CheckInt32Bounds(1<<min(n, 62), n); err != nil {
-		return nil, fmt.Errorf("serve: q:%d: %w", n, err)
-	}
-	delta := topology.HypercubeDiagnosability(n)
-	if delta < 1 {
-		return nil, fmt.Errorf("serve: q:%d is not 1-diagnosable (δ = %d): no fault set is identifiable", n, delta)
-	}
-	masks := make([]int32, n)
-	for i := range masks {
-		masks[i] = 1 << uint(i)
-	}
-	return core.NewCayleyEngine(graph.XORCayley{Bits: n, Masks: masks}, delta)
 }
 
 // DiagnoseRequest is the /v1/diagnose request body.
 type DiagnoseRequest struct {
 	// Topology is the spec to diagnose against ("q:14", "star:6", ...).
 	Topology string `json:"topology"`
-	// Implicit asks for descriptor-backed binding. Hypercubes are always
-	// descriptor-bound, so it changes nothing for them; any other family
-	// is refused with 400.
+	// Implicit asks for a descriptor-backed binding, as the "implicit:"
+	// spec prefix does. It binds the same entry as the bare spec and
+	// changes no answer; the request is refused with 400 if that entry
+	// serves a CSR table.
 	Implicit bool `json:"implicit,omitempty"`
 	// Faults is the fault hypothesis: node ids presumed faulty.
 	Faults []int `json:"faults"`
@@ -459,7 +408,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bound must be ≥ 0")
 		return
 	}
-	ent, err := s.reg.get(registryKey(req.Topology, req.Implicit))
+	ent, err := s.acquire(req.Topology, req.Implicit)
 	if err != nil {
 		s.met.errors.Add(1)
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -549,7 +498,9 @@ func requestKey(faults *bitset.Set, behaviorName string, seed uint64, bound int)
 
 // CampaignRequest is the /v1/campaign request body.
 type CampaignRequest struct {
-	Topology  string `json:"topology"`
+	Topology string `json:"topology"`
+	// Implicit is DiagnoseRequest.Implicit: the same entry, refused
+	// with 400 if it serves a CSR table.
 	Implicit  bool   `json:"implicit,omitempty"`
 	MinFaults int    `json:"min_faults"`
 	MaxFaults int    `json:"max_faults"`
@@ -607,7 +558,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "at most %d sweep points per job", maxCampaignPoints)
 		return
 	}
-	ent, err := s.reg.get(registryKey(req.Topology, req.Implicit))
+	ent, err := s.acquire(req.Topology, req.Implicit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

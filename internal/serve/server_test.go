@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -531,10 +532,12 @@ func TestCampaignOversizedBody(t *testing.T) {
 	}
 }
 
-// TestImplicitServing pins descriptor-backed binding: an "implicit"
-// request binds a Cayley engine (no CSR) and its response matches the
-// solo descriptor-bound reference bit for bit. A plain request for the
-// same hypercube, and its "hypercube:" spelling, share that one entry.
+// TestImplicitServing pins the implicit rule: an "implicit" request
+// binds the same entry as the bare spec, and its response matches the
+// solo reference bit for bit. It is accepted wherever that entry serves
+// a generator set — q:10, and fq:8 too — and refused with 400 where the
+// entry serves a CSR table (star:5), which the refused request still
+// binds under the bare key.
 func TestImplicitServing(t *testing.T) {
 	srv := New(Config{NoCoalesce: true})
 	defer srv.Close()
@@ -552,36 +555,50 @@ func TestImplicitServing(t *testing.T) {
 		t.Fatalf("status %d (%s)", status, dr.Error)
 	}
 
-	eng, err := hypercubeEngine(10)
-	if err != nil {
-		t.Fatalf("implicit reference: %v", err)
-	}
+	eng := core.NewEngine(topology.NewHypercube(10))
 	got, stats, err := eng.Diagnose(syndrome.NewLazy(F, syndrome.Inverted{}))
 	if err != nil {
-		t.Fatalf("solo implicit diagnose: %v", err)
+		t.Fatalf("solo diagnose: %v", err)
 	}
 	checkBitIdentical(t, "implicit", dr, got, stats)
 	keys := srv.residentKeys()
 	if len(keys) != 1 || keys[0] != "q:10" {
 		t.Fatalf("resident keys = %v, want [q:10]", keys)
 	}
-	// The plain and implicit requests of one hypercube share one
-	// descriptor-bound entry.
-	for _, spec := range []string{"q:10", "hypercube:10", "implicit:Q:10"} {
-		if status, dr := postDiagnose(t, ts.URL, DiagnoseRequest{Topology: spec, Faults: []int{1}}); status != http.StatusOK {
-			t.Fatalf("%s: status %d (%s)", spec, status, dr.Error)
+	// The plain and implicit requests of one spec share one entry.
+	for _, req := range []DiagnoseRequest{
+		{Topology: "q:10", Faults: []int{1}},
+		{Topology: "implicit:Q:10", Faults: []int{1}},
+		{Topology: "fq:8", Implicit: true, Faults: []int{1}},
+		{Topology: "implicit:fq:8", Faults: []int{1}},
+		{Topology: "fq:8", Faults: []int{1}},
+	} {
+		if status, dr := postDiagnose(t, ts.URL, req); status != http.StatusOK {
+			t.Fatalf("%+v: status %d (%s)", req, status, dr.Error)
 		}
 	}
-	if keys = srv.residentKeys(); len(keys) != 1 || keys[0] != "q:10" {
-		t.Fatalf("resident keys = %v, want the one entry [q:10]", keys)
+	for _, req := range []DiagnoseRequest{
+		{Topology: "star:5", Implicit: true, Faults: []int{1}},
+		{Topology: "implicit:star:5", Faults: []int{1}},
+	} {
+		if status, dr := postDiagnose(t, ts.URL, req); status != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d (%s), want 400", req, status, dr.Error)
+		}
 	}
-	ent, err := srv.reg.get("q:10")
-	if err != nil {
-		t.Fatal(err)
+	if keys = srv.residentKeys(); !slices.Equal(keys, []string{"star:5", "fq:8", "q:10"}) {
+		t.Fatalf("resident keys = %v, want [star:5 fq:8 q:10]", keys)
 	}
-	defer ent.release()
-	if g := ent.eng.Graph(); g != nil {
-		t.Fatalf("served q:10 holds a %d-node CSR; want the descriptor binding (Graph() == nil)", g.N())
+	for _, key := range []string{"q:10", "fq:8"} {
+		ent, err := srv.reg.get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binding, _ := adjacencyFootprint(ent.eng)
+		materialized := ent.eng.Graph().Materialized()
+		ent.release()
+		if binding != "descriptor" || materialized {
+			t.Fatalf("served %s bound as %q, CSR written %v; want the descriptor binding and no CSR", key, binding, materialized)
+		}
 	}
 }
 
@@ -758,10 +775,7 @@ func TestEngineBindingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	csrBytes := graph.CSRFootprintBytes(nw.Graph().N(), nw.Graph().M())
-	eng, err := hypercubeEngine(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := core.NewEngine(topology.NewHypercube(8))
 	descBytes := eng.Adjacency().(*graph.CayleyAdjacency).FootprintBytes()
 	fq, err := topology.Parse("fq:8")
 	if err != nil {

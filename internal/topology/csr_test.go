@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -146,6 +148,35 @@ func TestParseRefusesInt32Overflow(t *testing.T) {
 		}
 		if d := time.Since(start); d > time.Second {
 			t.Errorf("%s: refusal took %v", spec, d)
+		}
+	}
+}
+
+// TestPaddedPartsReadNoCSR pins that the padding walk (padParts) reads
+// a descriptor-built family's neighbourhoods from its generator set:
+// after Parts at every bound 1..δ+1 of instances that reach some levels
+// only by padding (or not at all), the graph has written no CSR, and
+// every partition, or refusal, is element for element what the same
+// walk over the Builder's CSR table of the family gives.
+func TestPaddedPartsReadNoCSR(t *testing.T) {
+	for _, spec := range []string{"q:5", "q:7", "fq:7", "aq:9", "eq:7,4"} {
+		nw, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := nw.Graph()
+		listing, _ := xorFamilyListing(nw)
+		table := builderCSR(g.N(), listing)
+		n := bits.Len(uint(g.N())) - 1
+		for bound := 1; bound <= nw.Diagnosability(); bound++ {
+			got, gotErr := nw.Parts(bound+1, bound+1)
+			want, wantErr := binaryCubeParts(table, n, 2, bound+1, bound+1)
+			if !reflect.DeepEqual(got, want) || gotErr != wantErr {
+				t.Fatalf("%s bound %d: %d parts (%v), table walk %d parts (%v)", spec, bound, len(got), gotErr, len(want), wantErr)
+			}
+		}
+		if g.Materialized() {
+			t.Errorf("%s: Parts wrote the CSR", spec)
 		}
 	}
 }

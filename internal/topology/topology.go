@@ -241,14 +241,18 @@ func padParts(g *graph.Graph, parts []Part, minSize, minCount int) ([]Part, erro
 
 // findDonation locates either a pool node with ≥ 2 neighbours in mask
 // (returned as (a, -1)) or a pool edge {a, b} with both endpoints
-// adjacent to mask.
+// adjacent to mask. Neighbourhoods are read with AppendNeighbors, which
+// generates them on a descriptor-backed graph instead of writing its
+// CSR, in the same ascending order.
 func findDonation(g *graph.Graph, mask, pool *bitset.Set) (int32, int32, bool) {
 	var single int32 = -1
 	var pa, pb int32 = -1, -1
+	var nbA, nbB []int32
 	pool.ForEach(func(i int) bool {
 		a := int32(i)
+		nbA = g.AppendNeighbors(a, nbA[:0])
 		deg := 0
-		for _, v := range g.Neighbors(a) {
+		for _, v := range nbA {
 			if mask.Contains(int(v)) {
 				deg++
 			}
@@ -258,11 +262,12 @@ func findDonation(g *graph.Graph, mask, pool *bitset.Set) (int32, int32, bool) {
 			return false
 		}
 		if deg == 1 && pa == -1 {
-			for _, b := range g.Neighbors(a) {
+			for _, b := range nbA {
 				if !pool.Contains(int(b)) {
 					continue
 				}
-				for _, w := range g.Neighbors(b) {
+				nbB = g.AppendNeighbors(b, nbB[:0])
+				for _, w := range nbB {
 					if w != a && mask.Contains(int(w)) {
 						pa, pb = a, b
 						break
